@@ -50,7 +50,6 @@ from .momentrec import (
     GENERATOR_VERSION,
     MomentVector,
     ReconstructionCoefficients,
-    build_P,
     build_P_exact,
     moments_from_coeffs,
     residual_norm_of,
@@ -96,7 +95,6 @@ __all__ = [
     "SeriesCoefficients",
     "TruncationWarning",
     "bernoulli",
-    "build_P",
     "build_P_exact",
     "closed_form",
     "coeff",

@@ -43,7 +43,7 @@ from .momentrec import (
     residual_norm_of,
     solve_coeffs,
 )
-from .specfun import PrecisionContext
+from .specfun import PrecisionContext, _to_beta
 
 PRINT_DIGITS = 21  # table/report cells carry this many significant digits
 
@@ -540,10 +540,7 @@ def _parse_betas(text: str | None) -> list[str]:
         piece = piece.strip()
         if not piece:
             continue
-        try:
-            float(piece)
-        except ValueError:
-            raise DomainError(f"invalid beta value: {piece!r}") from None
+        _to_beta(piece)
         out.append(piece)
     return out
 

@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 
 from .errors import DegeneracyError, DomainError, PoleError
 from .models import ModelId, SeriesCoefficients
-from .specfun import PrecisionContext, _to_mpf
+from .specfun import PrecisionContext, _to_beta, _to_mpf
 
 __all__ = ["PadeSpec", "pade_eval", "weniger_delta"]
 
@@ -56,9 +56,7 @@ def pade_eval(series: SeriesCoefficients, N: int, M: int, beta,
             f"series has {series.count} coefficients, [N/M]=[{N}/{M}] needs {need}")
     dps = ctx.workdps + _span_digits(series, need) + 10
     with mp.workdps(dps):
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         a = [_to_mpf(f) for f in series.a[:need]]
         q = [mpf(1)] + (_toeplitz_solve(a, N, M) if M else [])
         p = []
@@ -128,9 +126,7 @@ def weniger_delta(series: SeriesCoefficients, n: int, beta,
             f"series has {series.count} coefficients, delta_{n} needs {n + 2}")
     dps = ctx.workdps + _span_digits(series, n + 2) + 10
     with mp.workdps(dps):
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         x = -beta
         terms = []
         xp = mpf(1)

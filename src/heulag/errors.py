@@ -18,7 +18,7 @@ class DegeneracyError(HeulagError):
 
 
 class ConditioningError(HeulagError):
-    """A pivot fell below working precision in the moment-problem solve."""
+    """The moment reconstruction cannot deliver the requested digits."""
 
 
 class ConsistencyError(HeulagError):

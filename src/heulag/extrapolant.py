@@ -21,7 +21,7 @@ from .errors import ConsistencyError, DomainError, TruncationWarning
 from .finitepart import _fp_exp_over_xm
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, rho_eval
-from .specfun import PrecisionContext, _to_mpf
+from .specfun import PrecisionContext, _to_beta, _to_mpf
 
 __all__ = [
     "ExtrapolationResult",
@@ -120,9 +120,7 @@ def tail_sum(rec: ReconstructionCoefficients, beta, K: int, ctx: PrecisionContex
             TruncationWarning, stacklevel=2)
     p = rec.model.tail_power_offset
     with ctx.work():
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         F = _fp_kernel_values(K)
         G = _weights(rec)
         inv_fac2 = [1 / _to_mpf(factorial(l)) ** 2 for l in range(d + 1)]
@@ -166,9 +164,7 @@ def delta_term(rec: ReconstructionCoefficients, beta, model: ModelId,
                ctx: PrecisionContext) -> mpf:
     """Pole-correction term: beta*Delta(beta) for spins, Delta(beta) for SD."""
     with ctx.work():
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         value, imres = _delta_raw(rec, beta, model, ctx)
         bound = mpf(10) ** (-(ctx.digits - 10)) * max(abs(value), mpf(1))
         if imres > bound:
@@ -188,9 +184,7 @@ def extrapolate(model: ModelId, rec: ReconstructionCoefficients, beta,
     if K is None:
         K = 2 * rec.d
     with ctx.work():
-        beta_v = _to_mpf(beta)
-        if beta_v <= 0:
-            raise DomainError("beta must be > 0")
+        beta_v = _to_beta(beta)
         tail = tail_sum(rec, beta_v, K, ctx)
         delta, imres = _delta_raw(rec, beta_v, model, ctx)
         bound = mpf(10) ** (-(ctx.digits - 10)) * max(abs(tail + delta), mpf(1))

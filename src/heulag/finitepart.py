@@ -21,6 +21,7 @@ from .specfun import (
     _digamma_int,
     _euler_gamma,
     _hurwitz_zeta,
+    _to_beta,
     _to_mpf,
 )
 
@@ -87,9 +88,7 @@ def fp_exp_over_xm(b, m: int, ctx: PrecisionContext) -> mpf:
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"fp_exp_over_xm requires integer m >= 1, got {m}")
     with ctx.work():
-        b = _to_mpf(b)
-        if b <= 0:
-            raise DomainError(f"fp_exp_over_xm requires b > 0, got {b}")
+        b = _to_beta(b, "b")
         v = _fp_exp_over_xm(b, m)
     return ctx.round(v)
 
@@ -209,9 +208,7 @@ def fp_csch(beta, ctx: PrecisionContext) -> mpf:
     with nu = (1 + sqrt(b))/(2 sqrt(b)).
     """
     with ctx.work():
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError(f"fp_csch requires beta > 0, got {beta}")
+        beta = _to_beta(beta)
         rb = sqrt(beta)
         nu = (1 + rb) / (2 * rb)
         g = _euler_gamma()
@@ -227,9 +224,7 @@ def fp_coth(beta, ctx: PrecisionContext) -> mpf:
     - 4 sqrt(b) zeta'(-1, q), with q = 1/(2 sqrt(b)).
     """
     with ctx.work():
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError(f"fp_coth requires beta > 0, got {beta}")
+        beta = _to_beta(beta)
         rb = sqrt(beta)
         q = 1 / (2 * rb)
         g = _euler_gamma()
@@ -247,9 +242,7 @@ def fp_sinh2(beta, ctx: PrecisionContext) -> mpf:
     with q = 1/sqrt(b); the 1/4 prefactor of the assembly is already included.
     """
     with ctx.work():
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError(f"fp_sinh2 requires beta > 0, got {beta}")
+        beta = _to_beta(beta)
         q = 1 / sqrt(beta)
         g = _euler_gamma()
         v = ((-g - ln(mpf(2))) * (_hurwitz_zeta(mpf(-1), q)

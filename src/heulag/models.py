@@ -18,7 +18,7 @@ from mpmath import mp, mpf, exp, ln, quad, sinh, cosh, sqrt
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
-from .specfun import PrecisionContext, _bernoulli_even, _hurwitz_zeta, _to_mpf
+from .specfun import PrecisionContext, _bernoulli_even, _hurwitz_zeta, _to_beta, _to_mpf
 
 __all__ = [
     "ModelId",
@@ -135,10 +135,7 @@ def _closed_form(model: ModelId, beta: mpf) -> mpf:
 def closed_form(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     """Exact f_s(beta) or f_SD(beta) for beta > 0."""
     with ctx.work():
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError(
-                "beta must be > 0 (the electric-background continuation is out of scope)")
+        beta = _to_beta(beta)
         v = _closed_form(model, beta)
     return ctx.round(v)
 
@@ -158,9 +155,7 @@ def partial_sum(model: ModelId, beta, d: int, ctx: PrecisionContext) -> mpf:
         raise DomainError(f"partial_sum requires d >= 1, got {d}")
     series = coefficients(model, d + 1)
     with ctx.work():
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         x = -beta
         acc = mpf(0)
         for a in reversed(series.a):
@@ -239,9 +234,7 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     """
     qdps = ctx.workdps + 15
     with mp.workdps(qdps):
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         rb = sqrt(beta)
         if model is ModelId.SELF_DUAL:
             integrand = lambda s: exp(-s) * _chi(model, rb * s / 2) / (4 * s)
@@ -267,9 +260,7 @@ def strong_field_leading(model: ModelId, beta, ctx: PrecisionContext | None = No
     """
     dps = ctx.workdps if ctx is not None else mp.dps
     with mp.workdps(dps):
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         if model is ModelId.SPIN0:
             v = beta * ln(beta) / 12 + beta * ln(mpf(2)) / 6
         elif model is ModelId.SPIN_HALF:
@@ -292,9 +283,7 @@ def finite_part_assembly(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     """
     inner = PrecisionContext(ctx.workdps, ctx.guard)
     with ctx.work(extra=inner.guard):
-        beta = _to_mpf(beta)
-        if beta <= 0:
-            raise DomainError("beta must be > 0")
+        beta = _to_beta(beta)
         rb = sqrt(beta)
         if model is ModelId.SPIN0:
             v = (rb * finitepart.fp_csch(beta, inner)

@@ -1,11 +1,14 @@
 """Stieltjes moment problem: moments, the Laguerre-basis linear system, and
 the reconstructed density rho(x) = x g(x).
 
-The positive-power moments are exact rationals; the system matrix P(n, m) is
-exact integers. Entries span hundreds of orders of magnitude, so the LU solve
-runs at a working precision boosted by the matrix's own magnitude span; the
-recorded residual then reflects genuine backward error, not representation
-loss.
+The positive-power moments are exact rationals and the system matrix P(n, m)
+is exact integers. P factors as a diagonal times an interpolation matrix at
+the equispaced nodes 2n+1 times a Pascal matrix, so the system is solved
+exactly by Newton interpolation and two changes of basis (Bjorck & Pereyra,
+"Solution of Vandermonde systems of equations", Math. Comp. 24, 1970). The
+exact coefficients are rounded once, at a precision raised by P's magnitude
+span, and the recorded residual is the backward error of those rounded
+coefficients.
 """
 from __future__ import annotations
 
@@ -13,11 +16,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from mpmath import mp, mpc, mpf, exp
 
-from .errors import ConditioningError, ConditioningWarning, ConsistencyError, DomainError
+from .errors import ConditioningWarning, ConsistencyError, DomainError
 from .models import ModelId, SeriesCoefficients
 from .specfun import PrecisionContext, _laguerre_seq, _to_mpf
 
@@ -26,7 +29,6 @@ __all__ = [
     "MomentVector",
     "ReconstructionCoefficients",
     "moments_from_coeffs",
-    "build_P",
     "build_P_exact",
     "solve_coeffs",
     "residual_norm_of",
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 # Bump when coefficient-generating code changes; persisted in cache headers.
-GENERATOR_VERSION = "1"
+GENERATOR_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,9 @@ class MomentVector:
 class ReconstructionCoefficients:
     """Solved Laguerre coefficients c_m defining g(x) = e^{-x/2} sum c_m L_m(x).
 
-    c entries are BigReal at the (internally boosted) solve precision; digits
-    records the nominal precision requested.
+    c entries are the exact solution rounded once at the span-boosted solve
+    precision; digits records the nominal precision requested, and
+    residual_norm the relative backward residual of the rounded c.
     """
 
     model: ModelId
@@ -93,7 +96,7 @@ def build_P_exact(d: int) -> tuple[tuple[int, ...], ...]:
     recurrence, then P(n,m) = 2^{2n+2} sum_{k<=m} C(m,k) u_k.
     """
     if d < 0:
-        raise DomainError(f"build_P requires d >= 0, got {d}")
+        raise DomainError(f"build_P_exact requires d >= 0, got {d}")
     rows = []
     for n in range(d + 1):
         u = [0] * (d + 1)
@@ -109,68 +112,54 @@ def build_P_exact(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _magnitude_digits(rows) -> int:
-    """Decimal magnitude of the largest |entry| (int or mpf rows)."""
-    top = 0
-    for row in rows:
-        for x in row:
-            if isinstance(x, int):
-                top = max(top, abs(x).bit_length())
-            else:
-                top = max(top, mp.mag(x))
+    """Decimal magnitude of the largest |entry| of an integer matrix."""
+    top = max(abs(x).bit_length() for row in rows for x in row)
     return int(top * 0.30103) + 1
 
 
-def build_P(d: int, ctx: PrecisionContext) -> list[list[mpf]]:
-    """P as BigReal entries, rounded at a precision carrying the full span.
+def _exact_solve(mu: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Exact solution of P c = mu as integer numerators over one denominator.
 
-    The span-extended precision keeps the rounding error of every entry below
-    the working tolerance relative to the smallest moments, which is what the
-    downstream residual guarantee needs.
+    P = D U C^T with D = diag(2^{2n+2}), U[n][k] = (2n+1)! binom(2n+1+k, k) (-2)^k
+    and the Pascal matrix C[m][k] = binom(m, k). So t_n = mu_n / (2^{2n+2} (2n+1)!)
+    are the values at x_n = 2n+1 of q(x) = sum_k w_k R_k(x), R_k(x) = binom(x+k, k):
+    Newton differences at the equispaced nodes give q, Horner's rule rewrites
+    it in the R_k basis, y_k = w_k / (-2)^k, and c(s) = y(s - 1) inverts C^T.
+    Integer form of Bjorck & Pereyra, Math. Comp. 24 (1970); O(d^2) operations
+    on integers scaled by the common denominator 4^d d! lcm(denominators of t).
     """
-    exact = build_P_exact(d)
-    dps = ctx.workdps + _magnitude_digits(exact) + 10
-    with mp.workdps(dps):
-        return [[mpf(x) for x in row] for row in exact]
-
-
-def _lu_solve(a: list[list[mpf]], b: list[mpf]) -> list[mpf]:
-    """In-place LU with partial pivoting; deterministic elimination order."""
-    n = len(a)
-    x = list(b)
-    scale = max((abs(v) for row in a for v in row), default=mpf(0))
-    floor = scale * mpf(10) ** (-(mp.dps - 5))
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))
-        colmax = abs(a[p][k])
-        if colmax == 0 or colmax < floor:
-            raise ConditioningError(
-                f"singular pivot at column {k}: magnitude {colmax}")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            x[k], x[p] = x[p], x[k]
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            lam = a[i][k] / akk
-            if lam:
-                ai, ak = a[i], a[k]
-                for j in range(k + 1, n):
-                    ai[j] -= lam * ak[j]
-                x[i] -= lam * x[k]
-    for k in range(n - 1, -1, -1):
-        acc = x[k]
-        row = a[k]
-        for j in range(k + 1, n):
-            acc -= row[j] * x[j]
-        x[k] = acc / row[k]
-    return x
+    d = len(mu) - 1
+    t = [m / (4 ** (n + 1) * factorial(2 * n + 1)) for n, m in enumerate(mu)]
+    scale = lcm(*(x.denominator for x in t))
+    T = [x.numerator * (scale // x.denominator) for x in t]
+    for j in range(1, d + 1):  # T[j] <- j-th forward difference of T at 0
+        for i in range(d, j - 1, -1):
+            T[i] -= T[i - 1]
+    # Newton coefficient j is T[j] / (2^j j! scale) and f = 2^{d-j} d!/j!, so
+    # w is 2^d d! scale times q in the R_k basis. Horner multiplies by x - x_j
+    # through (x - x_j) R_k = (k+1) R_{k+1} - (k+1+x_j) R_k.
+    w, f = [0] * (d + 1), 1
+    for j in range(d, -1, -1):
+        x = 2 * j + 1
+        for k in range(d - j, 0, -1):
+            w[k] = k * w[k - 1] - (k + 1 + x) * w[k]
+        w[0] = T[j] * f - (1 + x) * w[0]
+        f *= 2 * j
+    y = [(-1) ** k * 2 ** (d - k) * v for k, v in enumerate(w)]
+    for i in range(d):  # Taylor shift by -1
+        for k in range(d - 1, i - 1, -1):
+            y[k] -= y[k + 1]
+    return y, 4 ** d * factorial(d) * scale
 
 
 def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCoefficients:
-    """Solve sum_m c_m P(n,m) = mu_{2n}, n = 0..d, by LU with partial pivoting.
+    """Solve sum_m c_m P(n,m) = mu_{2n}, n = 0..d, exactly; round c once.
 
-    Working precision is raised by the magnitude span of P so the backward
-    residual lands at the nominal working tolerance. Requesting fewer digits
-    than moments (the precision rule) emits ConditioningWarning.
+    The exact rational solution comes from the structured factorisation of P
+    (see _exact_solve). It is rounded at a precision raised by the magnitude
+    span of P, so the reported backward residual of the rounded coefficients
+    lands at the nominal working tolerance. Requesting fewer digits than
+    moments (the precision rule) emits ConditioningWarning.
     """
     d = mu.d
     if len(P) != d + 1 or any(len(row) != d + 1 for row in P):
@@ -180,11 +169,9 @@ def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCo
             f"working precision {ctx.digits} below the moments count {d + 1}; "
             "reconstruction accuracy is not guaranteed",
             ConditioningWarning, stacklevel=2)
-    dps = ctx.workdps + _magnitude_digits(P) + 10
-    with mp.workdps(dps):
-        a = [[_to_mpf(x) if isinstance(x, int) else mpf(x) for x in row] for row in P]
-        rhs = [_to_mpf(f) for f in mu.mu]
-        c = _lu_solve(a, rhs)
+    nums, den = _exact_solve(mu.mu)
+    with mp.workdps(ctx.workdps + _magnitude_digits(P) + 10):
+        c = [mp.fdiv(v, den) for v in nums]
         res = _residual(P, c, mu)
     return ReconstructionCoefficients(
         model=mu.model, d=d, c=tuple(c), digits=ctx.digits, residual_norm=res)
@@ -196,10 +183,8 @@ def _residual(P, c, mu: MomentVector) -> mpf:
     den = mpf(0)
     for n in range(mu.d + 1):
         acc = mpf(0)
-        row = P[n]
-        for m in range(mu.d + 1):
-            entry = row[m]
-            acc += (_to_mpf(entry) if isinstance(entry, int) else entry) * c[m]
+        for entry, cm in zip(P[n], c):
+            acc += mpf(entry) * cm
         target = _to_mpf(mu.mu[n])
         num += (acc - target) ** 2
         den += target ** 2

@@ -81,6 +81,20 @@ def _to_mpf(x) -> mpf:
     return mpf(x)
 
 
+def _to_beta(x, name: str = "beta") -> mpf:
+    """Convert a field-strength parameter; DomainError unless finite and > 0."""
+    try:
+        v = _to_mpf(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"invalid {name} value: {x!r}") from None
+    if not mp.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    if v <= 0:
+        raise DomainError(f"{name} must be > 0, got {x!r} "
+                          "(the electric-background continuation is out of scope)")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers: exact rationals via the tangent-number triangle.
 # ---------------------------------------------------------------------------

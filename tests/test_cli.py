@@ -90,6 +90,15 @@ def test_invalid_beta_string(capsys):
     assert "invalid beta" in err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [["exact"], ["extrapolate", "--moments", "5", "--digits", "30"]])
+def test_non_finite_beta_exits_2(argv, beta, capsys):
+    code, out, err = run(argv + ["--beta", beta], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # reconstruct and the cache file.
 # ---------------------------------------------------------------------------

@@ -105,6 +105,13 @@ def test_partial_sum_requires_positive_order(ctx60):
         partial_sum(ModelId.SPIN0, "0.01", 0, ctx60)
 
 
+def test_non_finite_beta_is_a_domain_error(ctx60):
+    with pytest.raises(DomainError):
+        partial_sum(ModelId.SPIN0, "nan", 5, ctx60)
+    with pytest.raises(DomainError):
+        closed_form(ModelId.SPIN0, "inf", ctx60)
+
+
 @pytest.mark.parametrize("model", list(ModelId))
 def test_partial_sum_asymptotic_error_bound(model, ctx60):
     # |closed - partial(d)| <= first omitted term, deep in the asymptotic regime

@@ -14,7 +14,6 @@ from heulag import (
     ModelId,
     MomentVector,
     PrecisionContext,
-    build_P,
     build_P_exact,
     coefficients,
     laguerre_eval,
@@ -23,6 +22,7 @@ from heulag import (
     rho_eval,
     solve_coeffs,
 )
+from heulag.momentrec import _magnitude_digits
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +83,13 @@ def test_P_alternating_signs_along_rows():
             assert (P[n][m] > 0) == (m % 2 == 0)
 
 
-def test_build_P_rounds_exact_entries(ctx60):
-    Pf = build_P(4, ctx60)
-    Pe = build_P_exact(4)
-    with mp.workdps(120):
-        for n in range(5):
-            for m in range(5):
-                assert abs(Pf[n][m] - Pe[n][m]) <= abs(mpf(Pe[n][m])) * mpf("1e-60")
-
-
 # ---------------------------------------------------------------------------
 # Solving for the basis coefficients.
 # ---------------------------------------------------------------------------
 
 def elimination_solve(d: int, model: ModelId):
-    """Exact Gaussian elimination over the rationals; independent of the
-    float LU route in solve_coeffs."""
+    """Exact Gaussian elimination over the rationals on the dense P;
+    independent of the structured factorisation solve_coeffs uses."""
     s = coefficients(model, d + 2)
     mu = list(moments_from_coeffs(s, d).mu)
     A = [[Fraction(x) for x in row] for row in build_P_exact(d)]
@@ -115,17 +106,18 @@ def elimination_solve(d: int, model: ModelId):
     return [mu[i] / A[i][i] for i in range(n)]
 
 
-@pytest.mark.parametrize("d", [0, 1, 4, 8])
-@pytest.mark.parametrize("model", [ModelId.SPIN0, ModelId.SELF_DUAL])
+@pytest.mark.parametrize("d", [0, 1, 4, 8, 20])
+@pytest.mark.parametrize("model", [ModelId.SPIN0, ModelId.SPIN_HALF, ModelId.SELF_DUAL])
 def test_solve_matches_exact_elimination(d, model, ctx60):
+    # the solve is exact and rounds once, so c is the elimination result
+    # correctly rounded at the span-boosted solve precision, bit for bit
     s = coefficients(model, d + 2)
     mu = moments_from_coeffs(s, d)
-    rec = solve_coeffs(build_P_exact(d), mu, ctx60)
+    P = build_P_exact(d)
+    rec = solve_coeffs(P, mu, ctx60)
     exact = elimination_solve(d, model)
-    with mp.workdps(100):
-        for cf, ce in zip(rec.c, exact):
-            ce_f = mpf(ce.numerator) / ce.denominator
-            assert abs(cf - ce_f) < mpf(10) ** (-(ctx60.digits - 5)) * max(1, abs(ce_f))
+    with mp.workdps(ctx60.workdps + _magnitude_digits(P) + 10):
+        assert rec.c == tuple(mp.fdiv(ce.numerator, ce.denominator) for ce in exact)
 
 
 def test_solve_d0_is_mu0_over_4(ctx60):
