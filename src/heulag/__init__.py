@@ -20,13 +20,11 @@ from .errors import (
 )
 from .extrapolant import (
     ExtrapolationResult,
-    delta_term,
     extrapolate,
     fp_negative_moment_kernel,
     tail_sum,
 )
 from .finitepart import (
-    FinitePartValue,
     KernelDescriptor,
     exp_kernel,
     fp_canonical_oracle,
@@ -52,6 +50,7 @@ from .momentrec import (
     ReconstructionCoefficients,
     build_P_exact,
     moments_from_coeffs,
+    reconstruct,
     residual_norm_of,
     rho_eval,
     solve_coeffs,
@@ -81,7 +80,6 @@ __all__ = [
     "DegeneracyError",
     "DomainError",
     "ExtrapolationResult",
-    "FinitePartValue",
     "GENERATOR_VERSION",
     "HeulagError",
     "KernelDescriptor",
@@ -99,7 +97,6 @@ __all__ = [
     "closed_form",
     "coeff",
     "coefficients",
-    "delta_term",
     "digamma_int",
     "direct_integral_oracle",
     "euler_gamma",
@@ -119,6 +116,7 @@ __all__ = [
     "moments_from_coeffs",
     "pade_eval",
     "partial_sum",
+    "reconstruct",
     "residual_norm_of",
     "rho_eval",
     "solve_coeffs",

@@ -1,6 +1,11 @@
 """Command-line surface: model evaluation, reconstruction with persistence,
 extrapolation, method comparison, and desk-scale table reproduction.
 
+Each reference table is data: its model, beta columns, digit floor and
+method rows (partial sums, extrapolation, delta, Pade). One grid layout
+builds every table but table 5's per-beta decomposition, and every method
+cell goes through the evaluator that `compare` uses.
+
 All numeric output is serialized as decimal strings (JSON numbers are never
 used for high-precision values), beta rows appear in input order, and cache
 files are written atomically (temp file + rename). Exit codes: 0 success,
@@ -18,7 +23,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from mpmath import mp, mpf, nstr
+from mpmath import log10, mp, mpf, nstr
 
 from .comparators import pade_eval, weniger_delta
 from .errors import (
@@ -38,14 +43,15 @@ from .models import (
 from .momentrec import (
     GENERATOR_VERSION,
     ReconstructionCoefficients,
-    build_P_exact,
     moments_from_coeffs,
+    reconstruct,
     residual_norm_of,
-    solve_coeffs,
 )
 from .specfun import PrecisionContext, _to_beta
 
 PRINT_DIGITS = 21  # table/report cells carry this many significant digits
+
+Row = dict[str, str]  # one output row: column name -> cell text
 
 
 @dataclass
@@ -79,8 +85,7 @@ def _agree_digits(value: mpf, exact: mpf) -> int:
         rel = abs(value - exact) / abs(exact)
         if rel == 0:
             return PRINT_DIGITS
-        from mpmath import log10 as _log10
-        n = int(-_log10(rel))
+        n = int(-log10(rel))
         return max(0, min(PRINT_DIGITS, n))
 
 
@@ -104,17 +109,17 @@ def _bracket(value_str: str, agree: int) -> str:
     return "[" + value_str[:close_at] + "]" + value_str[close_at:]
 
 
-def _emit(command: str, config: RunConfig, columns: Sequence[str],
-          rows: list[dict[str, str]]) -> str:
-    if config.fmt == "json":
+def _emit(command: str, fmt: str, model: ModelId, digits: int,
+          columns: Sequence[str], rows: list[Row]) -> str:
+    if fmt == "json":
         doc = {
             "command": command,
-            "model": config.model.value,
-            "digits": config.digits,
+            "model": model.value,
+            "digits": digits,
             "rows": [{c: r.get(c, "") for c in columns} for r in rows],
         }
         return json.dumps(doc, indent=2) + "\n"
-    if config.fmt == "csv":
+    if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(columns)
@@ -122,7 +127,7 @@ def _emit(command: str, config: RunConfig, columns: Sequence[str],
             w.writerow([r.get(c, "") for c in columns])
         return buf.getvalue()
     # markdown
-    lines = [f"## {command} model={config.model.value} digits={config.digits}", ""]
+    lines = [f"## {command} model={model.value} digits={digits}", ""]
     lines.append("| " + " | ".join(columns) + " |")
     lines.append("|" + "|".join(" --- " for _ in columns) + "|")
     for r in rows:
@@ -246,11 +251,7 @@ def _reconstruct(config: RunConfig) -> ReconstructionCoefficients:
         raise DomainError(
             f"digits={config.digits} below moments={config.moments} violates the "
             "precision rule (working digits = number of moments); pass --force to override")
-    d = config.moments - 1
-    ctx = PrecisionContext(config.digits)
-    series = coefficients(config.model, config.moments)
-    mu = moments_from_coeffs(series, d)
-    return solve_coeffs(build_P_exact(d), mu, ctx)
+    return reconstruct(config.model, config.moments, PrecisionContext(config.digits))
 
 
 def _verify_cache(rec: ReconstructionCoefficients, stored_residual: mpf,
@@ -295,7 +296,7 @@ def cmd_exact(config: RunConfig, out) -> int:
         if config.oracle:
             row["oracle"] = _fmt(direct_integral_oracle(config.model, b, ctx), config.digits)
         rows.append(row)
-    out.write(_emit("exact", config, columns, rows))
+    out.write(_emit("exact", config.fmt, config.model, config.digits, columns, rows))
     return 0
 
 
@@ -307,7 +308,8 @@ def cmd_series(config: RunConfig, out) -> int:
     rows = [{"beta": b, "d": str(d),
              "partial_sum": _fmt(partial_sum(config.model, b, d, ctx), config.digits)}
             for b in config.betas]
-    out.write(_emit("series", config, ["beta", "d", "partial_sum"], rows))
+    out.write(_emit("series", config.fmt, config.model, config.digits,
+                    ["beta", "d", "partial_sum"], rows))
     return 0
 
 
@@ -337,31 +339,107 @@ def cmd_extrapolate(config: RunConfig, out) -> int:
             "K": str(r.K),
             "im_residual": _fmt(r.im_residual, 5),
         })
-    out.write(_emit("extrapolate", config, columns, rows))
+    out.write(_emit("extrapolate", config.fmt, config.model, config.digits, columns, rows))
     return 0
 
 
-def _compare_columns(config: RunConfig) -> list[tuple[str, Callable]]:
-    """Ordered (name, evaluator(beta_str, ctx)) pairs for the comparison grid."""
-    cols: list[tuple[str, Callable]] = []
+# ---------------------------------------------------------------------------
+# Methods compared against the closed form, and the one cell evaluator.
+# ---------------------------------------------------------------------------
+
+Method = tuple[str, Callable[[str], mpf]]  # (row or column label, value at a beta)
+
+_PARTIAL_ORDERS = list(range(1, 11)) + [20, 50]
+
+
+@dataclass(frozen=True)
+class _Partials:
+    """The partial sums of orders _PARTIAL_ORDERS, labelled by the order."""
+
+    def methods(self, model: ModelId, digits: int) -> list[Method]:
+        ctx = PrecisionContext(digits)
+        return [(str(d), lambda b, d=d: partial_sum(model, b, d, ctx))
+                for d in _PARTIAL_ORDERS]
+
+
+@dataclass(frozen=True)
+class _Extrap:
+    """The extrapolant from `moments` moments, at `digits` digits when given,
+    else at the table's digits but never fewer than the moments."""
+
+    moments: int
+    digits: int | None = None
+
+    def results(self, model: ModelId, digits: int) -> Callable[[str], ExtrapolationResult]:
+        ctx = PrecisionContext(self.digits or max(digits, self.moments))
+        rec = reconstruct(model, self.moments, ctx)
+        return lambda b: extrapolate(model, rec, b, None, ctx)
+
+    def methods(self, model: ModelId, digits: int) -> list[Method]:
+        result = self.results(model, digits)
+        return [(f"extrap_d{self.moments - 1}", lambda b: result(b).value)]
+
+
+@dataclass(frozen=True)
+class _Delta:
+    """The delta transformation of order `order`, or of the orders `at` gives
+    per beta string (`order` for the rest)."""
+
+    order: int
+    at: tuple[tuple[str, int], ...] = ()
+
+    def methods(self, model: ModelId, digits: int) -> list[Method]:
+        ctx = PrecisionContext(digits)
+        orders = dict(self.at)
+        series = coefficients(model, max([self.order, *orders.values()]) + 2)
+        return [("delta_n" if orders else f"delta_{self.order}",
+                 lambda b: weniger_delta(series, orders.get(b, self.order), b, ctx))]
+
+
+@dataclass(frozen=True)
+class _Pade:
+    """The [n/m] Pade approximant."""
+
+    n: int
+    m: int
+
+    def methods(self, model: ModelId, digits: int) -> list[Method]:
+        ctx = PrecisionContext(digits)
+        series = coefficients(model, self.n + self.m + 1)
+        return [(f"pade_{self.n}_{self.m}",
+                 lambda b: pade_eval(series, self.n, self.m, b, ctx))]
+
+
+def _cell(method: Callable[[str], mpf], beta: str, exact: mpf, fmt: str) -> tuple[str, str]:
+    """(text, agreeing digits) of one method at one beta. Markdown brackets
+    the digits that agree with `exact`; a HeulagError becomes ERR(<name>)
+    with no agreement, and the rest of the grid still runs."""
+    try:
+        v = method(beta)
+    except HeulagError as e:
+        return f"ERR({type(e).__name__})", ""
+    agree = _agree_digits(v, exact)
+    text = _fmt(v)
+    return (_bracket(text, agree) if fmt == "markdown" else text), str(agree)
+
+
+def _compare_columns(config: RunConfig) -> list[Method]:
+    """Ordered methods of the comparison grid, run at the requested digits."""
+    model, digits = config.model, config.digits
+    ctx = PrecisionContext(digits)
+    cols: list[Method] = []
     order = config.truncation if config.truncation is not None else (
         config.moments - 1 if config.moments else None)
     if order is not None:
-        cols.append((f"partial_d{order}",
-                     lambda b, ctx, _d=order: partial_sum(config.model, b, _d, ctx)))
+        cols.append((f"partial_d{order}", lambda b: partial_sum(model, b, order, ctx)))
     if config.pade is not None:
-        n_deg, m_deg = config.pade
-        series = coefficients(config.model, n_deg + m_deg + 1)
-        cols.append((f"pade_{n_deg}_{m_deg}",
-                     lambda b, ctx, _s=series: pade_eval(_s, n_deg, m_deg, b, ctx)))
+        cols += _Pade(*config.pade).methods(model, digits)
     if config.delta is not None:
-        series_d = coefficients(config.model, config.delta + 2)
-        cols.append((f"delta_{config.delta}",
-                     lambda b, ctx, _s=series_d: weniger_delta(_s, config.delta, b, ctx)))
+        cols += _Delta(config.delta).methods(model, digits)
     if config.moments is not None:
         rec = _obtain_reconstruction(config)
         cols.append((f"extrap_d{rec.d}",
-                     lambda b, ctx, _r=rec: extrapolate(config.model, _r, b, None, ctx).value))
+                     lambda b: extrapolate(model, rec, b, None, ctx).value))
     return cols
 
 
@@ -375,157 +453,88 @@ def cmd_compare(config: RunConfig, out) -> int:
     for b in config.betas:
         exact = closed_form(config.model, b, ctx)
         row = {"beta": b, "exact": _fmt(exact)}
-        for name, fn in methods:
-            try:
-                v = fn(b, ctx)
-            except HeulagError as e:
-                row[name] = f"ERR({type(e).__name__})"
-                row[f"{name}_agree"] = ""
-                continue
-            agree = _agree_digits(v, exact)
-            text = _fmt(v)
-            row[name] = _bracket(text, agree) if config.fmt == "markdown" else text
-            row[f"{name}_agree"] = str(agree)
+        for name, method in methods:
+            row[name], row[f"{name}_agree"] = _cell(method, b, exact, config.fmt)
         rows.append(row)
-    out.write(_emit("compare", config, columns, rows))
+    out.write(_emit("compare", config.fmt, config.model, config.digits, columns, rows))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Desk-scale table reproduction.
+# Desk-scale table reproduction: each table is data, built by one layout.
 # ---------------------------------------------------------------------------
 
-_PARTIAL_ORDERS = list(range(1, 11)) + [20, 50]
-
-
-def _table_partial(config: RunConfig, model: ModelId, betas: list[str], out) -> int:
-    ctx = PrecisionContext(config.digits)
-    columns = ["d"] + [f"beta={b}" for b in betas]
+def _grid(table: "_Table", digits: int, fmt: str) -> tuple[list[str], list[Row]]:
+    """One row per method, one column per beta, then the exact row."""
+    ctx = PrecisionContext(digits)
+    exacts = [closed_form(table.model, b, ctx) for b in table.betas]
+    columns = [table.key] + [f"beta={b}" for b in table.betas]
     rows = []
-    exacts = {b: closed_form(model, b, ctx) for b in betas}
-    for d in _PARTIAL_ORDERS:
-        row = {"d": str(d)}
-        for b in betas:
-            v = partial_sum(model, b, d, ctx)
-            text = _fmt(v)
-            if config.fmt == "markdown":
-                text = _bracket(text, _agree_digits(v, exacts[b]))
-            row[f"beta={b}"] = text
-        rows.append(row)
-    rows.append({"d": "exact", **{f"beta={b}": _fmt(exacts[b]) for b in betas}})
-    out.write(_emit("table", config, columns, rows))
-    return 0
+    for spec in table.methods:
+        for label, method in spec.methods(table.model, digits):
+            cells = [_cell(method, b, e, fmt)[0] for b, e in zip(table.betas, exacts)]
+            rows.append(dict(zip(columns, [label, *cells])))
+    rows.append(dict(zip(columns, ["exact", *map(_fmt, exacts)])))
+    return columns, rows
 
 
-def _table_methods(config: RunConfig, model: ModelId, betas: list[str],
-                   method_rows: list[tuple[str, Callable]], out) -> int:
-    ctx = PrecisionContext(config.digits)
-    columns = ["method"] + [f"beta={b}" for b in betas]
-    exacts = {b: closed_form(model, b, ctx) for b in betas}
+def _decomposition(table: "_Table", digits: int, fmt: str) -> tuple[list[str], list[Row]]:
+    """One row per beta: the extrapolant's tail, pole term, their sum, and
+    the exact value."""
+    ctx = PrecisionContext(digits)
+    (spec,) = table.methods
+    result = spec.results(table.model, digits)
     rows = []
-    for name, fn in method_rows:
-        row = {"method": name}
-        for b in betas:
-            try:
-                v = fn(b)
-            except HeulagError as e:
-                row[f"beta={b}"] = f"ERR({type(e).__name__})"
-                continue
-            text = _fmt(v)
-            if config.fmt == "markdown":
-                text = _bracket(text, _agree_digits(v, exacts[b]))
-            row[f"beta={b}"] = text
-        rows.append(row)
-    rows.append({"method": "exact", **{f"beta={b}": _fmt(exacts[b]) for b in betas}})
-    out.write(_emit("table", config, columns, rows))
-    return 0
+    for b in table.betas:
+        r = result(b)
+        rows.append({"beta": b, "tail": _fmt(r.tail), "delta": _fmt(r.delta),
+                     "sum": _fmt(r.value), "exact": _fmt(closed_form(table.model, b, ctx))})
+    return ["beta", "tail", "delta", "sum", "exact"], rows
 
 
-def _rec_for(model: ModelId, moments: int, digits: int) -> ReconstructionCoefficients:
-    cfg = RunConfig(model=model, digits=digits, moments=moments, truncation=None,
-                    betas=[], fmt="markdown", cache=None, force=False)
-    return _reconstruct(cfg)
+@dataclass(frozen=True)
+class _Table:
+    """A reference table: its model, beta columns and method rows, run at
+    the requested digits raised to at least `floor`. `key` heads the label
+    column; `layout` turns the table into (columns, rows)."""
+
+    model: ModelId
+    betas: tuple[str, ...]
+    methods: tuple[_Partials | _Extrap | _Delta | _Pade, ...]
+    floor: int = 0
+    key: str = "method"
+    layout: Callable[["_Table", int, str], tuple[list[str], list[Row]]] = _grid
+
+
+_WEAK_BETAS = ("0.01", "0.1", "0.2")
+
+_TABLES = {
+    1: _Table(ModelId.SPIN0, _WEAK_BETAS, (_Partials(),), key="d"),
+    2: _Table(ModelId.SPIN0,
+              _WEAK_BETAS + ("1", "4", "10", "100", "1e4", "1e7", "1e12", "1e18"),
+              (_Extrap(10, digits=30), _Extrap(100),
+               _Delta(100, at=(("0.01", 35), ("0.1", 25), ("0.2", 25))), _Pade(49, 50)),
+              floor=100),
+    3: _Table(ModelId.SPIN_HALF, ("1", "4", "10", "100", "1e4", "1e7"),
+              (_Extrap(100), _Delta(30), _Pade(49, 50)), floor=100),
+    4: _Table(ModelId.SELF_DUAL, _WEAK_BETAS, (_Partials(),), key="d"),
+    5: _Table(ModelId.SPIN0,
+              ("0.01", "0.1", "1", "4", "10", "100", "1e4", "1e7", "1e12", "1e18"),
+              (_Extrap(100),), floor=100, layout=_decomposition),
+    6: _Table(ModelId.SELF_DUAL, ("1e7", "1e13", "1e18", "1e19", "1e20"),
+              (_Extrap(100), _Extrap(200), _Delta(100), _Pade(49, 50)),
+              floor=100),
+}
 
 
 def cmd_table(config: RunConfig, number: int, out) -> int:
-    if number == 1:
-        config.model = ModelId.SPIN0
-        return _table_partial(config, ModelId.SPIN0, ["0.01", "0.1", "0.2"], out)
-    if number == 4:
-        config.model = ModelId.SELF_DUAL
-        return _table_partial(config, ModelId.SELF_DUAL, ["0.01", "0.1", "0.2"], out)
-    if number == 2:
-        model = ModelId.SPIN0
-        betas = ["0.01", "0.1", "0.2", "1", "4", "10", "100", "1e4", "1e7", "1e12", "1e18"]
-        digits = max(config.digits, 100)
-        ctx = PrecisionContext(digits)
-        rec10 = _rec_for(model, 10, 30)
-        rec100 = _rec_for(model, 100, digits)
-        series = coefficients(model, 102)
-        delta_order = {"0.01": 35, "0.1": 25, "0.2": 25}
-        rows = [
-            ("extrap_d9", lambda b: extrapolate(model, rec10, b, None, PrecisionContext(30)).value),
-            ("extrap_d99", lambda b: extrapolate(model, rec100, b, None, ctx).value),
-            ("delta_n", lambda b: weniger_delta(
-                series, delta_order.get(b, 100), b, ctx)),
-            ("pade_49_50", lambda b: pade_eval(series, 49, 50, b, ctx)),
-        ]
-        config.digits = digits
-        config.model = model
-        return _table_methods(config, model, betas, rows, out)
-    if number == 3:
-        model = ModelId.SPIN_HALF
-        betas = ["1", "4", "10", "100", "1e4", "1e7"]
-        digits = max(config.digits, 100)
-        ctx = PrecisionContext(digits)
-        rec100 = _rec_for(model, 100, digits)
-        series = coefficients(model, 101)
-        rows = [
-            ("extrap_d99", lambda b: extrapolate(model, rec100, b, None, ctx).value),
-            ("delta_30", lambda b: weniger_delta(series, 30, b, ctx)),
-            ("pade_49_50", lambda b: pade_eval(series, 49, 50, b, ctx)),
-        ]
-        config.digits = digits
-        config.model = model
-        return _table_methods(config, model, betas, rows, out)
-    if number == 5:
-        model = ModelId.SPIN0
-        betas = ["0.01", "0.1", "1", "4", "10", "100", "1e4", "1e7", "1e12", "1e18"]
-        digits = max(config.digits, 100)
-        ctx = PrecisionContext(digits)
-        rec100 = _rec_for(model, 100, digits)
-        columns = ["beta", "tail", "delta", "sum", "exact"]
-        rows = []
-        for b in betas:
-            r = extrapolate(model, rec100, b, None, ctx)
-            rows.append({
-                "beta": b, "tail": _fmt(r.tail), "delta": _fmt(r.delta),
-                "sum": _fmt(r.value),
-                "exact": _fmt(closed_form(model, b, ctx)),
-            })
-        config.digits = digits
-        config.model = model
-        out.write(_emit("table", config, columns, rows))
-        return 0
-    if number == 6:
-        model = ModelId.SELF_DUAL
-        betas = ["1e7", "1e13", "1e18", "1e19", "1e20"]
-        digits = max(config.digits, 100)
-        ctx = PrecisionContext(digits)
-        ctx200 = PrecisionContext(max(digits, 200))
-        rec100 = _rec_for(model, 100, digits)
-        rec200 = _rec_for(model, 200, max(digits, 200))
-        series = coefficients(model, 102)
-        rows = [
-            ("extrap_d99", lambda b: extrapolate(model, rec100, b, None, ctx).value),
-            ("extrap_d199", lambda b: extrapolate(model, rec200, b, None, ctx200).value),
-            ("delta_100", lambda b: weniger_delta(series, 100, b, ctx)),
-            ("pade_49_50", lambda b: pade_eval(series, 49, 50, b, ctx)),
-        ]
-        config.digits = digits
-        config.model = model
-        return _table_methods(config, model, betas, rows, out)
-    raise DomainError(f"table number must be 1..6, got {number}")
+    table = _TABLES.get(number)
+    if table is None:
+        raise DomainError(f"table number must be 1..{len(_TABLES)}, got {number}")
+    digits = max(config.digits, table.floor)
+    columns, rows = table.layout(table, digits, config.fmt)
+    out.write(_emit("table", config.fmt, table.model, digits, columns, rows))
+    return 0
 
 
 # ---------------------------------------------------------------------------

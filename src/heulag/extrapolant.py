@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from mpmath import mp, mpc, mpf, ln, pi, sqrt
@@ -21,13 +20,12 @@ from .errors import ConsistencyError, DomainError, TruncationWarning
 from .finitepart import _fp_exp_over_xm
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, rho_eval
-from .specfun import PrecisionContext, _to_beta, _to_mpf
+from .specfun import PrecisionContext, _euler_gamma, _to_beta, _to_mpf
 
 __all__ = [
     "ExtrapolationResult",
     "fp_negative_moment_kernel",
     "tail_sum",
-    "delta_term",
     "extrapolate",
 ]
 
@@ -71,8 +69,6 @@ def _fp_kernel_values(kmax: int) -> list[mpf]:
     Rolls (-1)^j (1/2)^{j-1}/(j-1)! (ln(1/2) - psi(j)) with an incremental
     harmonic number, so building hundreds of orders stays O(kmax).
     """
-    from .specfun import _euler_gamma
-
     gamma = _euler_gamma()
     ln_half = -ln(mpf(2))
     out = [mpf(0)]  # j = 0 placeholder
@@ -160,24 +156,9 @@ def _delta_raw(rec: ReconstructionCoefficients, beta: mpf, model: ModelId,
     return raw.real, abs(raw.imag)
 
 
-def delta_term(rec: ReconstructionCoefficients, beta, model: ModelId,
-               ctx: PrecisionContext) -> mpf:
-    """Pole-correction term: beta*Delta(beta) for spins, Delta(beta) for SD."""
-    with ctx.work():
-        beta = _to_beta(beta)
-        value, imres = _delta_raw(rec, beta, model, ctx)
-        bound = mpf(10) ** (-(ctx.digits - 10)) * max(abs(value), mpf(1))
-        if imres > bound:
-            raise ConsistencyError(
-                f"imaginary residual {imres} exceeds {bound}: conjugate symmetry broken")
-    return ctx.round(value)
-
-
 def extrapolate(model: ModelId, rec: ReconstructionCoefficients, beta,
-                K: int | None = None, ctx: PrecisionContext | None = None) -> ExtrapolationResult:
-    """Tail plus pole correction; K defaults to 2d (all useful terms)."""
-    if ctx is None:
-        raise DomainError("a PrecisionContext is required")
+                K: int | None, ctx: PrecisionContext) -> ExtrapolationResult:
+    """Tail plus pole correction; K=None means 2d (all useful terms)."""
     if rec.model is not model:
         raise DomainError(
             f"reconstruction is for {rec.model.value}, requested {model.value}")

@@ -26,7 +26,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "FinitePartValue",
     "KernelDescriptor",
     "exp_kernel",
     "fp_exp_over_xm",
@@ -35,15 +34,6 @@ __all__ = [
     "fp_coth",
     "fp_sinh2",
 ]
-
-
-@dataclass(frozen=True)
-class FinitePartValue:
-    """A finite-part value together with its kernel descriptor and method."""
-
-    value: mpf
-    kernel: str
-    method: str  # "closed_formula" | "canonical_oracle"
 
 
 @dataclass(frozen=True)

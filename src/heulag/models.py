@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from mpmath import mp, mpf, exp, ln, quad, sinh, cosh, sqrt
+from mpmath import mp, mpf, ceil, exp, ln, log10, quad, sinh, cosh, sqrt
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
@@ -133,10 +133,17 @@ def _closed_form(model: ModelId, beta: mpf) -> mpf:
 
 
 def closed_form(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
-    """Exact f_s(beta) or f_SD(beta) for beta > 0."""
+    """Exact f_s(beta) or f_SD(beta) for beta > 0.
+
+    Below beta = 1 the closed forms cancel about 2 log10(1/beta) digits: terms
+    of size ln(beta) (spins) or ln(beta)/beta (SD) leave a value of size
+    beta^2 or beta. The working precision is raised by that much.
+    """
     with ctx.work():
-        beta = _to_beta(beta)
-        v = _closed_form(model, beta)
+        b = _to_beta(beta)
+        extra = int(ceil(-2 * log10(b))) + 5 if b < 1 else 0
+    with ctx.work(extra=extra):
+        v = _closed_form(model, _to_beta(beta))
     return ctx.round(v)
 
 

@@ -21,7 +21,7 @@ from math import comb, factorial, lcm
 from mpmath import mp, mpc, mpf, exp
 
 from .errors import ConditioningWarning, ConsistencyError, DomainError
-from .models import ModelId, SeriesCoefficients
+from .models import ModelId, SeriesCoefficients, coefficients
 from .specfun import PrecisionContext, _laguerre_seq, _to_mpf
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "moments_from_coeffs",
     "build_P_exact",
     "solve_coeffs",
+    "reconstruct",
     "residual_norm_of",
     "rho_eval",
 ]
@@ -175,6 +176,15 @@ def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCo
         res = _residual(P, c, mu)
     return ReconstructionCoefficients(
         model=mu.model, d=d, c=tuple(c), digits=ctx.digits, residual_norm=res)
+
+
+def reconstruct(model: ModelId, moments: int, ctx: PrecisionContext) -> ReconstructionCoefficients:
+    """Density coefficients from the model's first `moments` exact weak-field
+    coefficients: the moments mu_0..mu_d (d = moments - 1) and the exact solve
+    of P c = mu, rounded at ctx's precision."""
+    d = moments - 1
+    mu = moments_from_coeffs(coefficients(model, moments), d)
+    return solve_coeffs(build_P_exact(d), mu, ctx)
 
 
 def _residual(P, c, mu: MomentVector) -> mpf:

@@ -69,11 +69,6 @@ class PrecisionContext:
         with mp.workdps(self.digits):
             return +value
 
-    def to_mpf(self, x) -> mpf:
-        """Convert an exact rational / int / decimal string at working precision."""
-        with self.work():
-            return _to_mpf(x)
-
 
 def _to_mpf(x) -> mpf:
     if isinstance(x, Fraction):

@@ -9,22 +9,14 @@ from functools import lru_cache
 import pytest
 from mpmath import mp, mpf
 
-from heulag import (
-    ModelId,
-    PrecisionContext,
-    build_P_exact,
-    coefficients,
-    moments_from_coeffs,
-    solve_coeffs,
-)
+import heulag
+from heulag import ModelId, PrecisionContext
 
 
 @lru_cache(maxsize=None)
 def _reconstruct(model: ModelId, moments: int, digits: int):
-    ctx = PrecisionContext(digits)
-    series = coefficients(model, max(moments, 2))
-    mu = moments_from_coeffs(series, moments - 1)
-    return solve_coeffs(build_P_exact(moments - 1), mu, ctx)
+    # heulag.reconstruct: the fixture below shadows the bare name
+    return heulag.reconstruct(model, moments, PrecisionContext(digits))
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
 """Command-line surface: subcommands, output formats, cache round trips,
 exit codes, and byte-level determinism."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from mpmath import mp, mpf
 
+import heulag
 from heulag import CacheMismatchError, ModelId, PrecisionContext, closed_form
 from heulag.cli import CoefficientCacheFile, main
 
@@ -318,6 +320,20 @@ def test_table_1_partial_sum_grid(capsys):
     assert "| exact |" in out or "exact" in out
     # the divergent tail of the asymptotic series is visible
     assert "33995.123482" in out
+    # table 4: the self-dual grid reports its own model at the requested digits
+    code, out, _ = run(["table", "4", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["model"], doc["digits"]) == ("sd", 60)
+    assert [r["d"] for r in doc["rows"]] == [str(d) for d in range(1, 11)] + ["20", "50", "exact"]
+
+
+def test_table_5_decomposition_at_the_digit_floor(capsys):
+    code, out, _ = run(["table", "5"], capsys)
+    assert code == 0
+    assert out.startswith("## table model=spin0 digits=100\n")
+    assert ("| 1 | -0.1007381259582532908 | 0.114696404380616154062 "
+            "| 0.0139582784223628632622 | 0.0139688479484886137166 |") in out.splitlines()
 
 
 def test_table_rejects_unknown_number(capsys):
@@ -333,7 +349,10 @@ def test_cross_process_byte_determinism(tmp_path):
     argv = [sys.executable, "-m", "heulag.cli", "compare", "--model", "sd",
             "--beta", "0.01,1", "--digits", "40", "--delta", "10",
             "--format", "markdown"]
-    r1 = subprocess.run(argv, capture_output=True, text=True)
-    r2 = subprocess.run(argv, capture_output=True, text=True)
+    # the children import the same heulag package as this process
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(heulag.__file__)))}
+    r1 = subprocess.run(argv, capture_output=True, text=True, env=env)
+    r2 = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout

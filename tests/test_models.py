@@ -82,6 +82,17 @@ def test_closed_form_precision_refinement():
         assert abs(v60 - v120) < mpf("1e-58") * abs(v120)
 
 
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("beta", ["1e-20", "1e-400"])
+def test_closed_form_small_beta_keeps_all_digits(model, beta, ctx60):
+    # The closed forms cancel ~2 log10(1/beta) digits; at these beta the
+    # order-5 partial sum is exact far beyond 60 digits.
+    exact = closed_form(model, beta, ctx60)
+    series = partial_sum(model, beta, 5, ctx60)
+    with mp.workdps(80):
+        assert abs(exact - series) <= mpf("1e-58") * abs(series)
+
+
 # ---------------------------------------------------------------------------
 # Partial sums.
 # ---------------------------------------------------------------------------
