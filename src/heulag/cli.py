@@ -564,48 +564,49 @@ def _parse_pade(text: str | None) -> tuple[int, int] | None:
         raise DomainError(f"--pade expects N,M integers, got {text!r}") from None
 
 
+_FLAGS = {
+    "--model": dict(choices=["spin0", "spin12", "sd"], default="spin0"),
+    "--digits": dict(type=int, default=60),
+    "--moments": dict(type=int, default=None),
+    "--truncation": dict(type=int, default=None),
+    "--beta": dict(type=str, default=""),
+    "--format": dict(choices=["csv", "json", "markdown"], default="markdown", dest="fmt"),
+    "--cache": dict(type=str, default=None),
+    "--force": dict(action="store_true", default=False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="heulag",
         description="Arbitrary-precision Heisenberg-Euler functions and "
                     "divergent-series resummation")
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag a command does not take keeps its default in the namespace.
+    parser.set_defaults(**{spec.get("dest", flag[2:]): spec["default"]
+                           for flag, spec in _FLAGS.items()})
 
-    def common(p, betas=True):
-        p.add_argument("--model", choices=["spin0", "spin12", "sd"], default="spin0")
-        p.add_argument("--digits", type=int, default=60)
-        p.add_argument("--moments", type=int, default=None)
-        p.add_argument("--truncation", type=int, default=None)
-        if betas:
-            p.add_argument("--beta", type=str, default="")
-        p.add_argument("--format", choices=["csv", "json", "markdown"],
-                       default="markdown", dest="fmt")
-        p.add_argument("--cache", type=str, default=None)
-        p.add_argument("--force", action="store_true")
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p_exact = sub.add_parser("exact", help="closed-form values")
-    common(p_exact)
+    p_exact = command("exact", "closed-form values",
+                      "--model", "--digits", "--beta", "--format")
     p_exact.add_argument("--oracle", action="store_true",
                          help="also run the direct-quadrature oracle")
-
-    p_series = sub.add_parser("series", help="partial sums of the weak-field series")
-    common(p_series)
-
-    p_rec = sub.add_parser("reconstruct", help="solve the moment problem, write cache")
-    common(p_rec, betas=False)
-
-    p_ext = sub.add_parser("extrapolate", help="strong-field extrapolant rows")
-    common(p_ext)
-
-    p_cmp = sub.add_parser("compare", help="method-comparison grid")
-    common(p_cmp)
+    command("series", "partial sums of the weak-field series",
+            "--model", "--digits", "--truncation", "--beta", "--format")
+    command("reconstruct", "solve the moment problem, write cache",
+            "--model", "--digits", "--moments", "--cache", "--force")
+    command("extrapolate", "strong-field extrapolant rows", *_FLAGS)
+    p_cmp = command("compare", "method-comparison grid", *_FLAGS)
     p_cmp.add_argument("--pade", type=str, default=None, help="N,M degrees")
     p_cmp.add_argument("--delta", type=int, default=None, help="delta order n")
-
-    p_tab = sub.add_parser("table", help="desk-scale reproduction of tables 1-6")
+    p_tab = command("table", "desk-scale reproduction of tables 1-6", "--digits", "--format")
     p_tab.add_argument("number", type=int)
-    common(p_tab, betas=False)
-
     return parser
 
 
@@ -615,7 +616,7 @@ def _config_from(args) -> RunConfig:
         digits=args.digits,
         moments=args.moments,
         truncation=args.truncation,
-        betas=_parse_betas(getattr(args, "beta", "")),
+        betas=_parse_betas(args.beta),
         fmt=args.fmt,
         cache=args.cache,
         force=args.force,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import DegeneracyError, DomainError, PoleError
-from .models import ModelId, SeriesCoefficients
+from .models import SeriesCoefficients
 from .specfun import PrecisionContext, _to_beta, _to_mpf
 
 __all__ = ["PadeSpec", "pade_eval", "weniger_delta"]

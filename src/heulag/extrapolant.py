@@ -2,25 +2,32 @@
 negative moments plus the pole-correction term Delta(beta).
 
 The tail is sum_{k=0}^{K} (-1)^k beta^{p-k} T_k with p = 1 (spins) or 0 (SD).
-For 2k+1 <= d the coefficient T_k = I_k + J_k + L_k combines the finite-part
-kernel values with a convergent-integral remainder; beyond that T_k = M_k is
-a pure finite-part sum. All inner sums carry exact integer factorial/power
-factors, multiplying by BigReal values last, because the alternating
-cancellation is severe.
+A convergent integral is its own finite part (Galapon, Proc. R. Soc. A 473,
+20160567, 2017), so each coefficient is one finite-part integral of the
+density factor g(x) = e^{-x/2} sum_m c_m L_m(x), and one convolution:
+
+    T_k = FP int_0^inf g(x) x^{-(2k+1)} dx = sum_{l=0}^{d} g_l M[2k+1-l],
+
+with g_l = (-1)^l G_l/(l!)^2 the Taylor coefficients of sum_m c_m L_m and
+M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for j = -d..2K+1.
+The T_k do not depend on beta, which enters only the final sum. The
+convolution alternates and cancels more digits as d grows, so T is rebuilt
+at a raised precision when the cancellation reaches into the guard digits.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import ceil, factorial, log10
 
 from mpmath import mp, mpc, mpf, ln, pi, sqrt
 
 from .errors import ConsistencyError, DomainError, TruncationWarning
-from .finitepart import _fp_exp_over_xm
+from .finitepart import fp_exp_over_xm
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, rho_eval
-from .specfun import PrecisionContext, _euler_gamma, _to_beta, _to_mpf
+from .specfun import PrecisionContext, _euler_gamma, _to_beta
 
 __all__ = [
     "ExtrapolationResult",
@@ -51,31 +58,31 @@ class ExtrapolationResult:
 def fp_negative_moment_kernel(k: int, l: int, ctx: PrecisionContext) -> mpf:
     """Finite part of e^{-x/2}/x^{2k+1-l}; requires 2k+1-l >= 1.
 
-    At 2k+1-l < 1 the integral is convergent and belongs to the L_k branch,
-    so the kernel refuses it.
+    This kernel covers the divergent orders only and refuses 2k+1-l < 1,
+    where the integral converges; the tail's kernel table holds both.
     """
     m = 2 * k + 1 - l
     if m < 1:
         raise DomainError(
             f"finite-part order 2k+1-l = {m} < 1: convergent integral, not a finite part")
-    with ctx.work():
-        v = _fp_exp_over_xm(mpf(1) / 2, m)
-    return ctx.round(v)
+    return fp_exp_over_xm(Fraction(1, 2), m, ctx)
 
 
-def _fp_kernel_values(kmax: int) -> list[mpf]:
-    """F[j] = finite part of e^{-x/2}/x^j for j = 1..2*kmax+1, at ambient precision.
+def _fp_kernel_values(d: int, jmax: int) -> list[mpf]:
+    """M[j + d] = FP int_0^inf e^{-x/2} x^{-j} dx for j = -d..jmax, at ambient
+    precision.
 
-    Rolls (-1)^j (1/2)^{j-1}/(j-1)! (ln(1/2) - psi(j)) with an incremental
-    harmonic number, so building hundreds of orders stays O(kmax).
+    j <= 0 is the convergent value (-j)! 2^{1-j}, from exact integers. j >= 1
+    rolls (-1)^j (1/2)^{j-1}/(j-1)! (ln(1/2) - psi(j)) with an incremental
+    harmonic number, so building hundreds of orders stays O(jmax).
     """
+    out = [mpf(factorial(n) << (n + 1)) for n in range(d, -1, -1)]
     gamma = _euler_gamma()
     ln_half = -ln(mpf(2))
-    out = [mpf(0)]  # j = 0 placeholder
     harmonic = mpf(0)  # H_{j-1}
     inv_fact = mpf(1)  # 1/(j-1)!
     power = mpf(1)  # (1/2)^{j-1}
-    for j in range(1, 2 * kmax + 2):
+    for j in range(1, jmax + 1):
         psi_j = -gamma + harmonic
         out.append((-1) ** j * power * inv_fact * (ln_half - psi_j))
         harmonic += mpf(1) / j
@@ -84,28 +91,38 @@ def _fp_kernel_values(kmax: int) -> list[mpf]:
     return out
 
 
-def _weights(rec: ReconstructionCoefficients) -> list[mpf]:
-    """G_l = sum_{m=l}^{d} c_m m!/(m-l)!, the l-th derivative data of the density.
+def _tail_coefficients(rec: ReconstructionCoefficients, K: int) -> tuple[list[mpf], int]:
+    """(T_0..T_K, digits lost) at ambient precision; T_k = sum_l g_l M[2k+1-l].
 
-    The m!/(m-l)! factors are exact integers via a running product.
+    G_l = sum_{m=l}^{d} c_m m!/(m-l)! takes its m!/(m-l)! as exact integers
+    via a running product. The digits lost are the largest gap between a
+    term's and its sum's binary exponents, read without further mpf work.
     """
     d = rec.d
-    G = []
+    M = _fp_kernel_values(d, 2 * K + 1)
+    g = []
     for l in range(d + 1):
-        acc = mpf(0)
+        G = mpf(0)
         r = factorial(l)
         for m in range(l, d + 1):
-            acc += rec.c[m] * _to_mpf(r)
+            G += rec.c[m] * r
             r = r * (m + 1) // (m + 1 - l)
-        G.append(acc)
-    return G
+        g.append((-1) ** l * G / factorial(l) ** 2)
+    T = []
+    lost_bits = 0
+    for k in range(K + 1):
+        terms = [g[l] * M[2 * k + 1 - l + d] for l in range(d + 1)]
+        T.append(mp.fsum(terms))
+        if T[-1]:
+            lost_bits = max(lost_bits, max(map(mp.mag, terms)) - mp.mag(T[-1]))
+    return T, ceil(lost_bits * log10(2))
 
 
 def tail_sum(rec: ReconstructionCoefficients, beta, K: int, ctx: PrecisionContext) -> mpf:
     """Inverse-power tail sum_{k=0}^{K} (-1)^k beta^{p-k} T_k.
 
-    T_k = I_k + J_k + L_k while 2k+1 <= d (finite parts plus the convergent
-    remainder with integer factor (l-2k-1)! 2^{l-2k}), and M_k beyond.
+    The beta-free T_0..T_K are built once; when their sums cancel more than
+    guard - 5 digits they are rebuilt that many digits (+5) higher.
     """
     if K < 1:
         raise DomainError(f"tail_sum requires K >= 1, got {K}")
@@ -117,21 +134,13 @@ def tail_sum(rec: ReconstructionCoefficients, beta, K: int, ctx: PrecisionContex
     p = rec.model.tail_power_offset
     with ctx.work():
         beta = _to_beta(beta)
-        F = _fp_kernel_values(K)
-        G = _weights(rec)
-        inv_fac2 = [1 / _to_mpf(factorial(l)) ** 2 for l in range(d + 1)]
+        T, lost = _tail_coefficients(rec, K)
+        if lost > ctx.guard - 5:
+            with ctx.work(lost + 5):
+                T, _ = _tail_coefficients(rec, K)
         total = mpf(0)
-        for k in range(K + 1):
-            # I_k (l = 0) and J_k (l = 1..min(2k, d)): finite-part block.
-            fp_block = mpf(0)
-            for l in range(min(2 * k, d) + 1):
-                fp_block += (-1) ** l * inv_fac2[l] * F[2 * k + 1 - l] * G[l]
-            # L_k (l = 2k+1..d): convergent integrals, exact integer factors.
-            conv_block = mpf(0)
-            for l in range(2 * k + 1, d + 1):
-                conv_block += ((-1) ** l * _to_mpf(factorial(l - 2 * k - 1) * 2 ** (l - 2 * k))
-                               * inv_fac2[l] * G[l])
-            total += (-1) ** k * beta ** (p - k) * (fp_block + conv_block)
+        for k, t in enumerate(T):
+            total += (-1) ** k * beta ** (p - k) * t
     return ctx.round(total)
 
 

@@ -67,19 +67,14 @@ def exp_kernel(b: Fraction, order: int) -> KernelDescriptor:
 # Closed formula for the exponential kernel.
 # ---------------------------------------------------------------------------
 
-def _fp_exp_over_xm(b: mpf, m: int) -> mpf:
-    # (-1)^m b^{m-1}/(m-1)! (ln b - psi(m))
-    return ((-1) ** m * b ** (m - 1) / factorial(m - 1)
-            * (ln(b) - _digamma_int(m)))
-
-
 def fp_exp_over_xm(b, m: int, ctx: PrecisionContext) -> mpf:
-    """Finite part of the integral of e^{-bx}/x^m over (0, inf), b > 0, m >= 1."""
+    """Finite part of the integral of e^{-bx}/x^m over (0, inf), b > 0, m >= 1:
+    (-1)^m b^{m-1}/(m-1)! (ln b - psi(m))."""
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"fp_exp_over_xm requires integer m >= 1, got {m}")
     with ctx.work():
         b = _to_beta(b, "b")
-        v = _fp_exp_over_xm(b, m)
+        v = (-1) ** m * b ** (m - 1) / factorial(m - 1) * (ln(b) - _digamma_int(m))
     return ctx.round(v)
 
 
@@ -117,24 +112,11 @@ def _richardson_constant(eps_values: Sequence[Fraction], data: Sequence[mpf]) ->
             cols.append([e ** i * ln(e) for e in eps])
         if len(cols) < n:
             cols.append([e ** (npairs + 1) for e in eps])
-        a = [[cols[c][r] for c in range(n)] for r in range(n)]
-        x = [mpf(v) for v in data]
-        for k in range(n):
-            p = max(range(k, n), key=lambda i: abs(a[i][k]))
-            if a[p][k] == 0:
-                raise OracleFailureError("degenerate extrapolation system")
-            a[k], a[p] = a[p], a[k]
-            x[k], x[p] = x[p], x[k]
-            for i in range(k + 1, n):
-                lam = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] -= lam * a[k][j]
-                x[i] -= lam * x[k]
-        for k in range(n - 1, -1, -1):
-            acc = x[k]
-            for j in range(k + 1, n):
-                acc -= a[k][j] * x[j]
-            x[k] = acc / a[k][k]
+        a = mp.matrix(cols).T
+        try:
+            x = mp.lu_solve(a, mp.matrix(list(data)))
+        except ZeroDivisionError:
+            raise OracleFailureError("degenerate extrapolation system") from None
         return +x[0]
 
 

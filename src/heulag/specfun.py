@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from mpmath import mp, mpc, mpf, ln, pi, sqrt
+from mpmath import mp, mpc, mpf, ln, pi
 
 from .errors import DomainError, PoleError
 

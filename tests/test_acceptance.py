@@ -3,7 +3,6 @@ pytest -v) per criterion, each at its stated tolerance."""
 import time
 from fractions import Fraction
 
-import pytest
 from mpmath import mp, mpf
 
 from heulag import (

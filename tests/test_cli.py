@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 import heulag
-from heulag import CacheMismatchError, ModelId, PrecisionContext, closed_form
+from heulag import CacheMismatchError, ModelId
 from heulag.cli import CoefficientCacheFile, main
 
 # positive real pole of the spin-0 [0/2] approximant (root of its quadratic
@@ -339,6 +339,20 @@ def test_table_5_decomposition_at_the_digit_floor(capsys):
 def test_table_rejects_unknown_number(capsys):
     code, _, err = run(["table", "9"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "1", "--model", "sd"],
+    ["table", "2", "--moments", "7", "--cache", "/nonexistent/x", "--force"],
+    ["exact", "--moments", "3"],
+    ["series", "--truncation", "5", "--cache", "x"],
+    ["reconstruct", "--moments", "5", "--format", "csv"],
+])
+def test_flags_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Extrapolant layer: finite-part kernel values, tail construction, the pole
 correction, and end-to-end accuracy against the closed forms."""
-import warnings
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
-from mpmath import euler, log, mp, mpf
+from mpmath import euler, exp, log, log10, mp, mpf, polyval
 
 from heulag import (
     DomainError,
+    KernelDescriptor,
     ModelId,
     PrecisionContext,
     TruncationWarning,
@@ -19,6 +20,7 @@ from heulag import (
     fp_negative_moment_kernel,
     tail_sum,
 )
+from heulag.extrapolant import _tail_coefficients
 from conftest import printed_match, rel_err
 
 
@@ -54,6 +56,44 @@ def test_kernel_rejects_convergent_branch(ctx60):
         fp_negative_moment_kernel(0, 1, ctx60)  # l = 2k+1: integral converges
     with pytest.raises(DomainError):
         fp_negative_moment_kernel(2, 5, ctx60)
+
+
+# ---------------------------------------------------------------------------
+# The tail coefficients T_k as finite-part integrals of the density factor.
+# ---------------------------------------------------------------------------
+
+def _density_factor(rec, order: int) -> KernelDescriptor:
+    """g(x) = e^{-x/2} sum_m c_m L_m(x) with `order` exact Taylor coefficients,
+    taken from the dyadic coefficients c_m and the explicit Laguerre sums."""
+    c = [Fraction(man) * Fraction(2) ** e for man, e in (cm.man_exp for cm in rec.c)]
+    poly = [sum(c[m] * comb(m, l) for m in range(l, rec.d + 1)) * (-1) ** l / factorial(l)
+            for l in range(rec.d + 1)]
+    taylor = [sum(poly[l] * Fraction(-1, 2) ** (i - l) / factorial(i - l)
+                  for l in range(min(i, rec.d) + 1)) for i in range(order)]
+    return KernelDescriptor(
+        func=lambda x: exp(-x / 2) * polyval([mpf(p.numerator) / p.denominator for p in reversed(poly)], x),
+        taylor=taylor, decay=Fraction(1, 2), label="density")
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_tail_coefficient_is_canonical_finite_part(k, reconstruct):
+    # T_k = FP int g(x) x^{-(2k+1)} dx, convergent orders (l > 2k) included
+    ctx = PrecisionContext(40)
+    rec = reconstruct(ModelId.SPIN0, 10, 40)
+    with ctx.work():
+        T, _ = _tail_coefficients(rec, 1)
+    oracle = fp_canonical_oracle(_density_factor(rec, 2 * k + 1), 2 * k + 1, ctx)
+    assert rel_err(T[k], oracle) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("beta", ["1", "1e7", "1e18"])
+def test_tail_keeps_digits_beyond_a_short_guard(beta, reconstruct):
+    # at d = 99 the T_k sums cancel ~9 digits: a 5-digit guard must rebuild T
+    rec = reconstruct(ModelId.SPIN0, 100, 100)
+    short = tail_sum(rec, beta, 2 * rec.d, PrecisionContext(100, guard=5))
+    long = tail_sum(rec, beta, 2 * rec.d, PrecisionContext(100, guard=100))
+    with mp.workdps(120):
+        assert short == long or -log10(abs(short - long) / abs(long)) >= mpf("99.5")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from heulag import (
     KernelDescriptor,
     ModelId,
     OracleFailureError,
-    PrecisionContext,
     closed_form,
     exp_kernel,
     finite_part_assembly,

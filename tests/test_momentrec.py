@@ -1,7 +1,6 @@
 """Moment layer: exact moment vectors, the P matrix, the linear solve and its
 backward residual, and evaluation of the reconstructed density."""
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from heulag import (
     PrecisionContext,
     build_P_exact,
     coefficients,
-    laguerre_eval,
     moments_from_coeffs,
     residual_norm_of,
     rho_eval,
