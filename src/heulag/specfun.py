@@ -8,15 +8,16 @@ their own working precision.
 """
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import count
 
 from mpmath import mp, mpc, mpf, ln, pi
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, OracleFailureError, PoleError
 
 __all__ = [
     "BigComplex",
@@ -171,64 +172,82 @@ def digamma_int(m: int, ctx: PrecisionContext) -> mpf:
 # Hurwitz zeta and its first-argument derivative by Euler-Maclaurin summation.
 # ---------------------------------------------------------------------------
 
-_EM_MAX_CORRECTIONS = 600
+def _em_plan(a: mpf, s, deriv: bool) -> tuple[int, int, int]:
+    """Shift N, correction count J and extra working digits at ambient precision.
+
+    Correction j is B_2j/(2j)! F_j z^{1-s-2j} at z = a + N, F_j = |(s)_{2j-1}|
+    (for a derivative at s in {0, -1}: without its vanishing factor). As
+    |B_2j| <= 4 (2j)!/(2 pi)^2j, it is at most 4 F_j z^{1-s}/(2 pi z)^2j
+    (Johansson, arXiv:1309.2877). z is put near (dps + s/pi)/2 and J is the
+    last j before that bound falls below 10^-(dps+5), relative to the result
+    when s > 1 (which exceeds both a^-s and z^{1-s}/(s-1));
+    OracleFailureError if the bound grows first. The extra digits cover terms
+    of size z^{1-s} cancelling to a result of size max(a, 1)^{1-s}.
+    """
+    N = max(0, int(mp.dps / 2 + max(0.0, float(s)) / (2 * math.pi) - a) + 1)
+    lz, la = float(ln(a + N, prec=53)), float(ln(a, prec=53))
+    scale = max(-s * la, (1 - s) * lz - math.log(float(s - 1))) if s > 1 else 0.0
+    head = math.log(4) + float(1 - s) * lz - float(scale)
+    log_f, prev = 0.0, math.inf
+    for j in count(1):
+        for i in (2 * j - 3, 2 * j - 2):
+            f = abs(float(s + i)) if i >= 0 else 1  # s + i first keeps s's distance to -i
+            log_f += math.log(f) if f else (0.0 if deriv else -math.inf)
+        bound = head + log_f - 2 * j * (math.log(2 * math.pi) + lz)
+        if bound < -(mp.dps + 5) * math.log(10):
+            cancel = max(0.0, float(1 - s)) * (lz - max(0.0, la))
+            return N, j - 1, int(cancel / math.log(10)) + 3
+        if bound > prev:
+            raise OracleFailureError(f"Euler-Maclaurin terms for zeta({mp.nstr(s, 10)}, a) "
+                                     f"grow before they reach 1e-{mp.dps + 5}")
+        prev = bound
 
 
-def _em_shift(a: mpf) -> int:
-    # Tail corrections decay like e^{-2*pi*(a+N)}; put a+N past digits*ln10/(2*pi).
-    target = mp.dps * ln(10) / (2 * pi)
-    return max(0, int(target - a) + 8)
+def _bernoulli_over(j: int, d: int) -> mpf:
+    """B_2j / d at ambient precision."""
+    b = _bernoulli_even(j)
+    return mpf(b.numerator) / (b.denominator * d)
 
 
 def _hurwitz_zeta(s: mpf, a: mpf, deriv: bool = False) -> mpf:
-    """Euler-Maclaurin zeta(s, a), or d/ds zeta(s, a) when deriv is set.
+    """Euler-Maclaurin zeta(s, a), or d/ds zeta(s, a) at s in {0, -1} when deriv is set.
 
-    Adaptive: the power-sum shift N is sized to ambient precision, correction
-    terms are added until below the ambient tolerance (or they start growing,
-    which for the asymptotic tail means no further gain is available).
+    The derivative takes no logarithm per power-sum term: with the products
+    p = prod_{k<N} (a+k) and q = prod_{k<N} (a+k)^{k+1}, built from running
+    suffix products, the power sum is -ln p at s = 0 and -(ln q + (a-1) ln p)
+    at s = -1. Its corrections are (-1)^s B_2j (2j-2+s)!/(2j)! z^{1-s-2j}
+    for j >= 1 - s, one Horner sum in 1/z^2.
     """
-    s = mpf(s)
+    s = int(s) if deriv else mpf(s)
     a = mpf(a)
-    N = _em_shift(a)
-    tol = mpf(10) ** (-(mp.dps + 5))
-    total = mpf(0)
-    for k in range(N):
-        base = a + k
-        t = base ** (-s)
-        total += (-ln(base) * t) if deriv else t
-    z = a + N
-    lz = ln(z)
-    if deriv:
-        # d/ds [ z^{1-s}/(s-1) ] and d/ds [ z^{-s}/2 ]
-        total += -z ** (1 - s) * (lz * (s - 1) + 1) / (s - 1) ** 2
-        total += -lz * z ** (-s) / 2
-    else:
-        total += z ** (1 - s) / (s - 1)
-        total += z ** (-s) / 2
-    # Correction sum: B_{2j}/(2j)! * (s)_{2j-1} * z^{-s-2j+1}, differentiated
-    # term-wise when deriv is set. The Pochhammer value/derivative pair is
-    # built iteratively so vanishing factors at s in {0, -1} are exact.
-    p = mpf(1)
-    pd = mpf(0)
-    nfac = 0
-    zpow = z ** (-s - 1)
-    z2 = z * z
-    prev = None
-    for j in range(1, _EM_MAX_CORRECTIONS):
-        while nfac < 2 * j - 1:
-            p, pd = p * (s + nfac), pd * (s + nfac) + p
-            nfac += 1
-        coef = _to_mpf(_bernoulli_even(j) / factorial(2 * j))
-        term = coef * (pd - lz * p) * zpow if deriv else coef * p * zpow
-        total += term
-        zpow /= z2
-        mag = abs(term)
-        if mag < tol:
-            break
-        if prev is not None and mag > prev:
-            break
-        prev = mag
-    return total
+    N, J, extra = _em_plan(a, s, deriv)
+    with mp.extradps(extra):
+        z = a + N
+        w = 1 / (z * z)
+        if not deriv:
+            t = z ** (1 - s)
+            v = mp.fsum((a + k) ** -s for k in range(N)) + t * (1 / (s - 1) + 1 / (2 * z))
+            p = s / 2  # (s)_{2j-1}/(2j)!
+            for j in range(1, J + 1):
+                t *= w
+                v += _bernoulli_over(j, 1) * p * t
+                p *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2))
+        else:
+            p = q = mpf(1)
+            for k in reversed(range(N)):
+                p *= a + k  # prod_{i >= k} (a + i)
+                q *= p      # prod_{i >= k} (a + i)^{i - k + 1}
+            h = mpf(0)
+            for j in range(J, -s, -1):
+                d = 2 * j * (2 * j - 1) * (1 if s == 0 else 2 - 2 * j)
+                h = (h + _bernoulli_over(j, d)) * w
+            lz = ln(z)
+            if s == 0:
+                v = -ln(p) + (z - mpf(1) / 2) * lz - z + z * h
+            else:
+                v = (-(ln(q) + (a - 1) * ln(p)) + ((z - 1) * z / 2 + mpf(1) / 12) * lz
+                     - z * z / 4 + mpf(1) / 12 + h)
+    return +v
 
 
 def hurwitz_zeta(s, a, ctx: PrecisionContext) -> mpf:
@@ -258,40 +277,13 @@ def hurwitz_zeta_sderiv(s0, a, ctx: PrecisionContext) -> mpf:
     return ctx.round(v)
 
 
-# ---------------------------------------------------------------------------
-# Log-gamma via the Stirling series with argument shift.
-# ---------------------------------------------------------------------------
-
-def _ln_gamma(a: mpf) -> mpf:
-    a = mpf(a)
-    shift = _em_shift(a)
-    z = a + shift
-    total = (z - mpf(1) / 2) * ln(z) - z + ln(2 * pi) / 2
-    tol = mpf(10) ** (-(mp.dps + 5))
-    zpow = z
-    z2 = z * z
-    prev = None
-    for j in range(1, _EM_MAX_CORRECTIONS):
-        coef = _bernoulli_even(j)
-        term = _to_mpf(Fraction(coef, (2 * j) * (2 * j - 1))) / zpow
-        total += term
-        zpow *= z2
-        mag = abs(term)
-        if mag < tol or (prev is not None and mag > prev):
-            break
-        prev = mag
-    for i in range(shift):
-        total -= ln(a + i)
-    return total
-
-
 def ln_gamma(a, ctx: PrecisionContext) -> mpf:
-    """ln Gamma(a) for a > 0."""
+    """ln Gamma(a) for a > 0, by Lerch's formula zeta'(0, a) + (1/2) ln 2 pi."""
     with ctx.work():
         a = _to_mpf(a)
         if a <= 0:
             raise DomainError(f"ln_gamma requires a > 0, got {a}")
-        v = _ln_gamma(a)
+        v = _hurwitz_zeta(0, a, deriv=True) + ln(2 * pi) / 2
     return ctx.round(v)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpf, zeta
 
 from heulag import (
     BigComplex,
@@ -20,15 +20,15 @@ from heulag import (
     laguerre_eval,
     ln_gamma,
 )
-from heulag.errors import HeulagError
+from heulag.errors import HeulagError, OracleFailureError
 from heulag.specfun import (
     _digamma_int,
     _euler_gamma,
     _laguerre_seq,
-    _ln_gamma,
     hurwitz_zeta,
     hurwitz_zeta_sderiv,
 )
+from conftest import rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +166,11 @@ def test_zeta_pole_and_domain(ctx60):
 
 
 def test_zeta_sderiv_at_zero_is_lngamma_identity(ctx60):
-    # zeta'(0, a) = ln Gamma(a) - (1/2) ln 2pi
+    # zeta'(0, a) = ln Gamma(a) - (1/2) ln 2pi, against mpmath's loggamma
     with ctx60.work():
         for a in (mpf("0.3"), mpf(1), mpf("2.5"), mpf(17)):
             lhs = hurwitz_zeta_sderiv(0, a, ctx60)
-            rhs = _ln_gamma(a) - mp.log(2 * mp.pi) / 2
+            rhs = mp.loggamma(a) - mp.log(2 * mp.pi) / 2
             assert abs(lhs - rhs) < mpf(10) ** (-(ctx60.digits - 5))
 
 
@@ -204,6 +204,59 @@ def test_zeta_precision_monotonicity():
     v80 = hurwitz_zeta(3, a, PrecisionContext(80))
     with mp.workdps(100):
         assert abs(v40 - v80) < mpf("1e-38") * abs(v80)
+
+
+def _argument(text: str, ctx: PrecisionContext) -> mpf:
+    """One mpf for both sides of a comparison: a 53-bit a is another argument."""
+    with ctx.work():
+        return mpf(text)
+
+
+def _mpmath(f, ctx: PrecisionContext, *args):
+    """An mpmath builtin at 10 digits above the context's nominal digits."""
+    with mp.workdps(ctx.digits + 10):
+        return f(*args)
+
+
+@pytest.mark.parametrize("a", ["5e-16", "1e-6", "0.045", "0.5", "1", "17.5", "2000.25"])
+@pytest.mark.parametrize("digits", [30, 300, 1000])
+@pytest.mark.parametrize("s0", [0, -1])
+def test_zeta_sderiv_edge_sweep_against_mpmath(s0, digits, a):
+    # a = 5e-16 is q = 1/(2 sqrt(beta)) at beta = 1e30; tiny and large a
+    # stress the correction count chosen from the remainder bound
+    ctx = PrecisionContext(digits)
+    a = _argument(a, ctx)
+    ref = _mpmath(zeta, ctx, s0, a, 1)
+    assert rel_err(hurwitz_zeta_sderiv(s0, a, ctx), ref) < mpf(10) ** (1 - digits)
+
+
+@pytest.mark.parametrize("digits", [1000, 1500])
+def test_high_precision_against_mpmath(digits):
+    # hurwitz_zeta_sderiv: the sweep above at 1000 digits, and every closed
+    # form at 1000 and 1500 (test_closed_form_high_precision_against_mpmath)
+    ctx = PrecisionContext(digits)
+    tol = mpf(10) ** (1 - digits)
+    a = _argument("0.731", ctx)
+    for s in (2, 3, -1):
+        assert rel_err(hurwitz_zeta(s, a, ctx), _mpmath(zeta, ctx, s, a)) < tol, s
+    for text in ("0.3", "2.5", "17"):
+        b = _argument(text, ctx)
+        assert rel_err(ln_gamma(b, ctx), _mpmath(mp.loggamma, ctx, b)) < tol, text
+
+
+def test_zeta_general_s_keeps_digits_or_raises():
+    # At s = -200.5 the Euler-Maclaurin terms grow from the first one at this
+    # shift: a typed error, not truncated digits
+    ctx = PrecisionContext(30)
+    with pytest.raises(OracleFailureError):
+        hurwitz_zeta(mpf("-200.5"), mpf(1), ctx)
+    for s, a in (("-20.5", "0.731"), ("40.5", "0.731"), ("25.25", "1e5")):
+        # zeta(25.25, 1e5) ~ 1e-123: the corrections must stop relative to
+        # it. mpmath stops at an absolute tolerance, hence its 200 digits.
+        s, a = mpf(s), _argument(a, ctx)
+        with mp.workdps(200):
+            ref = zeta(s, a)
+        assert rel_err(hurwitz_zeta(s, a, ctx), ref) < mpf("1e-29"), s
 
 
 # ---------------------------------------------------------------------------
