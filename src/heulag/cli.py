@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--model", "--digits", "--moments", "--cache", "--force")
     command("extrapolate", "strong-field extrapolant rows", *_FLAGS)
     p_cmp = command("compare", "method-comparison grid", *_FLAGS)
-    p_cmp.add_argument("--pade", type=str, default=None, help="N,M degrees")
+    p_cmp.add_argument("--pade", type=str, default=None, help="N,M degrees, N >= M - 1")
     p_cmp.add_argument("--delta", type=int, default=None, help="delta order n")
     p_tab = command("table", "desk-scale reproduction of tables 1-6", "--digits", "--format")
     p_tab.add_argument("number", type=int)

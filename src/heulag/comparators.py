@@ -2,8 +2,12 @@
 transformation, both in arbitrary precision on the reduced alternating series.
 
 Both act on S(x) = sum_j a_j x^j at x = -beta and multiply back the model's
-beta-power prefactor (beta^2 for spins, beta for SD). The reduced-series
-coefficients grow factorially, so solves run at a precision extended by the
+beta-power prefactor (beta^2 for spins, beta for SD). The a_j are Stieltjes
+moments, so the staircase Pade approximants are the convergents of an
+S-fraction a_0/(1 + alpha_1 beta/(1 + alpha_2 beta/(1 + ...))) with every
+alpha_k > 0 (Baker & Graves-Morris, Pade Approximants, ch. 5): qd once per
+call, then O(N + M) per beta and no pole at beta > 0. The coefficients grow
+factorially and qd is unstable, so both run at a precision extended by the
 coefficient span.
 """
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import DegeneracyError, DomainError, PoleError
+from .errors import DegeneracyError, DomainError
 from .models import SeriesCoefficients
 from .specfun import PrecisionContext, _to_beta, _to_mpf
 
@@ -44,69 +48,55 @@ def pade_eval(series: SeriesCoefficients, N: int, M: int, beta,
               ctx: PrecisionContext) -> mpf:
     """[N/M] Pade approximant of the reduced series, times the beta prefactor.
 
-    Denominator coefficients (q_0 = 1) come from the Toeplitz system
-    sum_{i=1}^{M} q_i a_{N+j-i} = -a_{N+j}, j = 1..M, solved by LU in BigReal;
-    the numerator follows by convolution.
+    For N >= M - 1 (else DomainError) and L = N - M + 1 it is the head
+    sum_{j<L} a_j (-beta)^j plus (-beta)^L a_L/t, where t = 1 + alpha_1 beta/
+    (1 + ... alpha_{2M-1} beta) is evaluated bottom up and the alpha are those
+    of the shifted series a_{j+L}, row L of the qd table (_qd_row).
     """
     if N < 0 or M < 0:
         raise DomainError(f"degrees must be >= 0, got N={N}, M={M}")
+    if N < M - 1:
+        raise DomainError(f"[N/M]=[{N}/{M}] needs N >= M - 1 (a staircase of the S-fraction)")
     need = N + M + 1
     if series.count < need:
         raise DomainError(
             f"series has {series.count} coefficients, [N/M]=[{N}/{M}] needs {need}")
-    dps = ctx.workdps + _span_digits(series, need) + 10
-    with mp.workdps(dps):
+    L = N - M + 1
+    with mp.workdps(ctx.workdps + _span_digits(series, need) + 10):
         beta = _to_beta(beta)
         a = [_to_mpf(f) for f in series.a[:need]]
-        q = [mpf(1)] + (_toeplitz_solve(a, N, M) if M else [])
-        p = []
-        for j in range(N + 1):
-            acc = mpf(0)
-            for i in range(min(j, M) + 1):
-                acc += q[i] * a[j - i]
-            p.append(acc)
-        x = -beta
-        num = mpf(0)
-        for cj in reversed(p):
-            num = num * x + cj
-        den = mpf(0)
-        for cj in reversed(q):
-            den = den * x + cj
-        scale = max(abs(c) for c in q) * max(abs(x), mpf(1)) ** M
-        if abs(den) <= scale * mpf(10) ** (-(dps - 10)):
-            raise PoleError(f"Pade denominator vanishes at beta={beta}")
-        v = beta ** series.model.series_prefactor_power * num / den
+        t = mpf(1)
+        for alpha in reversed(_qd_row(a, L)):
+            t = 1 + alpha * beta / t
+        v = a[L] / t if M else 0
+        for aj in reversed(a[:L]):  # Horner: the head plus (-beta)^L a_L/t
+            v = v * -beta + aj
+        v *= beta ** series.model.series_prefactor_power
     return ctx.round(v)
 
 
-def _toeplitz_solve(a: list[mpf], N: int, M: int) -> list[mpf]:
-    """Solve for q_1..q_M; raises DegeneracyError on a singular system."""
-    rows = [[(a[N + j - i] if N + j - i >= 0 else mpf(0)) for i in range(1, M + 1)]
-            for j in range(1, M + 1)]
-    rhs = [-a[N + j] for j in range(1, M + 1)]
-    n = M
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        if rows[piv][k] == 0:
+def _qd_row(a: list[mpf], L: int) -> list[mpf]:
+    """S-fraction coefficients alpha_1.. of the series shifted by L.
+
+    Rutishauser's qd table of c_j = (-1)^j a_j, column by column from
+    q_1^(k) = c_{k+1}/c_k, e_0^(k) = 0 and the rhombus rules; row k holds
+    -alpha = q_1^(k), e_1^(k), q_2^(k), ... of the series shifted by k.
+    DegeneracyError unless every a_j > 0 and every e < 0 (Stieltjes).
+    """
+    if not all(c > 0 for c in a):
+        raise DegeneracyError("not a Stieltjes series: a reduced coefficient is <= 0")
+    q = [-a[k + 1] / a[k] for k in range(len(a) - 1)]
+    e = [mpf(0)] * len(q)
+    row, m = [], 0
+    while q:
+        m += 1
+        e = [q[k + 1] - q[k] + e[k + 1] for k in range(len(q) - 1)]
+        if not all(v < 0 for v in e):
             raise DegeneracyError(
-                f"Toeplitz system singular at working precision (column {k})")
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            rhs[k], rhs[piv] = rhs[piv], rhs[k]
-        akk = rows[k][k]
-        for i in range(k + 1, n):
-            lam = rows[i][k] / akk
-            if lam:
-                for j in range(k + 1, n):
-                    rows[i][j] -= lam * rows[k][j]
-                rhs[i] -= lam * rhs[k]
-            rows[i][k] = mpf(0)
-    for k in range(n - 1, -1, -1):
-        acc = rhs[k]
-        for j in range(k + 1, n):
-            acc -= rows[k][j] * rhs[j]
-        rhs[k] = acc / rows[k][k]
-    return rhs
+                f"not a Stieltjes series at working precision: qd column e_{m} has an entry >= 0")
+        row += [-v[L] for v in (q, e) if len(v) > L]
+        q = [q[k + 1] * e[k + 1] / e[k] for k in range(len(e) - 1)]
+    return row
 
 
 def weniger_delta(series: SeriesCoefficients, n: int, beta,

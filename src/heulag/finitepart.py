@@ -173,6 +173,11 @@ def fp_canonical_oracle(kernel: KernelDescriptor, m: int, ctx: PrecisionContext,
 # Closed forms for the hyperbolic kernels (Mellin route).
 # ---------------------------------------------------------------------------
 
+def _zeta_bernoulli(s: int, a: mpf) -> mpf:
+    """zeta(s, a) = -B_{1-s}(a)/(1-s) at s in {0, -1}: 1/2 - a, -(a^2 - a + 1/6)/2."""
+    return mpf(1) / 2 - a if s == 0 else -(a * (a - 1) + mpf(1) / 6) / 2
+
+
 def fp_csch(beta, ctx: PrecisionContext) -> mpf:
     """Finite part of e^{-tau} csch(sqrt(beta) tau)/tau^2 over (0, inf).
 
@@ -184,7 +189,7 @@ def fp_csch(beta, ctx: PrecisionContext) -> mpf:
         rb = sqrt(beta)
         nu = (1 + rb) / (2 * rb)
         g = _euler_gamma()
-        v = 2 * rb * ((ln(beta) + ln(mpf(4)) + 2 * g - 2) * _hurwitz_zeta(mpf(-1), nu)
+        v = 2 * rb * ((ln(beta) + ln(mpf(4)) + 2 * g - 2) * _zeta_bernoulli(-1, nu)
                       - 2 * _hurwitz_zeta(mpf(-1), nu, deriv=True))
     return ctx.round(v)
 
@@ -200,7 +205,7 @@ def fp_coth(beta, ctx: PrecisionContext) -> mpf:
         rb = sqrt(beta)
         q = 1 / (2 * rb)
         g = _euler_gamma()
-        z1 = _hurwitz_zeta(mpf(-1), q)
+        z1 = _zeta_bernoulli(-1, q)
         v = (rb * (ln(mpf(16)) + 2 * ln(beta)) * z1
              + (g - 1) * (4 * rb * z1 - 1)
              - 4 * rb * _hurwitz_zeta(mpf(-1), q, deriv=True))
@@ -217,8 +222,7 @@ def fp_sinh2(beta, ctx: PrecisionContext) -> mpf:
         beta = _to_beta(beta)
         q = 1 / sqrt(beta)
         g = _euler_gamma()
-        v = ((-g - ln(mpf(2))) * (_hurwitz_zeta(mpf(-1), q)
-                                  - q * _hurwitz_zeta(mpf(0), q))
+        v = ((-g - ln(mpf(2))) * (_zeta_bernoulli(-1, q) - q * _zeta_bernoulli(0, q))
              + _hurwitz_zeta(mpf(-1), q, deriv=True)
              - q * _hurwitz_zeta(mpf(0), q, deriv=True))
     return ctx.round(v)

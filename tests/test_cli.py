@@ -12,13 +12,6 @@ import heulag
 from heulag import CacheMismatchError, ModelId
 from heulag.cli import CoefficientCacheFile, main
 
-# positive real pole of the spin-0 [0/2] approximant (root of its quadratic
-# denominator, frozen to 150 digits); used to exercise the per-cell error path
-PADE_02_POLE = ("1.46727250340261317937875898739837966891219471425807372983879"
-                "704204527912704331612136335315980170228449987201033074702867"
-                "129725069204470656962491413371")
-
-
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -291,15 +284,22 @@ def test_compare_markdown_brackets_agreeing_prefix(capsys):
 
 
 def test_compare_cell_error_annotated_run_continues(capsys):
-    code, out, _ = run(["compare", "--model", "spin0",
-                        "--beta", f"0.01,{PADE_02_POLE},1",
-                        "--digits", "60", "--pade", "0,2", "--format", "csv"],
-                       capsys)
+    # [0/2] is below the S-fraction staircase (N < M - 1): every pade cell is
+    # an annotated DomainError while the other columns and rows still print
+    code, out, _ = run(["compare", "--model", "spin0", "--beta", "0.01,0.5,1",
+                        "--digits", "60", "--delta", "5", "--pade", "0,2",
+                        "--format", "csv"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 4  # header + all three rows survive
-    assert "ERR(PoleError)" in lines[2]
-    assert "ERR" not in lines[1] and "ERR" not in lines[3]
+    header = lines[0].split(",")
+    col = header.index("pade_0_2")
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[col] == "ERR(DomainError)"
+        assert sum("ERR" in c for c in cells) == 1
+        for name in ("beta", "delta_5", "exact"):  # the other columns hold numbers
+            assert mpf(cells[header.index(name)]) > 0
 
 
 def test_compare_empty_beta(capsys):

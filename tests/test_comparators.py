@@ -63,6 +63,17 @@ def test_pade_stieltjes_bracketing(beta, ctx60):
         assert min(lo, hi) <= f <= max(lo, hi), N
 
 
+@pytest.mark.parametrize("beta", ["0.1", "10", "1e3", "1e7"])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_pade_stieltjes_bracketing_49(model, beta, ctx100):
+    # consecutive S-fraction convergents bracket the true value at every beta > 0
+    s = coefficients(model, 100)
+    f = closed_form(model, beta, ctx100)
+    lo = pade_eval(s, 49, 49, beta, ctx100)
+    hi = pade_eval(s, 49, 50, beta, ctx100)
+    assert min(lo, hi) < f < max(lo, hi)
+
+
 @pytest.mark.parametrize("N,M", [(3, 2), (2, 3), (3, 3), (49, 50)])
 def test_pade_large_field_degree_behavior(N, M, ctx60):
     # log f / log beta -> N - M + 2 (prefactor power) as beta grows
@@ -83,6 +94,31 @@ def test_pade_rejects_negative_degrees(ctx60):
     s = coefficients(ModelId.SPIN0, 10)
     with pytest.raises(DomainError):
         pade_eval(s, -1, 2, "0.1", ctx60)
+
+
+@pytest.mark.parametrize("N,M", [(0, 2), (1, 5)])
+def test_pade_rejects_numerator_below_staircase(N, M, ctx60):
+    # N < M - 1 is off the staircase that the S-fraction's convergents cover
+    s = coefficients(ModelId.SPIN0, 10)
+    with pytest.raises(DomainError):
+        pade_eval(s, N, M, "0.1", ctx60)
+
+
+def test_pade_degenerate_on_geometric_series(ctx60):
+    # all-ones coefficients: 1/(1 + beta) is [0/1], so e_1 = 0 and [4/5] has no
+    # S-fraction
+    geom = SeriesCoefficients(model=ModelId.SPIN0,
+                              a=tuple(Fraction(1) for _ in range(10)))
+    with pytest.raises(DegeneracyError):
+        pade_eval(geom, 4, 5, "0.3", ctx60)
+
+
+def test_pade_degenerate_on_non_stieltjes_series(ctx60):
+    # moments 1, 2, 1 violate a_0 a_2 > a_1^2: alpha_2 = a_2/a_1 - a_1/a_0 = -3/2
+    s = SeriesCoefficients(model=ModelId.SPIN0,
+                           a=(Fraction(1), Fraction(2), Fraction(1)))
+    with pytest.raises(DegeneracyError):
+        pade_eval(s, 1, 1, "0.5", ctx60)
 
 
 # ---------------------------------------------------------------------------

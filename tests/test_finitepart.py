@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import euler, log, mp, mpf
+from mpmath import euler, log, mp, mpf, zeta
 
 from heulag import (
     DomainError,
@@ -17,6 +17,7 @@ from heulag import (
     fp_canonical_oracle,
     fp_exp_over_xm,
 )
+from heulag.finitepart import _zeta_bernoulli
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,23 @@ def test_oracle_failure_on_wrong_taylor(ctx50):
     )
     with pytest.raises(OracleFailureError):
         fp_canonical_oracle(kernel, 2, ctx50)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz zeta at s = 0, -1 as Bernoulli polynomials (the hyperbolic kernels).
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("digits", [30, 300, 1000])
+@pytest.mark.parametrize("s", [0, -1])
+def test_zeta_bernoulli_against_mpmath(s, digits):
+    # a = 0.2113248654 sits next to a root of B_2, where zeta(-1, a) cancels
+    for a in ("1e-6", "0.2113248654", "0.5", "1", "17.5", "2000.25"):
+        with mp.workdps(digits):
+            x = mpf(a)
+            v = _zeta_bernoulli(s, x)
+        with mp.workdps(digits + 10):
+            want = zeta(s, x)
+            assert abs(v - want) < mpf(10) ** (1 - digits) * max(1, abs(want)), a
 
 
 # ---------------------------------------------------------------------------

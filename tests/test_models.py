@@ -1,10 +1,9 @@
 """Model layer: exact series coefficients, closed forms against frozen table
 rows, partial sums, the quadrature oracle, and strong-field behavior."""
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
-from mpmath import ln, mp, mpf, sqrt, zeta
+from mpmath import mp, mpf
 
 from heulag import (
     DomainError,
@@ -17,6 +16,7 @@ from heulag import (
     partial_sum,
     strong_field_leading,
 )
+import closed_form_references
 from conftest import printed_match, rel_err
 
 
@@ -94,35 +94,29 @@ def test_closed_form_small_beta_keeps_all_digits(model, beta, ctx60):
         assert abs(exact - series) <= mpf("1e-58") * abs(series)
 
 
-@lru_cache(maxsize=None)
-def _mpmath_closed_form(model: ModelId, beta: str) -> mpf:
-    """The closed forms through mpmath's builtin zeta(s, a, derivative).
-
-    1520 digits serve every precision tested against them: below beta = 1
-    they cancel 2 log10(1/beta) digits, 12 at beta = 1e-6.
-    """
-    with mp.workdps(1520):
-        b = mpf(beta)
-        rb = sqrt(b)
-        lb = ln(b)
-        if model is ModelId.SPIN0:
-            nu = (1 + rb) / (2 * rb)
-            return (b * lb / 12 - lb / 4 + b * (ln(4) / 12 - mpf(1) / 6)
-                    - ln(4) / 4 - mpf(1) / 4 - 4 * b * zeta(-1, nu, 1))
-        if model is ModelId.SPIN_HALF:
-            q = 1 / (2 * rb)
-            return (4 * b * zeta(-1, q, 1) + mpf(1) / 4 - b / 3
-                    - b * (ln(16) + 2 * lb) * (mpf(-1) / 12 + 1 / (4 * rb) - 1 / (8 * b)))
-        q = 1 / rb
-        return zeta(-1, q, 1) - q * zeta(0, q, 1) - lb * (1 / (4 * b) - mpf(1) / 24) - 3 / (4 * b)
+REFERENCES = closed_form_references.load()
 
 
-@pytest.mark.parametrize("beta", ["1e-6", "41.3273", "1e12"])
+@pytest.mark.parametrize("beta", closed_form_references.BETAS)
 @pytest.mark.parametrize("digits", [1000, 1500])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_closed_form_high_precision_against_mpmath(model, digits, beta):
     v = closed_form(model, beta, PrecisionContext(digits))
-    assert rel_err(v, _mpmath_closed_form(model, beta)) < mpf(10) ** (1 - digits)
+    with mp.workdps(closed_form_references.DIGITS):
+        want = mpf(REFERENCES[model.value][beta])
+    assert rel_err(v, want) < mpf(10) ** (1 - digits)
+
+
+def test_frozen_references_match_mpmath():
+    # recomputing at 300 digits catches a corrupted or truncated data file
+    for model in ModelId:
+        for beta in closed_form_references.BETAS:
+            text = REFERENCES[model.value][beta]
+            mantissa = text.partition("e")[0].lstrip("-0.").replace(".", "")
+            assert len(mantissa) >= closed_form_references.DIGITS, (model, beta)
+            fresh = closed_form_references.mpmath_closed_form(model.value, beta, 300)
+            with mp.workdps(300):
+                assert rel_err(fresh, mpf(text)) < mpf("1e-285"), (model, beta)
 
 
 # ---------------------------------------------------------------------------
