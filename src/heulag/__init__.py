@@ -8,8 +8,6 @@ Stieltjes representation, with Pade and delta-transformation baselines.
 from .comparators import PadeSpec, pade_eval, weniger_delta
 from .errors import (
     CacheMismatchError,
-    ConditioningError,
-    ConditioningWarning,
     ConsistencyError,
     DegeneracyError,
     DomainError,
@@ -74,8 +72,6 @@ __all__ = [
     "BigComplex",
     "BigReal",
     "CacheMismatchError",
-    "ConditioningError",
-    "ConditioningWarning",
     "ConsistencyError",
     "DegeneracyError",
     "DomainError",

@@ -9,7 +9,8 @@ cell goes through the evaluator that `compare` uses.
 All numeric output is serialized as decimal strings (JSON numbers are never
 used for high-precision values), beta rows appear in input order, and cache
 files are written atomically (temp file + rename). Exit codes: 0 success,
-2 domain error, 3 conditioning error, 4 cache mismatch.
+2 domain error (any other HeulagError, or an unreadable or unwritable file),
+4 cache mismatch.
 """
 from __future__ import annotations
 
@@ -26,12 +27,7 @@ from typing import Callable, Sequence
 from mpmath import log10, mp, mpf, nstr
 
 from .comparators import pade_eval, weniger_delta
-from .errors import (
-    CacheMismatchError,
-    ConditioningError,
-    DomainError,
-    HeulagError,
-)
+from .errors import CacheMismatchError, DomainError, HeulagError
 from .extrapolant import ExtrapolationResult, extrapolate
 from .models import (
     ModelId,
@@ -63,7 +59,6 @@ class RunConfig:
     betas: list[str]
     fmt: str
     cache: str | None
-    force: bool
     oracle: bool = False
     pade: tuple[int, int] | None = None
     delta: int | None = None
@@ -247,10 +242,6 @@ def _reconstruct(config: RunConfig) -> ReconstructionCoefficients:
         raise DomainError("this command requires --moments")
     if config.moments < 1:
         raise DomainError(f"--moments must be >= 1, got {config.moments}")
-    if config.digits < config.moments and not config.force:
-        raise DomainError(
-            f"digits={config.digits} below moments={config.moments} violates the "
-            "precision rule (working digits = number of moments); pass --force to override")
     return reconstruct(config.model, config.moments, PrecisionContext(config.digits))
 
 
@@ -364,14 +355,14 @@ class _Partials:
 
 @dataclass(frozen=True)
 class _Extrap:
-    """The extrapolant from `moments` moments, at `digits` digits when given,
-    else at the table's digits but never fewer than the moments."""
+    """The extrapolant from `moments` moments at the table's digits. The
+    digits need not cover the moments: the solve is exact and rounds c with
+    P's span on top, and the tail rebuilds T when its sums cancel."""
 
     moments: int
-    digits: int | None = None
 
     def results(self, model: ModelId, digits: int) -> Callable[[str], ExtrapolationResult]:
-        ctx = PrecisionContext(self.digits or max(digits, self.moments))
+        ctx = PrecisionContext(digits)
         rec = reconstruct(model, self.moments, ctx)
         return lambda b: extrapolate(model, rec, b, None, ctx)
 
@@ -512,7 +503,7 @@ _TABLES = {
     1: _Table(ModelId.SPIN0, _WEAK_BETAS, (_Partials(),), key="d"),
     2: _Table(ModelId.SPIN0,
               _WEAK_BETAS + ("1", "4", "10", "100", "1e4", "1e7", "1e12", "1e18"),
-              (_Extrap(10, digits=30), _Extrap(100),
+              (_Extrap(10), _Extrap(100),
                _Delta(100, at=(("0.01", 35), ("0.1", 25), ("0.2", 25))), _Pade(49, 50)),
               floor=100),
     3: _Table(ModelId.SPIN_HALF, ("1", "4", "10", "100", "1e4", "1e7"),
@@ -572,7 +563,6 @@ _FLAGS = {
     "--beta": dict(type=str, default=""),
     "--format": dict(choices=["csv", "json", "markdown"], default="markdown", dest="fmt"),
     "--cache": dict(type=str, default=None),
-    "--force": dict(action="store_true", default=False),
 }
 
 
@@ -600,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("series", "partial sums of the weak-field series",
             "--model", "--digits", "--truncation", "--beta", "--format")
     command("reconstruct", "solve the moment problem, write cache",
-            "--model", "--digits", "--moments", "--cache", "--force")
+            "--model", "--digits", "--moments", "--cache")
     command("extrapolate", "strong-field extrapolant rows", *_FLAGS)
     p_cmp = command("compare", "method-comparison grid", *_FLAGS)
     p_cmp.add_argument("--pade", type=str, default=None, help="N,M degrees, N >= M - 1")
@@ -619,7 +609,6 @@ def _config_from(args) -> RunConfig:
         betas=_parse_betas(args.beta),
         fmt=args.fmt,
         cache=args.cache,
-        force=args.force,
         oracle=getattr(args, "oracle", False),
         pade=_parse_pade(getattr(args, "pade", None)),
         delta=getattr(args, "delta", None),
@@ -648,13 +637,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CacheMismatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except ConditioningError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except HeulagError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (HeulagError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,6 @@ class DegeneracyError(HeulagError):
     """A linear system required by a transformation is singular."""
 
 
-class ConditioningError(HeulagError):
-    """The moment reconstruction cannot deliver the requested digits."""
-
-
 class ConsistencyError(HeulagError):
     """An internal cross-check failed (e.g. broken conjugate symmetry)."""
 
@@ -39,10 +35,6 @@ class CacheMismatchError(HeulagError):
         super().__init__(
             f"cache mismatch on '{field}': expected {expected!r}, found {found!r}"
         )
-
-
-class ConditioningWarning(UserWarning):
-    """Working precision is below the moments count; results may be degraded."""
 
 
 class TruncationWarning(UserWarning):

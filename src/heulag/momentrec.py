@@ -12,7 +12,6 @@ coefficients.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +19,7 @@ from math import comb, factorial, lcm
 
 from mpmath import mp, mpc, mpf, exp
 
-from .errors import ConditioningWarning, ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError
 from .models import ModelId, SeriesCoefficients, coefficients
 from .specfun import PrecisionContext, _laguerre_seq, _to_mpf
 
@@ -159,17 +158,13 @@ def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCo
     The exact rational solution comes from the structured factorisation of P
     (see _exact_solve). It is rounded at a precision raised by the magnitude
     span of P, so the reported backward residual of the rounded coefficients
-    lands at the nominal working tolerance. Requesting fewer digits than
-    moments (the precision rule) emits ConditioningWarning.
+    lands at the nominal working tolerance. Nothing ties ctx.digits to the
+    number of moments: the rounding precision grows with P on its own, so
+    fewer digits than moments loses nothing downstream.
     """
     d = mu.d
     if len(P) != d + 1 or any(len(row) != d + 1 for row in P):
         raise DomainError(f"P must be {d + 1}x{d + 1} to match the moment vector")
-    if ctx.digits < d + 1:
-        warnings.warn(
-            f"working precision {ctx.digits} below the moments count {d + 1}; "
-            "reconstruction accuracy is not guaranteed",
-            ConditioningWarning, stacklevel=2)
     nums, den = _exact_solve(mu.mu)
     with mp.workdps(ctx.workdps + _magnitude_digits(P) + 10):
         c = [mp.fdiv(v, den) for v in nums]

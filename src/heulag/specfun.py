@@ -251,7 +251,14 @@ def _hurwitz_zeta(s: mpf, a: mpf, deriv: bool = False) -> mpf:
 
 
 def hurwitz_zeta(s, a, ctx: PrecisionContext) -> mpf:
-    """Hurwitz zeta(s, a) for real s != 1 and a > 0."""
+    """Hurwitz zeta(s, a) for real s != 1 and a > 0.
+
+    For s < 0 the Euler-Maclaurin tolerance is absolute, 10^-(dps+5), while
+    |zeta(s, a)| grows factorially with -s (|zeta(-200.5, 1)| ~ 2.3e215). For
+    large -s the corrections grow before they reach it, and this raises
+    OracleFailureError: at 30 digits from about s = -50, at 100 from about
+    s = -80. No caller in the package needs s < -1.
+    """
     with ctx.work():
         s = _to_mpf(s)
         a = _to_mpf(a)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from mpmath import mp, mpf
@@ -160,24 +161,26 @@ def test_cache_file_image_rejects_missing_header(tmp_path, capsys):
         CoefficientCacheFile.parse(dropped)
 
 
-def test_reconstruct_refuses_digits_below_moments(tmp_path, capsys):
+def test_fewer_digits_than_moments_run_quietly(tmp_path, capsys):
     cache = tmp_path / "x.cache"
-    code, _, err = run(["reconstruct", "--moments", "80", "--digits", "60",
-                        "--cache", str(cache)], capsys)
-    assert code == 2
-    assert "--force" in err
-    assert not cache.exists()  # refusal leaves nothing behind
-
-
-def test_reconstruct_force_overrides(tmp_path, capsys):
-    cache = tmp_path / "x.cache"
-    import warnings
+    sizes = ["--moments", "80", "--digits", "60"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, _, _ = run(["reconstruct", "--moments", "40", "--digits", "30",
-                          "--cache", str(cache), "--force"], capsys)
-    assert code == 0
-    assert cache.exists()
+        warnings.simplefilter("error")
+        code, out, err = run(["reconstruct", *sizes, "--cache", str(cache)], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("residual_norm: ")
+        assert cache.exists()
+        for extra in ([], ["--cache", str(cache)]):  # computed, then reloaded
+            code, out, err = run(["extrapolate", *sizes, "--beta", "1,1e7", *extra], capsys)
+            assert (code, err) == (0, "")
+            assert len(out.splitlines()) == 6
+
+
+def test_force_is_an_unknown_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reconstruct", "--moments", "10", "--cache", str(tmp_path / "x"), "--force"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_reconstruct_unwritable_path(capsys):

@@ -96,6 +96,27 @@ def test_tail_keeps_digits_beyond_a_short_guard(beta, reconstruct):
         assert short == long or -log10(abs(short - long) / abs(long)) >= mpf("99.5")
 
 
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("beta", ["1e-4", "1e-3"])
+def test_tail_keeps_digits_where_the_beta_sum_cancels(model, beta, reconstruct):
+    # at d = 49 the beta sum alone cancels ~27 digits at 1e-4 and ~11 at 1e-3
+    short = tail_sum(reconstruct(model, 50, 60), beta, 98, PrecisionContext(60))
+    long = tail_sum(reconstruct(model, 50, 160), beta, 98, PrecisionContext(160))
+    assert rel_err(short, long) < 10 ** mpf("-59.5")
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_fewer_digits_than_moments_keep_every_digit(model, reconstruct):
+    # 100 moments at 30 digits against the same run at 90 digits
+    ctx30, ctx90 = PrecisionContext(30), PrecisionContext(90)
+    rec30, rec90 = reconstruct(model, 100, 30), reconstruct(model, 100, 90)
+    for beta in ("0.01", "1", "1e7", "1e18"):
+        r = extrapolate(model, rec30, beta, None, ctx30)
+        ref = extrapolate(model, rec90, beta, None, ctx90)
+        assert rel_err(r.tail, ref.tail) < mpf("1e-30")
+        assert rel_err(r.delta, ref.delta) < mpf("1e-30")
+
+
 # ---------------------------------------------------------------------------
 # Decomposition identities and diagnostics.
 # ---------------------------------------------------------------------------

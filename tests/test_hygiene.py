@@ -1,14 +1,16 @@
 """Source hygiene: every module-level or local import in the package and the
-tests is used. No linter ships with the toolchain, so this scan is the lint
-step. Names listed in a module's __all__ count as used (they are re-exports),
-and __future__ imports are exempt."""
+tests is used, and every module-level private definition in the package is
+read somewhere else in it. No linter ships with the toolchain, so these scans
+are the lint step. Names listed in a module's __all__ count as used (they are
+re-exports), and __future__ imports are exempt."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "heulag").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "heulag").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -45,3 +47,57 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, statement) for each module-level _name def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names a statement reads: loads, attributes and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no other statement in `sources` reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = [(node, _reads(node)) for tree in trees.values() for node in tree.body]
+    return sorted(f"{module}.{name} (line {node.lineno})"
+                  for module, tree in trees.items()
+                  for name, node in _private_definitions(tree)
+                  if not any(name in names for other, names in reads if other is not node))
+
+
+def test_scan_flags_an_orphaned_private_definition():
+    sources = {
+        "a": "def _used(): pass\n"
+             "def _recursive(n): return _recursive(n - 1)\n"
+             "_X, _Y = 1, 2\n"
+             "class _Unused: pass\n"
+             "def __getattr__(name): pass\n",
+        "b": "from .a import _used\nimport a\nprint(_used(), a._X)\n",
+    }
+    assert orphaned_privates(sources) == [
+        "a._Unused (line 4)", "a._Y (line 3)", "a._recursive (line 2)"]
+
+
+def test_no_orphaned_private_definitions():
+    assert orphaned_privates({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []

@@ -1,13 +1,13 @@
 """Moment layer: exact moment vectors, the P matrix, the linear solve and its
 backward residual, and evaluation of the reconstructed density."""
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from heulag import (
-    ConditioningWarning,
     ConsistencyError,
     DomainError,
     ModelId,
@@ -137,11 +137,15 @@ def test_residual_meets_invariant_d50(ctx60, reconstruct):
     assert fresh <= rec.residual_norm * 10 + mpf("1e-300")
 
 
-def test_low_precision_emits_conditioning_warning():
+def test_fewer_digits_than_moments_emits_no_warning():
+    # digits and moments are independent; accuracy is checked in
+    # test_extrapolant.test_fewer_digits_than_moments_keep_every_digit
     s = coefficients(ModelId.SPIN0, 41)
     mu = moments_from_coeffs(s, 40)
-    with pytest.warns(ConditioningWarning):
-        solve_coeffs(build_P_exact(40), mu, PrecisionContext(30))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = solve_coeffs(build_P_exact(40), mu, PrecisionContext(30))
+    assert rec.digits == 30 and rec.residual_norm < mpf("1e-20")
 
 
 def test_solve_rejects_shape_mismatch(ctx60):
