@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from mpmath import log10, mp, mpf, nstr
 
-from .comparators import pade_eval, weniger_delta
+from .comparators import _pade, weniger_delta
 from .errors import CacheMismatchError, DomainError, HeulagError
 from .extrapolant import ExtrapolationResult, extrapolate
 from .models import (
@@ -389,7 +389,9 @@ class _Delta:
 
 @dataclass(frozen=True)
 class _Pade:
-    """The [n/m] Pade approximant."""
+    """The [n/m] Pade approximant. Its qd table is built once per column, on
+    the first beta; a build that raises raises again at every beta, so each
+    cell still shows the error."""
 
     n: int
     m: int
@@ -397,8 +399,19 @@ class _Pade:
     def methods(self, model: ModelId, digits: int) -> list[Method]:
         ctx = PrecisionContext(digits)
         series = coefficients(model, self.n + self.m + 1)
-        return [(f"pade_{self.n}_{self.m}",
-                 lambda b: pade_eval(series, self.n, self.m, b, ctx))]
+        built: list = []  # the approximant in beta, or the error its build raised
+
+        def at(b: str) -> mpf:
+            if not built:
+                try:
+                    built.append(_pade(series, self.n, self.m, ctx))
+                except HeulagError as e:
+                    built.append(e)
+            if isinstance(built[0], HeulagError):
+                raise built[0]
+            return built[0](b)
+
+        return [(f"pade_{self.n}_{self.m}", at)]
 
 
 def _cell(method: Callable[[str], mpf], beta: str, exact: mpf, fmt: str) -> tuple[str, str]:

@@ -6,12 +6,13 @@ beta-power prefactor (beta^2 for spins, beta for SD). The a_j are Stieltjes
 moments, so the staircase Pade approximants are the convergents of an
 S-fraction a_0/(1 + alpha_1 beta/(1 + alpha_2 beta/(1 + ...))) with every
 alpha_k > 0 (Baker & Graves-Morris, Pade Approximants, ch. 5): qd once per
-call, then O(N + M) per beta and no pole at beta > 0. The coefficients grow
-factorially and qd is unstable, so both run at a precision extended by the
-coefficient span.
+approximant, then O(N + M) per beta and no pole at beta > 0. The coefficients
+grow factorially and qd is unstable, so both run at a precision extended by
+the coefficient span.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -53,6 +54,12 @@ def pade_eval(series: SeriesCoefficients, N: int, M: int, beta,
     (1 + ... alpha_{2M-1} beta) is evaluated bottom up and the alpha are those
     of the shifted series a_{j+L}, row L of the qd table (_qd_row).
     """
+    return _pade(series, N, M, ctx)(beta)
+
+
+def _pade(series: SeriesCoefficients, N: int, M: int,
+          ctx: PrecisionContext) -> Callable[[object], mpf]:
+    """pade_eval's beta -> [N/M] value, with a and the qd row built once."""
     if N < 0 or M < 0:
         raise DomainError(f"degrees must be >= 0, got N={N}, M={M}")
     if N < M - 1:
@@ -62,17 +69,24 @@ def pade_eval(series: SeriesCoefficients, N: int, M: int, beta,
         raise DomainError(
             f"series has {series.count} coefficients, [N/M]=[{N}/{M}] needs {need}")
     L = N - M + 1
-    with mp.workdps(ctx.workdps + _span_digits(series, need) + 10):
-        beta = _to_beta(beta)
+    dps = ctx.workdps + _span_digits(series, need) + 10
+    with mp.workdps(dps):
         a = [_to_mpf(f) for f in series.a[:need]]
-        t = mpf(1)
-        for alpha in reversed(_qd_row(a, L)):
-            t = 1 + alpha * beta / t
-        v = a[L] / t if M else 0
-        for aj in reversed(a[:L]):  # Horner: the head plus (-beta)^L a_L/t
-            v = v * -beta + aj
-        v *= beta ** series.model.series_prefactor_power
-    return ctx.round(v)
+        alphas = _qd_row(a, L)[::-1]
+
+    def at(beta) -> mpf:
+        with mp.workdps(dps):
+            beta = _to_beta(beta)
+            t = mpf(1)
+            for alpha in alphas:
+                t = 1 + alpha * beta / t
+            v = a[L] / t if M else 0
+            for aj in reversed(a[:L]):  # Horner: the head plus (-beta)^L a_L/t
+                v = v * -beta + aj
+            v *= beta ** series.model.series_prefactor_power
+        return ctx.round(v)
+
+    return at
 
 
 def _qd_row(a: list[mpf], L: int) -> list[mpf]:

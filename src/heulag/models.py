@@ -9,12 +9,13 @@ closed forms from Hadamard finite parts.
 from __future__ import annotations
 
 import enum
-import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import count
+from math import factorial, log2
 
-from mpmath import mp, mpf, ceil, exp, ln, log10, quad, sinh, cosh, sqrt
+from mpmath import mp, mpf, ceil, exp, ln, log10, quad, sqrt
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
@@ -175,61 +176,54 @@ def partial_sum(model: ModelId, beta, d: int, ctx: PrecisionContext) -> mpf:
 # Direct quadrature oracle on the proper-time representation.
 # ---------------------------------------------------------------------------
 
-_taylor_lock = threading.Lock()
-_taylor_cache: dict[ModelId, list[Fraction]] = {m: [] for m in ModelId}
+def _kernel(model: ModelId) -> Callable[[mpf], mpf]:
+    """The subtracted kernel for x > 0 at ambient precision: chi(x) =
+    sum_{k>=2} c_k x^{2k} (spins), w(x) = sum_{k>=2} (2k-1) c^{(1/2)}_k x^{2k-2}
+    (SD).
 
-
-def _kernel_taylor(model: ModelId, count: int) -> list[Fraction]:
-    """Taylor coefficients of the subtracted hyperbolic kernel, cached.
-
-    Spins: chi(x) = sum_{k>=2} c_k x^{2k}, coefficient list starts at k=2.
-    SD: w(tau) = sum_{k>=2} (2k-1) c^{(1/2)}_k tau^{2k-2}, same indexing.
+    Below x = 1/2, well inside the pi radius of convergence and clear of the
+    hyperbolic form's cancellation near 0: a Horner sum in x^2 over the exact
+    c_k, converted once, here. |c_k| is about 2/pi^{2k}, so at x the sum
+    stops where the table's binary magnitudes put a term below 10^-(dps+5)
+    of the first; the table runs to that point at x = 1/2. From x = 1/2 on,
+    the hyperbolic form with one exponential.
     """
-    cache = _taylor_cache[model]
-    if count > len(cache):
-        with _taylor_lock:
-            while len(cache) < count:
-                k = len(cache) + 2
-                if model is ModelId.SELF_DUAL:
-                    cache.append((2 * k - 1) * _ck(ModelId.SPIN_HALF, k))
-                else:
-                    cache.append(_ck(model, k))
-    return cache[:count]
+    bits = (mp.dps + 5) * log2(10)
+    cs, mags = [], []  # mags[j] = log2 |c_j|
+    for k in count(2):
+        c = (2 * k - 1) * _ck(ModelId.SPIN_HALF, k) if model is ModelId.SELF_DUAL \
+            else _ck(model, k)
+        cs.append(_to_mpf(c))
+        mags.append(log2(abs(c.numerator)) - log2(c.denominator))
+        if mags[-1] - mags[0] - 2 * (len(mags) - 1) <= -bits:  # at x^2 = 1/4
+            break
+    drop = [m - mags[0] for m in mags]
+    lead = 1 if model is ModelId.SELF_DUAL else 2  # the series starts at x2**lead
 
+    def series(x: mpf) -> mpf:
+        x2 = x * x
+        lx = mp.mag(x2)  # an upper bound on log2 x2, so never too few terms
+        n = next(j for j, d in enumerate(drop) if d + j * lx <= -bits)
+        acc = cs[n - 1]
+        for c in reversed(cs[:n - 1]):
+            acc = acc * x2 + c
+        return acc * x2 ** lead
 
-def _chi_series(model: ModelId, x: mpf) -> mpf:
-    """Kernel via its Taylor series; safe and fast for |x| < 1/2."""
-    x2 = x * x
-    tol = mpf(10) ** (-(mp.dps + 5))
-    acc = mpf(0)
-    power = x2 * x2 if model is not ModelId.SELF_DUAL else x2
-    k = 2
-    while True:
-        needed = k - 1
-        cs = _kernel_taylor(model, needed)
-        term = _to_mpf(cs[k - 2]) * power
-        acc += term
-        if abs(term) < tol * max(abs(acc), mpf(1) / 10 ** 8):
-            return acc
-        power *= x2
-        k += 1
-
-
-def _chi_hyperbolic(model: ModelId, x: mpf) -> mpf:
+    half, third = mpf(1) / 2, mpf(1) / 3
     if model is ModelId.SPIN0:
-        return x / sinh(x) - 1 + x * x / 6
-    if model is ModelId.SPIN_HALF:
-        return 1 + x * x / 3 - x * cosh(x) / sinh(x)
-    e = exp(-2 * x)
-    return 4 * e / (1 - e) ** 2 - 1 / (x * x) + mpf(1) / 3
+        def hyperbolic(x: mpf) -> mpf:  # x/sinh x = 2x h/(1 - h^2)
+            h = exp(-x)
+            return 2 * x * h / (1 - h * h) - 1 + x * x / 6
+    elif model is ModelId.SPIN_HALF:
+        def hyperbolic(x: mpf) -> mpf:  # x coth x = x(1 + e)/(1 - e)
+            e = exp(-2 * x)
+            return 1 + x * x / 3 - x * (1 + e) / (1 - e)
+    else:
+        def hyperbolic(x: mpf) -> mpf:
+            e = exp(-2 * x)
+            return 4 * e / (1 - e) ** 2 - 1 / (x * x) + third
 
-
-def _chi(model: ModelId, x: mpf) -> mpf:
-    # Series below |x| = 1/2: well inside the pi radius of convergence and
-    # clear of the catastrophic cancellation of the hyperbolic form near 0.
-    if abs(x) < mpf(1) / 2:
-        return _chi_series(model, x)
-    return _chi_hyperbolic(model, x)
+    return lambda x: series(x) if x < half else hyperbolic(x)
 
 
 def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
@@ -243,10 +237,11 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     with mp.workdps(qdps):
         beta = _to_beta(beta)
         rb = sqrt(beta)
+        chi = _kernel(model)
         if model is ModelId.SELF_DUAL:
-            integrand = lambda s: exp(-s) * _chi(model, rb * s / 2) / (4 * s)
+            integrand = lambda s: exp(-s) * chi(rb * s / 2) / (4 * s)
         else:
-            integrand = lambda t: exp(-t) * _chi(model, rb * t) / t ** 3
+            integrand = lambda t: exp(-t) * chi(rb * t) / t ** 3
         cutoff = int(qdps * ln(mpf(10))) + 10
         v, err = quad(integrand, [0, 1, cutoff], error=True, maxdegree=8)
         if err > abs(v) * mpf(10) ** (-ctx.digits) + mpf(10) ** (-qdps):

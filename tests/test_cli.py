@@ -10,13 +10,21 @@ import pytest
 from mpmath import mp, mpf
 
 import heulag
-from heulag import CacheMismatchError, ModelId
-from heulag.cli import CoefficientCacheFile, main
+from heulag import CacheMismatchError, ModelId, comparators
+from heulag.cli import CoefficientCacheFile, _fmt, main
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_child(args):
+    """`python -m heulag.cli args` in a child importing this process's heulag."""
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(heulag.__file__)))}
+    return subprocess.run([sys.executable, "-m", "heulag.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +46,12 @@ def test_exact_oracle_column(capsys):
     assert "oracle" in out
     # both columns show the same value through the quadrature's accuracy
     assert out.count("0.00040736197107") == 2
+
+
+def test_exact_oracle_failure_exits_2_without_traceback():
+    r = _run_child(["exact", "--beta", "1e30", "--oracle"])
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: quadrature error estimate 1.0 too large for 60 digits\n"
 
 
 def test_exact_rejects_negative_beta(capsys):
@@ -305,6 +319,21 @@ def test_compare_cell_error_annotated_run_continues(capsys):
             assert mpf(cells[header.index(name)]) > 0
 
 
+def test_compare_builds_each_pade_column_once(monkeypatch, capsys):
+    qd_rows = []
+    qd_row = comparators._qd_row
+    monkeypatch.setattr(comparators, "_qd_row", lambda a, L: qd_rows.append(L) or qd_row(a, L))
+    betas = ["0.1", "10", "1e3"]
+    code, out, _ = run(["compare", "--model", "spin12", "--beta", ",".join(betas),
+                        "--pade", "9,10", "--format", "csv"], capsys)
+    assert code == 0 and qd_rows == [0]
+    series = heulag.coefficients(ModelId.SPIN_HALF, 20)
+    ctx = heulag.PrecisionContext(60)
+    col = out.splitlines()[0].split(",").index("pade_9_10")
+    assert [line.split(",")[col] for line in out.splitlines()[1:]] == \
+        [_fmt(heulag.pade_eval(series, 9, 10, b, ctx)) for b in betas]
+
+
 def test_compare_empty_beta(capsys):
     code, out, _ = run(["compare", "--model", "spin0", "--beta", "",
                         "--delta", "5", "--format", "csv"], capsys)
@@ -363,13 +392,9 @@ def test_flags_a_command_does_not_read_are_refused(argv, capsys):
 # ---------------------------------------------------------------------------
 
 def test_cross_process_byte_determinism(tmp_path):
-    argv = [sys.executable, "-m", "heulag.cli", "compare", "--model", "sd",
-            "--beta", "0.01,1", "--digits", "40", "--delta", "10",
-            "--format", "markdown"]
-    # the children import the same heulag package as this process
-    env = {**os.environ,
-           "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(heulag.__file__)))}
-    r1 = subprocess.run(argv, capture_output=True, text=True, env=env)
-    r2 = subprocess.run(argv, capture_output=True, text=True, env=env)
+    argv = ["compare", "--model", "sd", "--beta", "0.01,1", "--digits", "40",
+            "--delta", "10", "--format", "markdown"]
+    r1 = _run_child(argv)
+    r2 = _run_child(argv)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout

@@ -1,13 +1,15 @@
 """Model layer: exact series coefficients, closed forms against frozen table
 rows, partial sums, the quadrature oracle, and strong-field behavior."""
 from fractions import Fraction
+from itertools import count
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import cosh, exp, mp, mpf, sinh
 
 from heulag import (
     DomainError,
     ModelId,
+    OracleFailureError,
     PrecisionContext,
     closed_form,
     coeff,
@@ -16,6 +18,7 @@ from heulag import (
     partial_sum,
     strong_field_leading,
 )
+from heulag.models import _ck, _kernel
 import closed_form_references
 from conftest import printed_match, rel_err
 
@@ -168,12 +171,67 @@ def test_partial_sum_asymptotic_error_bound(model, ctx60):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model", list(ModelId))
-@pytest.mark.parametrize("beta", ["0.01", "0.1", "1", "10", "100"])
-def test_quadrature_matches_closed_form(model, beta, ctx60):
+@pytest.mark.parametrize("beta", ["1e-6", "0.01", "0.1", "1", "10", "100", "1e12"])
+def test_quadrature_matches_closed_form(model, beta, ctx60, ctx100):
     q = direct_integral_oracle(model, beta, ctx60)
-    c = closed_form(model, beta, ctx60)
-    with mp.workdps(80):
-        assert abs(q - c) < mpf(10) ** (-(ctx60.digits // 2)) * max(1, abs(c))
+    assert rel_err(q, closed_form(model, beta, ctx100)) < mpf(10) ** (1 - ctx60.digits)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_quadrature_fails_typed_at_beta_1e30(model, ctx60):
+    # the error estimate is far above 1e-60 here: a typed failure, not wrong digits
+    with pytest.raises(OracleFailureError, match="too large for 60 digits"):
+        direct_integral_oracle(model, "1e30", ctx60)
+
+
+def _reference_kernel(model, x):
+    """The kernel term by term from the exact Taylor coefficients below
+    x = 1/2, until a term is below 10^-(dps+5) of the sum, and from sinh and
+    cosh above: the oracle's evaluation before its Horner table, with the
+    stop made purely relative."""
+    if x < mpf(1) / 2:
+        x2 = x * x
+        power = x2 if model is ModelId.SELF_DUAL else x2 * x2
+        acc = mpf(0)
+        for k in count(2):
+            c = (2 * k - 1) * _ck(ModelId.SPIN_HALF, k) if model is ModelId.SELF_DUAL \
+                else _ck(model, k)
+            term = mpf(c.numerator) / c.denominator * power
+            acc += term
+            if abs(term) < mpf(10) ** -(mp.dps + 5) * abs(acc):
+                return acc
+            power *= x2
+    if model is ModelId.SPIN0:
+        return x / sinh(x) - 1 + x * x / 6
+    if model is ModelId.SPIN_HALF:
+        return 1 + x * x / 3 - x * cosh(x) / sinh(x)
+    e = exp(-2 * x)
+    return 4 * e / (1 - e) ** 2 - 1 / (x * x) + mpf(1) / 3
+
+
+@pytest.mark.parametrize("digits", [60, 100])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_kernel_matches_term_by_term_reference(model, digits):
+    qdps = PrecisionContext(digits).workdps + 15  # the oracle's quadrature precision
+    with mp.workdps(qdps):
+        chi = _kernel(model)
+    for text in ("1e-30", "1e-3", "0.49", "0.5", "0.51", "3", "50", "300"):
+        with mp.workdps(qdps):
+            x = mpf(text)
+            v = chi(x)
+        with mp.workdps(qdps + 20):
+            ref = _reference_kernel(model, x)
+        assert rel_err(v, ref) <= mpf(10) ** (3 - qdps), text
+
+
+def test_quadrature_table_follows_each_calls_precision(ctx60, ctx100):
+    dps = mp.dps
+    for model in ModelId:
+        first = direct_integral_oracle(model, "10", ctx60)
+        q = direct_integral_oracle(model, "10", ctx100)
+        assert direct_integral_oracle(model, "10", ctx60) == first
+        assert rel_err(q, closed_form(model, "10", ctx100)) < mpf(10) ** (1 - ctx100.digits)
+    assert mp.dps == dps
 
 
 def test_quadrature_printed_row(ctx60):
