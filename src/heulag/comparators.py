@@ -6,9 +6,10 @@ beta-power prefactor (beta^2 for spins, beta for SD). The a_j are Stieltjes
 moments, so the staircase Pade approximants are the convergents of an
 S-fraction a_0/(1 + alpha_1 beta/(1 + alpha_2 beta/(1 + ...))) with every
 alpha_k > 0 (Baker & Graves-Morris, Pade Approximants, ch. 5): qd once per
-approximant, then O(N + M) per beta and no pole at beta > 0. The coefficients
-grow factorially and qd is unstable, so both run at a precision extended by
-the coefficient span.
+approximant, then O(N + M) per beta and no pole at beta > 0. Delta is its
+explicit weighted sum over the partial sums, O(n) per beta with exact integer
+weights. The coefficients grow factorially, qd is unstable and the delta
+numerator cancels, so both run at a precision extended by the coefficient span.
 """
 from __future__ import annotations
 
@@ -116,12 +117,16 @@ def _qd_row(a: list[mpf], L: int) -> list[mpf]:
 def weniger_delta(series: SeriesCoefficients, n: int, beta,
                   ctx: PrecisionContext) -> mpf:
     """Delta transformation of order n with first-neglected-term remainder
-    estimates; needs the n+2 leading coefficients.
+    estimates, times the model's beta-power prefactor; needs the n+2 leading
+    coefficients.
 
-    Runs the numerically stable two-row recursion on numerator and denominator
-    arrays built from partial sums s_0..s_n and omega_j = t_{j+1}, then scales
-    by the model's beta-power prefactor (the transformation commutes with the
-    overall scale).
+    The explicit sum (Weniger, Comput. Phys. Rep. 10 (1989) 189, sec. 8)
+    delta_n = sum_j u_j s_j / sum_j u_j over j = 0..n, with the partial sums
+    s_j, omega_j = a_{j+1} (-beta)^{j+1} and u_j = w_j/omega_j. The weights
+    w_j = (-1)^j C(n, j) C(n+j-1, j), Weniger's (-1)^j C(n, j) (j+1)_{n-1}
+    over their common factor (n-1)!, are exact integers from one running
+    product. With every a_j > 0 every u_j is negative, so the denominator
+    never cancels.
     """
     if n < 0:
         raise DomainError(f"weniger_delta requires n >= 0, got {n}")
@@ -131,34 +136,21 @@ def weniger_delta(series: SeriesCoefficients, n: int, beta,
     dps = ctx.workdps + _span_digits(series, n + 2) + 10
     with mp.workdps(dps):
         beta = _to_beta(beta)
-        x = -beta
-        terms = []
-        xp = mpf(1)
-        for j in range(n + 2):
-            terms.append(_to_mpf(series.a[j]) * xp)
-            xp *= x
-        num = []
-        den = []
-        s = mpf(0)
+        xp = -beta  # (-beta)^(j+1)
+        term = _to_mpf(series.a[0])  # t_j = a_j (-beta)^j, and omega_j = t_{j+1}
+        s = num = den = mpf(0)
+        w = 1
         for j in range(n + 1):
-            s += terms[j]
-            omega = terms[j + 1]
-            if omega == 0:
+            s += term
+            term = _to_mpf(series.a[j + 1]) * xp
+            if term == 0:
                 raise DegeneracyError(f"vanishing remainder estimate at j={j}")
-            num.append(s / omega)
-            den.append(1 / omega)
-        for k in range(n):
-            new_num = []
-            new_den = []
-            for j in range(n - k):
-                if j + k == 0:
-                    c = mpf(1)
-                else:
-                    c = mpf((1 + j + k) * (j + k)) / ((1 + j + 2 * k) * (j + 2 * k))
-                new_num.append(num[j + 1] - c * num[j])
-                new_den.append(den[j + 1] - c * den[j])
-            num, den = new_num, new_den
-        if den[0] == 0:
+            u = w / term
+            num += u * s
+            den += u
+            w = -w * (n - j) * (n + j) // (j + 1) ** 2
+            xp *= -beta
+        if den == 0:
             raise DegeneracyError(f"delta_{n} denominator vanished at beta={beta}")
-        v = beta ** series.model.series_prefactor_power * num[0] / den[0]
+        v = beta ** series.model.series_prefactor_power * num / den
     return ctx.round(v)

@@ -119,13 +119,11 @@ def _bernoulli_even(k: int) -> Fraction:
         if k > len(_bern_even):
             n = max(k, 2 * len(_bern_even) + 8)
             tang = _tangent_numbers(n)
-            fresh = [
+            # append only: a reader that saw the old length still finds its entry
+            _bern_even.extend(
                 Fraction((-1) ** (j) * tang[j] * (2 * (j + 1)),
                          4 ** (j + 1) * (4 ** (j + 1) - 1))
-                for j in range(n)
-            ]
-            _bern_even.clear()
-            _bern_even.extend(fresh)
+                for j in range(len(_bern_even), n))
     return _bern_even[k - 1]
 
 

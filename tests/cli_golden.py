@@ -1,0 +1,81 @@
+"""Golden hashes of the CLI's standard output set, for byte-identical checks.
+
+Each entry runs `python -m heulag.cli <argv>` in a child process and records
+the sha256 of its stdout and of its stderr, and its exit code, in
+data/cli_golden.json. A change that must keep the CLI's output byte-identical
+writes the manifest before it and checks against it after:
+
+    python tests/cli_golden.py --write   # record the manifest
+    python tests/cli_golden.py --check   # rerun everything; exit 1 on a mismatch
+
+The full set takes about 80 s, most of it in `table 6`. A change that alters
+the output on purpose rewrites the manifest and says so. pytest does not
+collect this file (its name does not start with test_); test_cli.py checks
+the entries listed in QUICK.
+"""
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PATH = HERE / "data" / "cli_golden.json"
+SRC = HERE.parent / "src"
+
+COMMANDS = (
+    *(("table", str(n)) for n in range(1, 7)),
+    ("extrapolate", "--moments", "50", "--beta", "1,1e7,1e12"),
+    ("compare", "--moments", "50", "--pade", "9,10", "--delta", "25", "--beta", "0.1,10"),
+    ("exact", "--beta", "0.01,1,100", "--oracle"),
+)
+FORMATS = ("markdown", "csv", "json")
+ENTRIES = tuple(" ".join((*cmd, "--format", fmt)) for cmd in COMMANDS for fmt in FORMATS)
+# The entries that each take under a second (0.2-0.4 s on a 2-core x86-64 host);
+# tables 2, 3, 5 and 6 and the quadrature oracle take 0.8-17 s each.
+QUICK = tuple(e for e in ENTRIES
+              if e.startswith(("table 1 ", "table 4 ", "extrapolate ", "compare ")))
+
+
+def run(entry: str) -> dict:
+    """Exit code and stdout/stderr sha256 of `heulag <entry>` in a child process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    r = subprocess.run([sys.executable, "-m", "heulag.cli", *entry.split()],
+                       capture_output=True, env=env)
+    return {"exit": r.returncode,
+            "stdout": hashlib.sha256(r.stdout).hexdigest(),
+            "stderr": hashlib.sha256(r.stderr).hexdigest()}
+
+
+def load() -> dict[str, dict]:
+    """{entry: {"exit", "stdout", "stderr"}} from the manifest."""
+    return json.loads(PATH.read_text(encoding="utf-8"))
+
+
+def check() -> list[str]:
+    """The entries whose output differs from the manifest."""
+    golden = load()
+    return [e for e in ENTRIES if run(e) != golden[e]]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true", help="record the manifest")
+    mode.add_argument("--check", action="store_true", help="compare with the manifest")
+    args = parser.parse_args()
+    if args.write:
+        PATH.write_text(json.dumps({e: run(e) for e in ENTRIES}, indent=1) + "\n",
+                        encoding="utf-8")
+        return 0
+    bad = check()
+    for e in bad:
+        print(f"differs: {e}")
+    print(f"{len(ENTRIES) - len(bad)} of {len(ENTRIES)} entries match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 import heulag
 from heulag import CacheMismatchError, ModelId, comparators
 from heulag.cli import CoefficientCacheFile, _fmt, main
+import cli_golden
 
 def run(argv, capsys):
     code = main(argv)
@@ -398,3 +399,9 @@ def test_cross_process_byte_determinism(tmp_path):
     r2 = _run_child(argv)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("entry", cli_golden.QUICK)
+def test_cli_output_matches_golden_manifest(entry):
+    # stdout, stderr and exit code as recorded in data/cli_golden.json
+    assert cli_golden.run(entry) == cli_golden.load()[entry]

@@ -17,7 +17,9 @@ from heulag import (
     pade_eval,
     weniger_delta,
 )
-from conftest import printed_match
+from heulag.comparators import _span_digits
+from heulag.specfun import _to_mpf
+from conftest import printed_match, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,41 @@ def test_pade_degenerate_on_non_stieltjes_series(ctx60):
 # Delta transformation.
 # ---------------------------------------------------------------------------
 
+def _two_row_delta(series, n, beta, digits):
+    """Reference delta_n from Weniger's two-row recursion on the numerator and
+    denominator arrays s_j/omega_j and 1/omega_j (Comput. Phys. Rep. 10 (1989)
+    189, sec. 8), times the beta prefactor. O(n^2), run 40 digits above
+    weniger_delta's span-boosted precision."""
+    with mp.workdps(PrecisionContext(digits).workdps + _span_digits(series, n + 2) + 50):
+        beta = mpf(beta)
+        terms = [_to_mpf(series.a[j]) * (-beta) ** j for j in range(n + 2)]
+        num, den, s = [], [], mpf(0)
+        for j in range(n + 1):
+            s += terms[j]
+            num.append(s / terms[j + 1])
+            den.append(1 / terms[j + 1])
+        for k in range(n):
+            # c = (j+k+1)(j+k)/((j+2k+1)(j+2k)), taken as 1 at j = k = 0
+            c = [mpf((1 + j + k) * (j + k)) / ((1 + j + 2 * k) * (j + 2 * k)) if j + k else 1
+                 for j in range(n - k)]
+            num = [num[j + 1] - c[j] * num[j] for j in range(n - k)]
+            den = [den[j + 1] - c[j] * den[j] for j in range(n - k)]
+        return beta ** series.model.series_prefactor_power * num[0] / den[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 30, 100])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_delta_matches_two_row_recursion(model, n, ctx60):
+    s = coefficients(model, n + 2)
+    for beta in ("1e-6", "0.01", "1", "1e4", "1e12", "1e30"):
+        want = _two_row_delta(s, n, beta, 60)
+        if n == 0:  # delta_0 is the leading term beta^p a_0
+            with mp.workdps(80):
+                lead = mpf(beta) ** model.series_prefactor_power * _to_mpf(s.a[0])
+            assert rel_err(want, lead) < mpf("1e-59"), beta
+        assert rel_err(weniger_delta(s, n, beta, ctx60), want) < mpf("1e-59"), beta
+
+
 def test_delta_35_weak_field_frozen(ctx60):
     s = coefficients(ModelId.SPIN0, 37)
     v = weniger_delta(s, 35, "0.01", ctx60)
@@ -169,6 +206,15 @@ def test_delta_degenerate_on_zero_series(ctx60):
                               a=tuple(Fraction(0) for _ in range(8)))
     with pytest.raises(DegeneracyError):
         weniger_delta(zero, 3, "0.5", ctx60)
+
+
+def test_delta_degenerate_on_vanishing_denominator(ctx60):
+    # a = (1, 1, -2) at beta = 1/2: omega_0 = -1/2 and omega_1 = -1/2, so the
+    # weighted sum 1/omega_0 - 1/omega_1 is exactly 0
+    s = SeriesCoefficients(model=ModelId.SPIN0,
+                           a=(Fraction(1), Fraction(1), Fraction(-2)))
+    with pytest.raises(DegeneracyError, match="denominator"):
+        weniger_delta(s, 1, "0.5", ctx60)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from heulag import (
     laguerre_eval,
     ln_gamma,
 )
+from heulag import specfun
 from heulag.errors import HeulagError, OracleFailureError
 from heulag.specfun import (
     _digamma_int,
@@ -55,6 +56,39 @@ def test_bernoulli_first_values():
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(6) == Fraction(1, 42)
     assert bernoulli(8) == Fraction(-1, 30)
+
+
+class _LengthLog(list):
+    """A list that records its length after every call that can change it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.lengths = [len(self)]
+
+
+def _logged(name):
+    def method(self, *args):
+        out = getattr(list, name)(self, *args)
+        self.lengths.append(len(self))
+        return out
+    return method
+
+
+for _name in ("append", "extend", "__iadd__", "insert", "clear", "pop", "remove",
+              "__delitem__", "__setitem__"):
+    setattr(_LengthLog, _name, _logged(_name))
+
+
+def test_bernoulli_cache_grows_append_only(monkeypatch):
+    # readers index the cache without the lock, so growth must never shorten it
+    bernoulli(6)
+    cache = _LengthLog(specfun._bern_even[:3])
+    monkeypatch.setattr(specfun, "_bern_even", cache)
+    assert bernoulli(80) == akiyama_tanigawa(80)
+    assert cache.lengths[-1] >= 40
+    assert cache.lengths == sorted(cache.lengths)
+    assert [bernoulli(2 * k) for k in range(1, 4)] == [Fraction(1, 6), Fraction(-1, 30),
+                                                        Fraction(1, 42)]
 
 
 def test_bernoulli_rejects_odd_or_negative():
