@@ -232,19 +232,29 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     Spins: integral of e^{-tau} chi(sqrt(beta) tau)/tau^3. SD: after
     sigma = 2 tau/sqrt(beta), (1/4) integral of e^{-sigma} w(sqrt(beta)
     sigma/2)/sigma. Integrands are O(tau) at the origin.
+
+    The target is relative: the integrand is divided by a_0 beta^p below
+    beta = 1 and by 1 above (|f| >= 0.0035 there), so mpmath's absolute
+    stopping test acts relatively, and the rescaled error estimate must be
+    <= |f| 10^-digits. digits + 10 suffice: all three kernels are >= 0, so
+    the positive-weight sum cannot cancel; only the kernel near x = 1/2
+    (<= 3 digits) and the sum over n nodes (log10 n, about 4) lose digits.
     """
-    qdps = ctx.workdps + 15
+    qdps = ctx.digits + 10
     with mp.workdps(qdps):
         beta = _to_beta(beta)
         rb = sqrt(beta)
         chi = _kernel(model)
+        p = model.series_prefactor_power
+        scale = _to_mpf(coefficients(model, 1).a[0]) * beta ** p if beta < 1 else mpf(1)
         if model is ModelId.SELF_DUAL:
-            integrand = lambda s: exp(-s) * chi(rb * s / 2) / (4 * s)
+            integrand = lambda s: exp(-s) * chi(rb * s / 2) / (4 * scale * s)
         else:
-            integrand = lambda t: exp(-t) * chi(rb * t) / t ** 3
+            integrand = lambda t: exp(-t) * chi(rb * t) / (scale * t ** 3)
         cutoff = int(qdps * ln(mpf(10))) + 10
         v, err = quad(integrand, [0, 1, cutoff], error=True, maxdegree=8)
-        if err > abs(v) * mpf(10) ** (-ctx.digits) + mpf(10) ** (-qdps):
+        v, err = v * scale, err * scale
+        if err > abs(v) * mpf(10) ** (-ctx.digits):
             raise OracleFailureError(
                 f"quadrature error estimate {err} too large for {ctx.digits} digits")
     return ctx.round(v)

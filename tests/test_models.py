@@ -178,6 +178,39 @@ def test_quadrature_matches_closed_form(model, beta, ctx60, ctx100):
 
 
 @pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("beta", ["1e-30", "1e-50"])
+def test_quadrature_keeps_relative_digits_at_tiny_beta(model, beta, ctx60, ctx100):
+    # f is of order beta^2 (spins) or beta (SD) here: an absolute stopping
+    # test would return it with few or no correct digits and no error
+    q = direct_integral_oracle(model, beta, ctx60)
+    assert rel_err(q, closed_form(model, beta, ctx100)) < mpf(10) ** -61
+
+
+# Per precision, the grid betas where the oracle must return: at 150 digits
+# the spins raise from beta = 1e7 on and SD from 1e8.
+AGREE_OR_RAISE_GRID = ("1e-50", "1e-6", "1", "1e7", "1e12")
+MUST_RETURN = {30: {m: AGREE_OR_RAISE_GRID for m in ModelId},
+               150: {ModelId.SPIN0: AGREE_OR_RAISE_GRID[:3],
+                     ModelId.SPIN_HALF: AGREE_OR_RAISE_GRID[:3],
+                     ModelId.SELF_DUAL: AGREE_OR_RAISE_GRID[:4]}}
+
+
+@pytest.mark.parametrize("digits", [30, 150])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_quadrature_agrees_or_raises(model, digits):
+    ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 40)
+    returned = set()
+    for beta in AGREE_OR_RAISE_GRID:
+        try:
+            q = direct_integral_oracle(model, beta, ctx)
+        except OracleFailureError:
+            continue
+        assert rel_err(q, closed_form(model, beta, ref)) < mpf(10) ** -(digits + 1), beta
+        returned.add(beta)
+    assert returned >= set(MUST_RETURN[digits][model])
+
+
+@pytest.mark.parametrize("model", list(ModelId))
 def test_quadrature_fails_typed_at_beta_1e30(model, ctx60):
     # the error estimate is far above 1e-60 here: a typed failure, not wrong digits
     with pytest.raises(OracleFailureError, match="too large for 60 digits"):
@@ -212,7 +245,7 @@ def _reference_kernel(model, x):
 @pytest.mark.parametrize("digits", [60, 100])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_kernel_matches_term_by_term_reference(model, digits):
-    qdps = PrecisionContext(digits).workdps + 15  # the oracle's quadrature precision
+    qdps = digits + 10  # the oracle's quadrature precision
     with mp.workdps(qdps):
         chi = _kernel(model)
     for text in ("1e-30", "1e-3", "0.49", "0.5", "0.51", "3", "50", "300"):
