@@ -5,7 +5,7 @@ functions, their divergent weak-field expansions, and resummation of those
 expansions by finite-part integration of the underlying generalized
 Stieltjes representation, with Pade and delta-transformation baselines.
 """
-from .comparators import PadeSpec, pade_eval, weniger_delta
+from .comparators import pade_eval, weniger_delta
 from .errors import (
     CacheMismatchError,
     ConsistencyError,
@@ -13,15 +13,9 @@ from .errors import (
     DomainError,
     HeulagError,
     OracleFailureError,
-    PoleError,
     TruncationWarning,
 )
-from .extrapolant import (
-    ExtrapolationResult,
-    extrapolate,
-    fp_negative_moment_kernel,
-    tail_sum,
-)
+from .extrapolant import ExtrapolationResult, extrapolate, tail_sum
 from .finitepart import (
     KernelDescriptor,
     exp_kernel,
@@ -53,24 +47,11 @@ from .momentrec import (
     rho_eval,
     solve_coeffs,
 )
-from .specfun import (
-    BigComplex,
-    BigReal,
-    PrecisionContext,
-    bernoulli,
-    digamma_int,
-    euler_gamma,
-    hurwitz_zeta,
-    hurwitz_zeta_sderiv,
-    laguerre_eval,
-    ln_gamma,
-)
+from .specfun import PrecisionContext
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigComplex",
-    "BigReal",
     "CacheMismatchError",
     "ConsistencyError",
     "DegeneracyError",
@@ -82,20 +63,15 @@ __all__ = [
     "ModelId",
     "MomentVector",
     "OracleFailureError",
-    "PadeSpec",
-    "PoleError",
     "PrecisionContext",
     "ReconstructionCoefficients",
     "SeriesCoefficients",
     "TruncationWarning",
-    "bernoulli",
     "build_P_exact",
     "closed_form",
     "coeff",
     "coefficients",
-    "digamma_int",
     "direct_integral_oracle",
-    "euler_gamma",
     "exp_kernel",
     "extrapolate",
     "finite_part_assembly",
@@ -103,12 +79,7 @@ __all__ = [
     "fp_coth",
     "fp_csch",
     "fp_exp_over_xm",
-    "fp_negative_moment_kernel",
     "fp_sinh2",
-    "hurwitz_zeta",
-    "hurwitz_zeta_sderiv",
-    "laguerre_eval",
-    "ln_gamma",
     "moments_from_coeffs",
     "pade_eval",
     "partial_sum",

@@ -14,7 +14,6 @@ numerator cancels, so both run at a precision extended by the coefficient span.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
@@ -22,19 +21,7 @@ from .errors import DegeneracyError, DomainError
 from .models import SeriesCoefficients
 from .specfun import PrecisionContext, _to_beta, _to_mpf
 
-__all__ = ["PadeSpec", "pade_eval", "weniger_delta"]
-
-
-@dataclass(frozen=True)
-class PadeSpec:
-    """Numerator/denominator degrees of an [N/M] approximant on the reduced series."""
-
-    N: int
-    M: int
-
-    @property
-    def coefficients_needed(self) -> int:
-        return self.N + self.M + 1
+__all__ = ["pade_eval", "weniger_delta"]
 
 
 def _span_digits(series: SeriesCoefficients, count: int) -> int:

@@ -9,10 +9,6 @@ class DomainError(HeulagError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at, or numerically indistinguishable from, a pole."""
-
-
 class DegeneracyError(HeulagError):
     """A linear system required by a transformation is singular."""
 

@@ -19,20 +19,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, factorial, log10
 
 from mpmath import mp, mpc, mpf, ln, pi, sqrt
 
 from .errors import ConsistencyError, DomainError, TruncationWarning
-from .finitepart import fp_exp_over_xm
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, rho_eval
 from .specfun import PrecisionContext, _euler_gamma, _to_beta
 
 __all__ = [
     "ExtrapolationResult",
-    "fp_negative_moment_kernel",
     "tail_sum",
     "extrapolate",
 ]
@@ -54,19 +51,6 @@ class ExtrapolationResult:
     delta: mpf
     K: int
     im_residual: mpf
-
-
-def fp_negative_moment_kernel(k: int, l: int, ctx: PrecisionContext) -> mpf:
-    """Finite part of e^{-x/2}/x^{2k+1-l}; requires 2k+1-l >= 1.
-
-    This kernel covers the divergent orders only and refuses 2k+1-l < 1,
-    where the integral converges; the tail's kernel table holds both.
-    """
-    m = 2 * k + 1 - l
-    if m < 1:
-        raise DomainError(
-            f"finite-part order 2k+1-l = {m} < 1: convergent integral, not a finite part")
-    return fp_exp_over_xm(Fraction(1, 2), m, ctx)
 
 
 def _fp_kernel_values(d: int, jmax: int) -> list[mpf]:

@@ -48,7 +48,6 @@ class KernelDescriptor:
     func: Callable
     taylor: Sequence[Fraction]
     decay: Fraction
-    label: str = "kernel"
 
 
 def exp_kernel(b: Fraction, order: int) -> KernelDescriptor:
@@ -59,7 +58,6 @@ def exp_kernel(b: Fraction, order: int) -> KernelDescriptor:
         func=lambda x, _b=b: exp(-_to_mpf(_b) * x),
         taylor=coeffs,
         decay=b,
-        label=f"exp({b})",
     )
 
 
@@ -190,7 +188,7 @@ def fp_csch(beta, ctx: PrecisionContext) -> mpf:
         nu = (1 + rb) / (2 * rb)
         g = _euler_gamma()
         v = 2 * rb * ((ln(beta) + ln(mpf(4)) + 2 * g - 2) * _zeta_bernoulli(-1, nu)
-                      - 2 * _hurwitz_zeta(mpf(-1), nu, deriv=True))
+                      - 2 * _hurwitz_zeta(-1, nu))
     return ctx.round(v)
 
 
@@ -208,7 +206,7 @@ def fp_coth(beta, ctx: PrecisionContext) -> mpf:
         z1 = _zeta_bernoulli(-1, q)
         v = (rb * (ln(mpf(16)) + 2 * ln(beta)) * z1
              + (g - 1) * (4 * rb * z1 - 1)
-             - 4 * rb * _hurwitz_zeta(mpf(-1), q, deriv=True))
+             - 4 * rb * _hurwitz_zeta(-1, q))
     return ctx.round(v)
 
 
@@ -223,6 +221,6 @@ def fp_sinh2(beta, ctx: PrecisionContext) -> mpf:
         q = 1 / sqrt(beta)
         g = _euler_gamma()
         v = ((-g - ln(mpf(2))) * (_zeta_bernoulli(-1, q) - q * _zeta_bernoulli(0, q))
-             + _hurwitz_zeta(mpf(-1), q, deriv=True)
-             - q * _hurwitz_zeta(mpf(0), q, deriv=True))
+             + _hurwitz_zeta(-1, q)
+             - q * _hurwitz_zeta(0, q))
     return ctx.round(v)

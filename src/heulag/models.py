@@ -119,16 +119,16 @@ def _closed_form(model: ModelId, beta: mpf) -> mpf:
         nu = (1 + rb) / (2 * rb)
         return (beta * lb / 12 - lb / 4 + beta * (ln(mpf(4)) / 12 - mpf(1) / 6)
                 - ln(mpf(4)) / 4 - mpf(1) / 4
-                - 4 * beta * _hurwitz_zeta(mpf(-1), nu, deriv=True))
+                - 4 * beta * _hurwitz_zeta(-1, nu))
     if model is ModelId.SPIN_HALF:
         q = 1 / (2 * rb)
-        return (4 * beta * _hurwitz_zeta(mpf(-1), q, deriv=True)
+        return (4 * beta * _hurwitz_zeta(-1, q)
                 + mpf(1) / 4 - beta / 3
                 - beta * (ln(mpf(16)) + 2 * lb)
                 * (mpf(-1) / 12 + 1 / (4 * rb) - 1 / (8 * beta)))
     q = 1 / rb
-    return (_hurwitz_zeta(mpf(-1), q, deriv=True)
-            - q * _hurwitz_zeta(mpf(0), q, deriv=True)
+    return (_hurwitz_zeta(-1, q)
+            - q * _hurwitz_zeta(0, q)
             - lb * (1 / (4 * beta) - mpf(1) / 24)
             - 3 / (4 * beta))
 
@@ -264,22 +264,23 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
 # Strong-field leading behavior.
 # ---------------------------------------------------------------------------
 
-def strong_field_leading(model: ModelId, beta, ctx: PrecisionContext | None = None) -> mpf:
-    """Leading strong-field behavior; two displayed terms for the spin models.
+def strong_field_leading(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
+    """The terms of f that do not vanish relative to f as beta -> inf.
 
-    Spin0: beta ln(beta)/12 + beta ln(2)/6; SpinHalf: beta ln(beta)/6 +
-    beta ln(2)/3; SD: ln(beta).
+    Spin0: beta ln(beta)/12 + beta (ln(2)/3 + 2 zeta'(-1) - 1/6); SpinHalf:
+    beta ln(beta)/6 + beta (ln(2)/3 + 4 zeta'(-1) - 1/3); both leave
+    O(sqrt(beta)). SD: ln(beta)/24 + zeta'(-1), leaving O(1/sqrt(beta)).
     """
-    dps = ctx.workdps if ctx is not None else mp.dps
-    with mp.workdps(dps):
+    with ctx.work():
         beta = _to_beta(beta)
+        lb, z1 = ln(beta), _hurwitz_zeta(-1, 1)
         if model is ModelId.SPIN0:
-            v = beta * ln(beta) / 12 + beta * ln(mpf(2)) / 6
+            v = beta * lb / 12 + beta * (ln(mpf(2)) / 3 + 2 * z1 - mpf(1) / 6)
         elif model is ModelId.SPIN_HALF:
-            v = beta * ln(beta) / 6 + beta * ln(mpf(2)) / 3
+            v = beta * lb / 6 + beta * (ln(mpf(2)) / 3 + 4 * z1 - mpf(1) / 3)
         else:
-            v = ln(beta)
-    return ctx.round(v) if ctx is not None else v
+            v = lb / 24 + z1
+    return ctx.round(v)
 
 
 # ---------------------------------------------------------------------------

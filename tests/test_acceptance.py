@@ -150,11 +150,12 @@ def test_criterion_09_property_suite_150_moments():
             assert abs(r1.value - r2.value) <= abs(r2.value - exact) / 100 \
                 + mpf(10) ** (-digits)
 
-    # (d) strong-field ratio monotonicity
-    for model in (ModelId.SPIN0, ModelId.SPIN_HALF):
-        ratios = []
+    # (d) strong-field ratio: |r - 1| falls monotonically, below 1e-8 at 1e18
+    for model in ModelId:
+        gaps = []
         for beta in ("1e6", "1e9", "1e12", "1e15", "1e18"):
             with ctx.work():
-                ratios.append(closed_form(model, beta, ctx)
-                              / strong_field_leading(model, beta, ctx))
-        assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:])), model
+                gaps.append(abs(closed_form(model, beta, ctx)
+                                / strong_field_leading(model, beta, ctx) - 1))
+        assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:])), model
+        assert gaps[-1] < mpf("1e-8"), model

@@ -9,7 +9,6 @@ from heulag import (
     DegeneracyError,
     DomainError,
     ModelId,
-    PadeSpec,
     PrecisionContext,
     SeriesCoefficients,
     closed_form,
@@ -25,11 +24,6 @@ from conftest import printed_match, rel_err
 # ---------------------------------------------------------------------------
 # Pade approximants.
 # ---------------------------------------------------------------------------
-
-def test_pade_spec_coefficient_count():
-    spec = PadeSpec(N=49, M=50)
-    assert spec.coefficients_needed == 100
-
 
 def test_pade_0_0_is_leading_term(ctx60):
     s = coefficients(ModelId.SPIN0, 1)

@@ -17,45 +17,48 @@ from heulag import (
     extrapolate,
     fp_canonical_oracle,
     fp_exp_over_xm,
-    fp_negative_moment_kernel,
     tail_sum,
 )
-from heulag.extrapolant import _tail_coefficients
+from heulag.extrapolant import _fp_kernel_values, _tail_coefficients
 from conftest import printed_match, rel_err
 
 
 # ---------------------------------------------------------------------------
-# Finite-part kernel of the inverse-moment blocks.
+# Finite-part kernel table M[j] = FP int_0^inf e^{-x/2} x^{-j} dx, j = -d..jmax.
 # ---------------------------------------------------------------------------
 
+def _kernel_table(d: int, jmax: int, ctx: PrecisionContext) -> dict[int, mpf]:
+    with ctx.work():
+        return dict(zip(range(-d, jmax + 1), _fp_kernel_values(d, jmax)))
+
+
 def test_kernel_k0_l0_is_ln2_minus_gamma(ctx60):
-    v = fp_negative_moment_kernel(0, 0, ctx60)
+    v = _kernel_table(0, 1, ctx60)[1]
     with mp.workdps(80):
         assert abs(v - (log(2) - euler())) < mpf("1e-55")
 
 
 def test_kernel_matches_fp_exp(ctx60):
-    # the kernel is FP int e^{-x/2} x^{-(2k+1-l)} dx
+    # the divergent orders j >= 1 are the closed formula for FP e^{-bx}/x^j
+    M = _kernel_table(3, 9, ctx60)
     with mp.workdps(80):
-        for k in range(4):
-            for l in range(2 * k + 1):
-                lhs = fp_negative_moment_kernel(k, l, ctx60)
-                rhs = fp_exp_over_xm(Fraction(1, 2), 2 * k + 1 - l, ctx60)
-                assert abs(lhs - rhs) < mpf("1e-55") * max(1, abs(rhs))
+        for j in range(1, 10):
+            rhs = fp_exp_over_xm(Fraction(1, 2), j, ctx60)
+            assert abs(M[j] - rhs) < mpf("1e-55") * max(1, abs(rhs)), j
 
 
 def test_kernel_k0_against_canonical_oracle(ctx50):
-    v = fp_negative_moment_kernel(0, 0, ctx50)
+    v = _kernel_table(0, 1, ctx50)[1]
     o = fp_canonical_oracle(exp_kernel(Fraction(1, 2), 6), 1, ctx50)
     with mp.workdps(70):
         assert abs(v - o) < mpf("1e-20")
 
 
-def test_kernel_rejects_convergent_branch(ctx60):
-    with pytest.raises(DomainError):
-        fp_negative_moment_kernel(0, 1, ctx60)  # l = 2k+1: integral converges
-    with pytest.raises(DomainError):
-        fp_negative_moment_kernel(2, 5, ctx60)
+def test_kernel_convergent_orders_are_exact(ctx60):
+    # j <= 0 converges: int_0^inf e^{-x/2} x^n dx = n! 2^{n+1}, n = -j
+    M = _kernel_table(30, 1, ctx60)
+    for n in range(31):
+        assert M[-n] == factorial(n) * 2 ** (n + 1), n
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +75,7 @@ def _density_factor(rec, order: int) -> KernelDescriptor:
                   for l in range(min(i, rec.d) + 1)) for i in range(order)]
     return KernelDescriptor(
         func=lambda x: exp(-x / 2) * polyval([mpf(p.numerator) / p.denominator for p in reversed(poly)], x),
-        taylor=taylor, decay=Fraction(1, 2), label="density")
+        taylor=taylor, decay=Fraction(1, 2))
 
 
 @pytest.mark.parametrize("k", [0, 1])

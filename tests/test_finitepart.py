@@ -74,7 +74,6 @@ def test_oracle_zero_origin_kernel_is_plain_integral(ctx50):
         func=lambda x: x ** 2 * mp.exp(-x),
         taylor=(Fraction(0),),
         decay=Fraction(1),
-        label="x^2 exp(-x)",
     )
     v = fp_canonical_oracle(kernel, 1, ctx50)
     with mp.workdps(60):
@@ -100,7 +99,6 @@ def test_oracle_failure_on_wrong_taylor(ctx50):
         func=lambda x: mp.exp(-x),
         taylor=(Fraction(1), Fraction(1)),  # true series starts 1, -1
         decay=Fraction(1),
-        label="mismatched taylor",
     )
     with pytest.raises(OracleFailureError):
         fp_canonical_oracle(kernel, 2, ctx50)

@@ -1,7 +1,8 @@
-"""Source hygiene: every module-level or local import in the package and the
-tests is used, and every module-level private definition in the package is
-read somewhere else in it. No linter ships with the toolchain, so these scans
-are the lint step. Names listed in a module's __all__ count as used (they are
+"""Source hygiene: every module-level or local import in the package, the
+tests and the benchmark is used, and every module-level definition in the
+package is read somewhere else in it, a public one unless PUBLIC_API lists
+it. No linter ships with the toolchain, so these scans are the lint step.
+Names listed in a module's __all__ count as used imports (they are
 re-exports), and __future__ imports are exempt."""
 import ast
 from pathlib import Path
@@ -10,7 +11,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "heulag").glob("*.py"))
-FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")])
+# The package's modules as the definition scans see them: __init__.py only
+# re-exports, and a re-export is not a read.
+MODULES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
+
+# Public names that nothing in the package reads, each with its reason.
+PUBLIC_API = {
+    "comparators.pade_eval": "the Pade baseline; bench/spans.py traces it, the CLI calls its _pade",
+    "finitepart.exp_kernel": "the kernel fp_canonical_oracle checks the closed formulas on",
+    "finitepart.fp_canonical_oracle": "the canonical epsilon-cutoff finite-part oracle",
+    "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",
+    "models.strong_field_leading": "the strong-field asymptotics; to grow into the series "
+                                   "oracle of ROADMAP item 6",
+}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -49,8 +63,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, statement) for each module-level _name def, class or assignment."""
+def _definitions(tree: ast.Module):
+    """(name, statement) for each module-level def, class or assignment;
+    dunder names such as __all__ aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -59,8 +74,7 @@ def _private_definitions(tree: ast.Module):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names
-                    if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, node) for name in names if not name.startswith("__"))
 
 
 def _reads(node: ast.AST) -> set[str]:
@@ -76,14 +90,27 @@ def _reads(node: ast.AST) -> set[str]:
     return out
 
 
-def orphaned_privates(sources: dict[str, str]) -> list[str]:
-    """Module-level private names that no other statement in `sources` reads."""
+def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each module-level name in `sources` that no
+    other statement there reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     reads = [(node, _reads(node)) for tree in trees.values() for node in tree.body]
-    return sorted(f"{module}.{name} (line {node.lineno})"
+    return sorted((module, name, node.lineno)
                   for module, tree in trees.items()
-                  for name, node in _private_definitions(tree)
+                  for name, node in _definitions(tree)
                   if not any(name in names for other, names in reads if other is not node))
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no other statement in `sources` reads."""
+    return [f"{module}.{name} (line {line})"
+            for module, name, line in unread_definitions(sources) if name.startswith("_")]
+
+
+def unread_publics(sources: dict[str, str]) -> list[str]:
+    """Module-level public names that no other statement in `sources` reads."""
+    return [f"{module}.{name}"
+            for module, name, _ in unread_definitions(sources) if not name.startswith("_")]
 
 
 def test_scan_flags_an_orphaned_private_definition():
@@ -100,4 +127,22 @@ def test_scan_flags_an_orphaned_private_definition():
 
 
 def test_no_orphaned_private_definitions():
-    assert orphaned_privates({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+    assert orphaned_privates(MODULES) == []
+
+
+def test_scan_flags_an_unread_public_name():
+    sources = {
+        "a": "__all__ = ['used', 'unread', 'X']\n"
+             "def used(): pass\n"
+             "def unread(): pass\n"
+             "X = Y = 1\n"
+             "class C: pass\n"
+             "__version__ = '1'\n",
+        "b": "from .a import used, C\nprint(used(), a.Y)\n",
+    }
+    assert unread_publics(sources) == ["a.X", "a.unread"]
+
+
+def test_public_names_are_read_or_listed():
+    # an unread name off the list, or a listed name now read or gone, fails
+    assert unread_publics(MODULES) == sorted(PUBLIC_API)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from mpmath import cosh, exp, mp, mpf, sinh
+from mpmath import cosh, exp, mp, mpf, sinh, zeta
 
 from heulag import (
     DomainError,
@@ -277,32 +277,36 @@ def test_quadrature_printed_row(ctx60):
 # ---------------------------------------------------------------------------
 
 def test_strong_field_leading_values(ctx60):
+    # against mpmath's zeta'(-1) at beta = 1e12
     with ctx60.work():
-        b = mpf("1e12")
-        lead0 = b * mp.log(b) / 12 + b * mp.log(2) / 6
-        lead_half = b * mp.log(b) / 6 + b * mp.log(2) / 3
-        assert abs(strong_field_leading(ModelId.SPIN0, b, ctx60) - lead0) < mpf("1e-40") * lead0
-        assert abs(strong_field_leading(ModelId.SPIN_HALF, b, ctx60) - lead_half) \
-            < mpf("1e-40") * lead_half
-        assert abs(strong_field_leading(ModelId.SELF_DUAL, b, ctx60) - mp.log(b)) \
-            < mpf("1e-40") * mp.log(b)
+        b, z1 = mpf("1e12"), zeta(-1, 1, 1)
+        lb, ln2 = mp.log(b), mp.log(2)
+        want = {
+            ModelId.SPIN0: b * lb / 12 + b * (ln2 / 3 + 2 * z1 - mpf(1) / 6),
+            ModelId.SPIN_HALF: b * lb / 6 + b * (ln2 / 3 + 4 * z1 - mpf(1) / 3),
+            ModelId.SELF_DUAL: lb / 24 + z1,
+        }
+        for model, w in want.items():
+            assert abs(strong_field_leading(model, b, ctx60) - w) < mpf("1e-55") * abs(w), model
 
 
-@pytest.mark.parametrize("model", [ModelId.SPIN0, ModelId.SPIN_HALF])
+@pytest.mark.parametrize("model", list(ModelId))
 def test_strong_field_ratio_monotone(model, ctx60):
-    ratios = []
+    gaps = []
     for beta in ("1e6", "1e9", "1e12", "1e15", "1e18"):
         with ctx60.work():
             r = closed_form(model, beta, ctx60) / strong_field_leading(model, beta, ctx60)
-        ratios.append(r)
-    assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
-    assert ratios[-1] < 1  # approaches the leading behavior from below
+        gaps.append(abs(r - 1))
+    assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+    assert gaps[-1] < mpf("1e-8")
 
 
 def test_strong_field_ratio_frozen_endpoint(ctx60):
-    # spin-0 ratio at beta = 1e18; pinned value documents that the ratio is
-    # still ~11% below 1 there (convergence to the leading term is slow)
-    with ctx60.work():
-        r = closed_form(ModelId.SPIN0, "1e18", ctx60) \
-            / strong_field_leading(ModelId.SPIN0, "1e18", ctx60)
-        assert abs(r - mpf("0.89298364")) < mpf("1e-7")
+    # r - 1 at beta = 1e18: what the O(sqrt(beta)) remainder (spins) and the
+    # O(1/sqrt(beta)) one (SD) leave of the leading terms
+    frozen = {ModelId.SPIN0: "2.1746354742e-10", ModelId.SPIN_HALF: "3.3494875177e-9",
+              ModelId.SELF_DUAL: "3.2020129989e-10"}
+    for model, gap in frozen.items():
+        with ctx60.work():
+            r = closed_form(model, "1e18", ctx60) / strong_field_leading(model, "1e18", ctx60)
+            assert abs((r - 1) / mpf(gap) - 1) < mpf("1e-9"), model
