@@ -28,6 +28,8 @@ SRC = HERE.parent / "src"
 COMMANDS = (
     *(("table", str(n)) for n in range(1, 7)),
     ("extrapolate", "--moments", "50", "--beta", "1,1e7,1e12"),
+    ("extrapolate", "--moments", "50", "--beta", "1e-4,1e-3,0.01"),
+    ("extrapolate", "--moments", "20", "--truncation", "45", "--beta", "1,1e7"),
     ("compare", "--moments", "50", "--pade", "9,10", "--delta", "25", "--beta", "0.1,10"),
     ("exact", "--beta", "0.01,1,100", "--oracle"),
 )
