@@ -15,7 +15,7 @@ from .errors import (
     OracleFailureError,
     TruncationWarning,
 )
-from .extrapolant import ExtrapolationResult, extrapolate, tail_sum
+from .extrapolant import Extrapolant, ExtrapolationResult, extrapolate, tail_sum
 from .finitepart import (
     KernelDescriptor,
     exp_kernel,
@@ -56,6 +56,7 @@ __all__ = [
     "ConsistencyError",
     "DegeneracyError",
     "DomainError",
+    "Extrapolant",
     "ExtrapolationResult",
     "GENERATOR_VERSION",
     "HeulagError",

@@ -21,14 +21,16 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 from mpmath import log10, mp, mpf, nstr
 
 from .comparators import _pade, weniger_delta
 from .errors import CacheMismatchError, DomainError, HeulagError
-from .extrapolant import ExtrapolationResult, extrapolate
+from .extrapolant import Extrapolant, ExtrapolationResult
 from .models import (
     ModelId,
     closed_form,
@@ -317,11 +319,11 @@ def cmd_reconstruct(config: RunConfig, out) -> int:
 def cmd_extrapolate(config: RunConfig, out) -> int:
     rec = _obtain_reconstruction(config)
     ctx = PrecisionContext(config.digits)
-    K = config.truncation
+    ext = cache(lambda: Extrapolant.build(rec, config.truncation, ctx))  # on the first beta
     columns = ["beta", "value", "tail", "delta", "K", "im_residual"]
     rows = []
     for b in config.betas:
-        r: ExtrapolationResult = extrapolate(config.model, rec, b, K, ctx)
+        r: ExtrapolationResult = ext().evaluate(b)
         rows.append({
             "beta": b,
             "value": _fmt(r.value, config.digits),
@@ -363,8 +365,7 @@ class _Extrap:
 
     def results(self, model: ModelId, digits: int) -> Callable[[str], ExtrapolationResult]:
         ctx = PrecisionContext(digits)
-        rec = reconstruct(model, self.moments, ctx)
-        return lambda b: extrapolate(model, rec, b, None, ctx)
+        return Extrapolant.build(reconstruct(model, self.moments, ctx), None, ctx).evaluate
 
     def methods(self, model: ModelId, digits: int) -> list[Method]:
         result = self.results(model, digits)
@@ -390,8 +391,8 @@ class _Delta:
 @dataclass(frozen=True)
 class _Pade:
     """The [n/m] Pade approximant. Its qd table is built once per column, on
-    the first beta; a build that raises raises again at every beta, so each
-    cell still shows the error."""
+    the first beta; a build that raises runs and raises again at every beta,
+    so each cell still shows the error."""
 
     n: int
     m: int
@@ -399,19 +400,8 @@ class _Pade:
     def methods(self, model: ModelId, digits: int) -> list[Method]:
         ctx = PrecisionContext(digits)
         series = coefficients(model, self.n + self.m + 1)
-        built: list = []  # the approximant in beta, or the error its build raised
-
-        def at(b: str) -> mpf:
-            if not built:
-                try:
-                    built.append(_pade(series, self.n, self.m, ctx))
-                except HeulagError as e:
-                    built.append(e)
-            if isinstance(built[0], HeulagError):
-                raise built[0]
-            return built[0](b)
-
-        return [(f"pade_{self.n}_{self.m}", at)]
+        approximant = cache(lambda: _pade(series, self.n, self.m, ctx))
+        return [(f"pade_{self.n}_{self.m}", lambda b: approximant()(b))]
 
 
 def _cell(method: Callable[[str], mpf], beta: str, exact: mpf, fmt: str) -> tuple[str, str]:
@@ -442,8 +432,8 @@ def _compare_columns(config: RunConfig) -> list[Method]:
         cols += _Delta(config.delta).methods(model, digits)
     if config.moments is not None:
         rec = _obtain_reconstruction(config)
-        cols.append((f"extrap_d{rec.d}",
-                     lambda b: extrapolate(model, rec, b, None, ctx).value))
+        ext = cache(lambda: Extrapolant.build(rec, None, ctx))
+        cols.append((f"extrap_d{rec.d}", lambda b: ext().evaluate(b).value))
     return cols
 
 
@@ -631,28 +621,30 @@ def _config_from(args) -> RunConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = _config_from(args)
-        out = sys.stdout
-        if args.command == "exact":
-            return cmd_exact(config, out)
-        if args.command == "series":
-            return cmd_series(config, out)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(config, out)
-        if args.command == "extrapolate":
-            return cmd_extrapolate(config, out)
-        if args.command == "compare":
-            return cmd_compare(config, out)
-        if args.command == "table":
-            return cmd_table(config, args.number, out)
-        raise DomainError(f"unknown command {args.command!r}")
-    except CacheMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (HeulagError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # a warning is one stderr line, like an error
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = _config_from(args)
+            out = sys.stdout
+            if args.command == "exact":
+                return cmd_exact(config, out)
+            if args.command == "series":
+                return cmd_series(config, out)
+            if args.command == "reconstruct":
+                return cmd_reconstruct(config, out)
+            if args.command == "extrapolate":
+                return cmd_extrapolate(config, out)
+            if args.command == "compare":
+                return cmd_compare(config, out)
+            if args.command == "table":
+                return cmd_table(config, args.number, out)
+            raise DomainError(f"unknown command {args.command!r}")
+        except CacheMismatchError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 4
+        except (HeulagError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -8,28 +8,35 @@ density factor g(x) = e^{-x/2} sum_m c_m L_m(x), and one convolution:
 
     T_k = FP int_0^inf g(x) x^{-(2k+1)} dx = sum_{l=0}^{d} g_l M[2k+1-l],
 
-with g_l = (-1)^l G_l/(l!)^2 the Taylor coefficients of sum_m c_m L_m and
-M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for j = -d..2K+1.
-The T_k do not depend on beta, which enters only the final sum. The
-convolution alternates and cancels more digits as d grows, and at small beta
-the final sum does too, so both are redone at a raised precision when their
-combined cancellation reaches into the guard digits.
+with g_l = (-1)^l/l! sum_m c_m C(m, l) the Taylor coefficients of
+sum_m c_m L_m and M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for
+j = -d..2K+1. The c_m are dyadic, so each g_l is an integer sum over an
+integer, rounded once, and each T_k, a sum of exact products, is rounded once.
+No T_k depends on beta, so an Extrapolant builds them once and evaluate(beta)
+runs the O(K) final sum and Delta. The convolution alternates and cancels
+more digits as d grows, and at small beta the final sum does too. When their
+combined loss reaches into the guard digits, the sum is redone at a raised
+precision: with a T built there once if the beta sum lost nothing, else with
+T rebuilt.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, factorial, log10
+from functools import cached_property
+from math import ceil, comb, factorial, log10
 
 from mpmath import mp, mpc, mpf, ln, pi, sqrt
+from mpmath.libmp import mpf_mul, mpf_sum
 
-from .errors import ConsistencyError, DomainError, TruncationWarning
+from .errors import DomainError, TruncationWarning
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, rho_eval
 from .specfun import PrecisionContext, _euler_gamma, _to_beta
 
 __all__ = [
     "ExtrapolationResult",
+    "Extrapolant",
     "tail_sum",
     "extrapolate",
 ]
@@ -76,114 +83,135 @@ def _fp_kernel_values(d: int, jmax: int) -> list[mpf]:
     return out
 
 
-def _tail_coefficients(rec: ReconstructionCoefficients, K: int) -> tuple[list[mpf], int]:
+def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], ...]:
+    """Exact (numerator, denominator) of each g_l = (-1)^l/l! sum_m c_m C(m, l).
+    The c_m are dyadic, so with e their least binary exponent each sum times
+    2^{-e} is an integer."""
+    parts = [c.man_exp for c in rec.c]
+    e = min((exp for man, exp in parts if man), default=0)
+    ints = [man << (exp - e) for man, exp in parts]
+    sums = [sum(ints[m] * comb(m, l) for m in range(l, rec.d + 1)) for l in range(rec.d + 1)]
+    return tuple(((-1) ** l * G << max(e, 0), factorial(l) << max(-e, 0))
+                 for l, G in enumerate(sums))
+
+
+def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:
     """(T_0..T_K, digits lost) at ambient precision; T_k = sum_l g_l M[2k+1-l].
-
-    G_l = sum_{m=l}^{d} c_m m!/(m-l)! takes its m!/(m-l)! as exact integers
-    via a running product. The digits lost are the largest gap between a
-    term's and its sum's binary exponents, read without further mpf work.
-    """
-    d = rec.d
-    M = _fp_kernel_values(d, 2 * K + 1)
-    g = []
-    for l in range(d + 1):
-        G = mpf(0)
-        r = factorial(l)
-        for m in range(l, d + 1):
-            G += rec.c[m] * r
-            r = r * (m + 1) // (m + 1 - l)
-        g.append((-1) ** l * G / factorial(l) ** 2)
-    T = []
-    lost_bits = 0
+    Each g_l is rounded once, and each T_k is mp.fdot's exact products with
+    one rounding of their sum, with the products kept: the digits lost are
+    the largest gap between a product's and its sum's binary exponents."""
+    d = len(g) - 1
+    prec, rnd = mp._prec_rounding
+    gl = [mp.fdiv(num, den)._mpf_ for num, den in g]
+    M = [m._mpf_ for m in _fp_kernel_values(d, 2 * K + 1)]
+    T, lost_bits = [], 0
     for k in range(K + 1):
-        terms = [g[l] * M[2 * k + 1 - l + d] for l in range(d + 1)]
-        T.append(mp.fsum(terms))
-        if T[-1]:
-            lost_bits = max(lost_bits, max(map(mp.mag, terms)) - mp.mag(T[-1]))
-    return T, ceil(lost_bits * log10(2))
+        terms = [mpf_mul(a, M[2 * k + 1 - l + d]) for l, a in enumerate(gl)]
+        t = mpf_sum(terms, prec, rnd)
+        T.append(mp.make_mpf(t))
+        if t[1]:  # mag = exponent + bitcount, as mp.mag reads it
+            top = max(exp + bc for _, man, exp, bc in terms if man)
+            lost_bits = max(lost_bits, top - (t[2] + t[3]))
+    return tuple(T), ceil(lost_bits * log10(2))
 
 
-def _tail(rec: ReconstructionCoefficients, beta, K: int, p: int) -> tuple[mpf, int]:
-    """(sum_k (-1)^k beta^{p-k} T_k, digits lost) at ambient precision.
-
-    The loss is T's plus the beta sum's, max_k mag(term) - mag(sum): at
-    d = 49 the sum alone cancels about 5 digits at beta = 0.01 and 27 at 1e-4.
-    """
+def _beta_sum(T, beta, p: int) -> tuple[mpf, int]:
+    """(sum_k (-1)^k beta^{p-k} T_k, digits lost) at ambient precision. At
+    d = 49 the sum cancels about 5 digits at beta = 0.01 and 27 at 1e-4."""
     beta = _to_beta(beta)
-    T, lost = _tail_coefficients(rec, K)
     terms = [(-1) ** k * beta ** (p - k) * t for k, t in enumerate(T)]
     total = sum(terms, mpf(0))  # left to right: frozen digits depend on the order
-    if total:
-        lost += ceil(max(0, max(map(mp.mag, terms)) - mp.mag(total)) * log10(2))
-    return total, lost
+    lost = max(map(mp.mag, terms)) - mp.mag(total) if total else 0
+    return total, ceil(max(0, lost) * log10(2))
 
 
-def tail_sum(rec: ReconstructionCoefficients, beta, K: int, ctx: PrecisionContext) -> mpf:
-    """Inverse-power tail sum_{k=0}^{K} (-1)^k beta^{p-k} T_k.
+@dataclass(frozen=True)
+class Extrapolant:
+    """The beta-free half of one reconstruction's extrapolant: g exactly, and
+    T_0..T_K at ctx.workdps with lost_T, the digits their sums cancelled."""
 
-    The beta-free T_0..T_K are built once. When T's sums and the beta sum
-    together cancel more than guard - 5 digits, both are redone that many
-    digits (+5) higher.
-    """
-    if K < 1:
-        raise DomainError(f"tail_sum requires K >= 1, got {K}")
-    d = rec.d
-    if K > 2 * d:
-        warnings.warn(
-            f"truncation K={K} beyond 2d={2 * d}; extra terms cannot improve the result",
-            TruncationWarning, stacklevel=2)
-    p = rec.model.tail_power_offset
-    with ctx.work():
-        total, lost = _tail(rec, beta, K, p)
-        if lost > ctx.guard - 5:
-            with ctx.work(lost + 5):
-                total, _ = _tail(rec, beta, K, p)
-    return ctx.round(total)
+    rec: ReconstructionCoefficients
+    K: int
+    ctx: PrecisionContext
+    g: tuple[tuple[int, int], ...]
+    T: tuple[mpf, ...]
+    lost_T: int
+
+    @classmethod
+    def build(cls, rec: ReconstructionCoefficients, K: int | None, ctx: PrecisionContext,
+              stacklevel: int = 2) -> "Extrapolant":
+        """K=None means 2d (all useful terms); stacklevel is TruncationWarning's."""
+        K = 2 * rec.d if K is None else K
+        if K < 1:
+            raise DomainError(f"tail_sum requires K >= 1, got {K}")
+        if K > 2 * rec.d:
+            warnings.warn(
+                f"truncation K={K} beyond 2d={2 * rec.d}; extra terms cannot improve the result",
+                TruncationWarning, stacklevel=stacklevel)
+        g = _density_taylor(rec)
+        with ctx.work():
+            T, lost = _tail_coefficients(g, K)
+        return cls(rec, K, ctx, g, T, lost)
+
+    @cached_property
+    def T_raised(self) -> tuple[mpf, ...]:
+        """T at workdps + lost_T + 5, built once on first use."""
+        with self.ctx.work(self.lost_T + 5):
+            return _tail_coefficients(self.g, self.K)[0]
+
+    def evaluate(self, beta) -> ExtrapolationResult:
+        """Tail plus pole correction at one beta."""
+        with self.ctx.work():
+            b = _to_beta(beta)
+            tail = tail_sum(self, b)
+            delta, imres = map(self.ctx.round, _delta_raw(self.rec, b, self.ctx))
+        # Exact float addition of the rounded parts, so value == tail + delta
+        # holds on the reported fields at any comparison precision.
+        return ExtrapolationResult(
+            model=self.rec.model, beta=self.ctx.round(b), value=mp.fadd(tail, delta, exact=True),
+            tail=tail, delta=delta, K=self.K, im_residual=imres)
 
 
-def _delta_raw(rec: ReconstructionCoefficients, beta: mpf, model: ModelId,
+def tail_sum(ext: Extrapolant, beta) -> mpf:
+    """Inverse-power tail sum_{k=0}^{K} (-1)^k beta^{p-k} T_k of a built T.
+    When T's sums and the beta sum together cancel more than guard - 5
+    digits, the sum is redone that many digits (+5) higher: with T_raised if
+    the beta sum lost nothing, else with T rebuilt there for this beta."""
+    p = ext.rec.model.tail_power_offset
+    with ext.ctx.work():
+        total, lost = _beta_sum(ext.T, beta, p)
+        lost += ext.lost_T
+        if lost > ext.ctx.guard - 5:
+            with ext.ctx.work(lost + 5):
+                T = ext.T_raised if lost == ext.lost_T else _tail_coefficients(ext.g, ext.K)[0]
+                total, _ = _beta_sum(T, beta, p)
+    return ext.ctx.round(total)
+
+
+def _delta_raw(rec: ReconstructionCoefficients, beta: mpf,
                ctx: PrecisionContext) -> tuple[mpf, mpf]:
     """(delta, im_residual) at ambient precision: the pole-correction term.
 
     Delta(beta) = (pi sqrt(b)/4)(rho(i/sqrt(b)) + rho(-i/sqrt(b)))
-                + (sqrt(b) ln b/4i)(rho(i/sqrt(b)) - rho(-i/sqrt(b))),
-    evaluated from two independent density evaluations so a broken conjugate
-    symmetry shows up in the discarded imaginary part. Spin models return
+                + (sqrt(b) ln b/4i)(rho(i/sqrt(b)) - rho(-i/sqrt(b))).
+    The c_m are real, so rho(-i/sqrt(b)) is the conjugate of rho(i/sqrt(b))
+    bit for bit and one density evaluation gives both. Spin models return
     beta * Delta; SD returns Delta itself.
     """
     rb = sqrt(beta)
-    y = 1 / rb
-    rho_plus = rho_eval(rec, mpc(0, y), ctx)
-    rho_minus = rho_eval(rec, mpc(0, -y), ctx)
-    raw = (pi * rb / 4) * (rho_plus + rho_minus) \
-        + (rb * ln(beta) / (4 * mpc(0, 1))) * (rho_plus - rho_minus)
-    if model is not ModelId.SELF_DUAL:
+    rho = rho_eval(rec, mpc(0, 1 / rb), ctx)
+    raw = (pi * rb / 4) * (rho + mp.conj(rho)) \
+        + (rb * ln(beta) / (4 * mpc(0, 1))) * (rho - mp.conj(rho))
+    if rec.model is not ModelId.SELF_DUAL:
         raw = beta * raw
     return raw.real, abs(raw.imag)
 
 
 def extrapolate(model: ModelId, rec: ReconstructionCoefficients, beta,
                 K: int | None, ctx: PrecisionContext) -> ExtrapolationResult:
-    """Tail plus pole correction; K=None means 2d (all useful terms)."""
+    """Tail plus pole correction at one beta: Extrapolant.build (K=None means
+    2d), then evaluate. For many betas, build once and evaluate each."""
     if rec.model is not model:
         raise DomainError(
             f"reconstruction is for {rec.model.value}, requested {model.value}")
-    if K is None:
-        K = 2 * rec.d
-    with ctx.work():
-        beta_v = _to_beta(beta)
-        tail = tail_sum(rec, beta_v, K, ctx)
-        delta, imres = _delta_raw(rec, beta_v, model, ctx)
-        bound = mpf(10) ** (-(ctx.digits - 10)) * max(abs(tail + delta), mpf(1))
-        if imres > bound:
-            raise ConsistencyError(
-                f"imaginary residual {imres} exceeds {bound}: conjugate symmetry broken")
-    tail_r = ctx.round(tail)
-    delta_r = ctx.round(delta)
-    # Exact float addition of the rounded parts, so value == tail + delta
-    # holds on the reported fields at any comparison precision.
-    value_r = mp.fadd(tail_r, delta_r, exact=True)
-    return ExtrapolationResult(
-        model=model, beta=ctx.round(beta_v), value=value_r,
-        tail=tail_r, delta=delta_r, K=K,
-        im_residual=ctx.round(imres))
+    return Extrapolant.build(rec, K, ctx, stacklevel=3).evaluate(beta)

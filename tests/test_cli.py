@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpf
 
 import heulag
-from heulag import CacheMismatchError, ModelId, comparators
+from heulag import CacheMismatchError, ModelId, comparators, extrapolant
 from heulag.cli import CoefficientCacheFile, _fmt, main
 import cli_golden
 
@@ -275,6 +275,24 @@ def test_extrapolate_in_memory_without_cache(capsys):
     with mp.workdps(60):
         assert abs(mpf(row["value"]) - (mpf(row["tail"]) + mpf(row["delta"]))) \
             < mpf("1e-38") * max(1, abs(mpf(row["value"])))
+
+
+def test_truncation_warning_is_one_stderr_line():
+    r = _run_child(["extrapolate", "--moments", "20", "--truncation", "45", "--beta", "1,1e7"])
+    assert r.returncode == 0
+    assert r.stderr == ("warning: truncation K=45 beyond 2d=38; "
+                        "extra terms cannot improve the result\n")
+
+
+def test_compare_builds_the_tail_once(monkeypatch, capsys):
+    # one T build for the reconstruction, not one per beta
+    builds = []
+    build = extrapolant._tail_coefficients
+    monkeypatch.setattr(extrapolant, "_tail_coefficients",
+                        lambda *args: builds.append(args) or build(*args))
+    code, out, _ = run(["compare", "--moments", "50", "--beta", "0.1,10,1e7"], capsys)
+    assert code == 0 and out.count("\n| ") == 5  # header, rule and three beta rows
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

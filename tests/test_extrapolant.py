@@ -8,6 +8,7 @@ from mpmath import euler, exp, log, log10, mp, mpf, polyval
 
 from heulag import (
     DomainError,
+    Extrapolant,
     KernelDescriptor,
     ModelId,
     PrecisionContext,
@@ -17,9 +18,10 @@ from heulag import (
     extrapolate,
     fp_canonical_oracle,
     fp_exp_over_xm,
+    rho_eval,
     tail_sum,
 )
-from heulag.extrapolant import _fp_kernel_values, _tail_coefficients
+from heulag.extrapolant import _fp_kernel_values
 from conftest import printed_match, rel_err
 
 
@@ -83,8 +85,7 @@ def test_tail_coefficient_is_canonical_finite_part(k, reconstruct):
     # T_k = FP int g(x) x^{-(2k+1)} dx, convergent orders (l > 2k) included
     ctx = PrecisionContext(40)
     rec = reconstruct(ModelId.SPIN0, 10, 40)
-    with ctx.work():
-        T, _ = _tail_coefficients(rec, 1)
+    T = Extrapolant.build(rec, 1, ctx).T
     oracle = fp_canonical_oracle(_density_factor(rec, 2 * k + 1), 2 * k + 1, ctx)
     assert rel_err(T[k], oracle) < mpf("1e-30")
 
@@ -93,8 +94,8 @@ def test_tail_coefficient_is_canonical_finite_part(k, reconstruct):
 def test_tail_keeps_digits_beyond_a_short_guard(beta, reconstruct):
     # at d = 99 the T_k sums cancel ~9 digits: a 5-digit guard must rebuild T
     rec = reconstruct(ModelId.SPIN0, 100, 100)
-    short = tail_sum(rec, beta, 2 * rec.d, PrecisionContext(100, guard=5))
-    long = tail_sum(rec, beta, 2 * rec.d, PrecisionContext(100, guard=100))
+    short = tail_sum(Extrapolant.build(rec, 2 * rec.d, PrecisionContext(100, guard=5)), beta)
+    long = tail_sum(Extrapolant.build(rec, 2 * rec.d, PrecisionContext(100, guard=100)), beta)
     with mp.workdps(120):
         assert short == long or -log10(abs(short - long) / abs(long)) >= mpf("99.5")
 
@@ -103,8 +104,9 @@ def test_tail_keeps_digits_beyond_a_short_guard(beta, reconstruct):
 @pytest.mark.parametrize("beta", ["1e-4", "1e-3"])
 def test_tail_keeps_digits_where_the_beta_sum_cancels(model, beta, reconstruct):
     # at d = 49 the beta sum alone cancels ~27 digits at 1e-4 and ~11 at 1e-3
-    short = tail_sum(reconstruct(model, 50, 60), beta, 98, PrecisionContext(60))
-    long = tail_sum(reconstruct(model, 50, 160), beta, 98, PrecisionContext(160))
+    short = tail_sum(Extrapolant.build(reconstruct(model, 50, 60), 98, PrecisionContext(60)), beta)
+    long = tail_sum(Extrapolant.build(reconstruct(model, 50, 160), 98, PrecisionContext(160)),
+                    beta)
     assert rel_err(short, long) < 10 ** mpf("-59.5")
 
 
@@ -118,6 +120,33 @@ def test_fewer_digits_than_moments_keep_every_digit(model, reconstruct):
         ref = extrapolate(model, rec90, beta, None, ctx90)
         assert rel_err(r.tail, ref.tail) < mpf("1e-30")
         assert rel_err(r.delta, ref.delta) < mpf("1e-30")
+
+
+@pytest.mark.parametrize("ctx", [PrecisionContext(60), PrecisionContext(60, guard=5)],
+                         ids=["guard20", "guard5"])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_one_build_evaluates_like_fresh_calls(model, ctx, reconstruct):
+    # guard 5 makes d = 49 take the raised-precision paths; reuse carries no state
+    rec = reconstruct(model, 50, 60)
+    ext = Extrapolant.build(rec, None, ctx)
+    for beta in ("1e-4", "0.01", "1", "1e7", "1e20"):
+        assert ext.evaluate(beta) == extrapolate(model, rec, beta, None, ctx)
+    # the raised T is built only where T's own loss needs it
+    assert ("T_raised" in vars(ext)) == (ctx.guard == 5)
+
+
+@pytest.mark.parametrize("moments, digits", [(50, 60), (100, 100)])
+def test_exact_build_T_within_its_cancellation(moments, digits, reconstruct):
+    # every T_k within 10^(lost_T + 1) units in the last place of a build
+    # 100 digits higher
+    rec = reconstruct(ModelId.SPIN0, moments, digits)
+    ctx = PrecisionContext(digits)
+    ext = Extrapolant.build(rec, None, ctx)
+    ref = Extrapolant.build(rec, None, PrecisionContext(digits + 100))
+    with ctx.work():
+        for t, r in zip(ext.T, ref.T):
+            ulp = mpf(2) ** (mp.mag(t) - mp.prec)
+            assert abs(t - r) <= 10 ** (ext.lost_T + 1) * ulp
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +171,18 @@ def test_imaginary_residual_bounded(model, ctx100, reconstruct):
         assert r.im_residual <= bound
 
 
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("moments", [10, 50])
+def test_density_on_the_pole_axis_is_conjugate_symmetric(model, moments, ctx60, reconstruct):
+    # Delta takes rho(-i/sqrt(b)) as the conjugate of rho(i/sqrt(b)): bit for bit
+    rec = reconstruct(model, moments, 60)
+    for beta in ("1e-6", "0.01", "1", "1e7", "1e30"):
+        with ctx60.work():  # conj rounds to the ambient precision, which is above rho's
+            y = 1 / mp.sqrt(mpf(beta))
+            rho_plus, rho_minus = (rho_eval(rec, mp.mpc(0, v), ctx60) for v in (y, -y))
+            assert rho_minus == mp.conj(rho_plus)
+
+
 def test_default_truncation_is_2d(ctx100, reconstruct):
     rec = reconstruct(ModelId.SPIN0, 100, 100)
     r = extrapolate(ModelId.SPIN0, rec, "1", None, ctx100)
@@ -150,8 +191,12 @@ def test_default_truncation_is_2d(ctx100, reconstruct):
 
 def test_truncation_warning_beyond_2d(ctx60, reconstruct):
     rec = reconstruct(ModelId.SPIN0, 20, 60)
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning) as caught:
         extrapolate(ModelId.SPIN0, rec, "1", 2 * rec.d + 5, ctx60)
+    with pytest.warns(TruncationWarning) as caught_build:
+        Extrapolant.build(rec, 2 * rec.d + 5, ctx60)
+    # both point at this file, the caller's code, not at the library's
+    assert [w.filename for w in (*caught, *caught_build)] == [__file__] * 2
 
 
 def test_model_mismatch_rejected(ctx60, reconstruct):
@@ -164,7 +209,7 @@ def test_tail_sum_requires_positive_K(ctx60, reconstruct):
     rec = reconstruct(ModelId.SPIN0, 20, 60)
     with ctx60.work():
         with pytest.raises(DomainError):
-            tail_sum(rec, mpf(1), 0, ctx60)
+            tail_sum(Extrapolant.build(rec, 0, ctx60), mpf(1))
 
 
 # ---------------------------------------------------------------------------

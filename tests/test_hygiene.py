@@ -19,6 +19,8 @@ MODULES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "
 # Public names that nothing in the package reads, each with its reason.
 PUBLIC_API = {
     "comparators.pade_eval": "the Pade baseline; bench/spans.py traces it, the CLI calls its _pade",
+    "extrapolant.extrapolate": "the one-shot build-then-evaluate API that the bench and the "
+                               "README use; the CLI builds an Extrapolant per reconstruction",
     "finitepart.exp_kernel": "the kernel fp_canonical_oracle checks the closed formulas on",
     "finitepart.fp_canonical_oracle": "the canonical epsilon-cutoff finite-part oracle",
     "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",

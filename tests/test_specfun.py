@@ -18,6 +18,7 @@ from heulag.specfun import (
     _hurwitz_zeta,
     _laguerre_seq,
 )
+import zeta_sderiv_references
 from conftest import rel_err
 
 
@@ -200,16 +201,36 @@ def _zeta_sderiv(s0: int, a: mpf, ctx: PrecisionContext) -> mpf:
         return _hurwitz_zeta(s0, a)
 
 
-@pytest.mark.parametrize("a", ["5e-16", "1e-6", "0.045", "0.5", "1", "17.5", "2000.25"])
-@pytest.mark.parametrize("digits", [30, 300, 1000])
-@pytest.mark.parametrize("s0", [0, -1])
+ZETA_REFERENCES = zeta_sderiv_references.load()
+
+
+@pytest.mark.parametrize("a", zeta_sderiv_references.ARGUMENTS)
+@pytest.mark.parametrize("digits", [30, 300, zeta_sderiv_references.DIGITS])
+@pytest.mark.parametrize("s0", zeta_sderiv_references.ORDERS)
 def test_zeta_sderiv_edge_sweep_against_mpmath(s0, digits, a):
     # a = 5e-16 is q = 1/(2 sqrt(beta)) at beta = 1e30; tiny and large a
-    # stress the correction count chosen from the remainder bound
+    # stress the correction count chosen from the remainder bound. mpmath's
+    # references at 1000 digits are frozen: each takes it 3-5 s.
     ctx = PrecisionContext(digits)
-    a = _argument(a, ctx)
-    ref = _mpmath(zeta, ctx, s0, a, 1)
-    assert rel_err(_zeta_sderiv(s0, a, ctx), ref) < mpf(10) ** (1 - digits)
+    x = _argument(a, ctx)
+    if digits == zeta_sderiv_references.DIGITS:
+        with mp.workdps(digits + 10):
+            ref = mpf(ZETA_REFERENCES[str(s0)][a])
+    else:
+        ref = _mpmath(zeta, ctx, s0, x, 1)
+    assert rel_err(_zeta_sderiv(s0, x, ctx), ref) < mpf(10) ** (1 - digits)
+
+
+def test_frozen_zeta_references_match_mpmath():
+    # recomputing at 100 digits catches a corrupted or truncated data file
+    for s0 in zeta_sderiv_references.ORDERS:
+        for a in zeta_sderiv_references.ARGUMENTS:
+            text = ZETA_REFERENCES[str(s0)][a]
+            mantissa = text.partition("e")[0].lstrip("-0.").replace(".", "")
+            assert len(mantissa) >= zeta_sderiv_references.DIGITS + 10, (s0, a)
+            fresh = zeta_sderiv_references.mpmath_zeta_sderiv(s0, a, 100)
+            with mp.workdps(110):
+                assert rel_err(fresh, mpf(text)) < mpf("1e-105"), (s0, a)
 
 
 @pytest.mark.parametrize("digits", [1000, 1500])

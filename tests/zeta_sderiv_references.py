@@ -1,0 +1,47 @@
+"""Frozen 1000-digit references for zeta'(s, a), s in {0, -1}, from mpmath.
+
+test_zeta_sderiv_edge_sweep_against_mpmath checks heulag's Hurwitz zeta
+derivative against mpmath's zeta(s, a, 1). At 1000 digits each mpmath call
+takes 3-5 s, so those fourteen references are stored as decimal strings in
+data/zeta_sderiv_references.json. They are made the way the test makes its
+live ones: a is the decimal argument rounded at the context's working
+precision (digits + 20) and zeta is evaluated at digits + 10. Regenerate with
+
+    python tests/zeta_sderiv_references.py
+
+pytest does not collect this file (its name does not start with test_).
+"""
+import json
+from pathlib import Path
+
+from mpmath import mp, mpf, zeta
+
+PATH = Path(__file__).resolve().parent / "data" / "zeta_sderiv_references.json"
+DIGITS = 1000
+ORDERS = (0, -1)
+ARGUMENTS = ("5e-16", "1e-6", "0.045", "0.5", "1", "17.5", "2000.25")
+
+
+def mpmath_zeta_sderiv(s0: int, a: str, digits: int) -> mpf:
+    """mpmath's zeta'(s0, a) at digits + 10, with a rounded at digits + 20."""
+    with mp.workdps(digits + 20):
+        x = mpf(a)
+    with mp.workdps(digits + 10):
+        return zeta(s0, x, 1)
+
+
+def load() -> dict[str, dict[str, str]]:
+    """{str(s0): {a: decimal string}} from the data file."""
+    return json.loads(PATH.read_text(encoding="utf-8"))
+
+
+def main() -> None:
+    refs = {str(s0): {a: mp.nstr(mpmath_zeta_sderiv(s0, a, DIGITS), DIGITS + 10,
+                                 strip_zeros=False)
+                      for a in ARGUMENTS}
+            for s0 in ORDERS}
+    PATH.write_text(json.dumps(refs, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
