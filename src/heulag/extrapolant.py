@@ -11,28 +11,30 @@ density factor g(x) = e^{-x/2} sum_m c_m L_m(x), and one convolution:
 with g_l = (-1)^l/l! sum_m c_m C(m, l) the Taylor coefficients of
 sum_m c_m L_m and M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for
 j = -d..2K+1. The c_m are dyadic, so each g_l is an integer sum over an
-integer, rounded once, and each T_k, a sum of exact products, is rounded once.
-No T_k depends on beta, so an Extrapolant builds them once and evaluate(beta)
-runs the O(K) final sum and Delta. The convolution alternates and cancels
-more digits as d grows, and at small beta the final sum does too. When their
-combined loss reaches into the guard digits, the sum is redone at a raised
-precision: with a T built there once if the beta sum lost nothing, else with
-T rebuilt.
+integer, rounded once, and each T_k is the exact integer sum of the products
+of the g and M mantissas, rounded once. M depends only on d, K and the
+precision, so a small bounded cache keeps it across builds. No T_k depends
+on beta, so an Extrapolant builds them once and evaluate(beta) runs the
+O(K) final sum and Delta. The convolution alternates and cancels more digits
+as d grows, and at small beta the final sum does too. When their combined
+loss reaches into the guard digits, the sum is redone at a raised precision:
+with a T built there once if the beta sum lost nothing, else with T rebuilt.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import ceil, comb, factorial, log10
 
 from mpmath import mp, mpc, mpf, ln, pi, sqrt
-from mpmath.libmp import mpf_mul, mpf_sum
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_euler,
+                          mpf_log, mpf_mul, mpf_sub, round_nearest)
 
 from .errors import DomainError, TruncationWarning
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, rho_eval
-from .specfun import PrecisionContext, _euler_gamma, _to_beta
+from .specfun import PrecisionContext, _to_beta
 
 __all__ = [
     "ExtrapolationResult",
@@ -60,57 +62,63 @@ class ExtrapolationResult:
     im_residual: mpf
 
 
-def _fp_kernel_values(d: int, jmax: int) -> list[mpf]:
-    """M[j + d] = FP int_0^inf e^{-x/2} x^{-j} dx for j = -d..jmax, at ambient
-    precision.
+@lru_cache(maxsize=4)
+def _fp_kernel_values(d: int, jmax: int, prec: int) -> tuple[tuple[int, int], ...]:
+    """Signed (mantissa, exponent) of M[j + d] = FP int_0^inf e^{-x/2} x^{-j} dx
+    for j = -d..jmax, rounded to prec bits.
 
     j <= 0 is the convergent value (-j)! 2^{1-j}, from exact integers. j >= 1
-    rolls (-1)^j (1/2)^{j-1}/(j-1)! (ln(1/2) - psi(j)) with an incremental
-    harmonic number, so building hundreds of orders stays O(jmax).
+    rolls (-1)^{j+1} (1/2)^{j-1}/(j-1)! (ln 2 + psi(j)) with an incremental
+    harmonic number, so building hundreds of orders stays O(jmax). Every libmp
+    call takes prec, not the ambient precision, so a cached table depends on
+    its arguments alone.
     """
-    out = [mpf(factorial(n) << (n + 1)) for n in range(d, -1, -1)]
-    gamma = _euler_gamma()
-    ln_half = -ln(mpf(2))
-    harmonic = mpf(0)  # H_{j-1}
-    inv_fact = mpf(1)  # 1/(j-1)!
-    power = mpf(1)  # (1/2)^{j-1}
+    rnd = round_nearest
+    out = [(man, exp) for _, man, exp, _ in
+           (from_int(factorial(n) << (n + 1), prec, rnd) for n in range(d, -1, -1))]
+    ln2, gamma = mpf_log(from_int(2), prec, rnd), mpf_euler(prec, rnd)
+    harmonic, inv_fact = fzero, fone  # H_{j-1}, 1/(j-1)!
     for j in range(1, jmax + 1):
-        psi_j = -gamma + harmonic
-        out.append((-1) ** j * power * inv_fact * (ln_half - psi_j))
-        harmonic += mpf(1) / j
-        power /= 2
-        inv_fact /= j
-    return out
+        psi_j = mpf_sub(harmonic, gamma, prec, rnd)
+        _, man, exp, _ = mpf_mul(inv_fact, mpf_add(ln2, psi_j, prec, rnd), prec, rnd)
+        out.append((man if j % 2 else -man, exp + 1 - j))  # ln 2 + psi(j) > 0
+        harmonic = mpf_add(harmonic, mpf_div(fone, from_int(j), prec, rnd), prec, rnd)
+        inv_fact = mpf_div(inv_fact, from_int(j), prec, rnd)
+    return tuple(out)
 
 
 def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], ...]:
-    """Exact (numerator, denominator) of each g_l = (-1)^l/l! sum_m c_m C(m, l).
-    The c_m are dyadic, so with e their least binary exponent each sum times
-    2^{-e} is an integer."""
+    """Exact (G_l, e) with g_l = (-1)^l G_l 2^e / l!, G_l 2^e = sum_m c_m C(m, l).
+    The c_m are dyadic, so with e their least binary exponent each G_l is an
+    integer."""
     parts = [c.man_exp for c in rec.c]
     e = min((exp for man, exp in parts if man), default=0)
     ints = [man << (exp - e) for man, exp in parts]
-    sums = [sum(ints[m] * comb(m, l) for m in range(l, rec.d + 1)) for l in range(rec.d + 1)]
-    return tuple(((-1) ** l * G << max(e, 0), factorial(l) << max(-e, 0))
-                 for l, G in enumerate(sums))
+    return tuple((sum(ints[m] * comb(m, l) for m in range(l, rec.d + 1)), e)
+                 for l in range(rec.d + 1))
 
 
 def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:
     """(T_0..T_K, digits lost) at ambient precision; T_k = sum_l g_l M[2k+1-l].
-    Each g_l is rounded once, and each T_k is mp.fdot's exact products with
-    one rounding of their sum, with the products kept: the digits lost are
-    the largest gap between a product's and its sum's binary exponents."""
+    Each g_l is rounded once from its exact parts, and each T_k is the exact
+    integer sum of the products of g and M mantissas, rounded once. The
+    digits lost are the largest gap between a product's and its sum's binary
+    exponents (exponent + bitcount, as mp.mag reads it)."""
     d = len(g) - 1
     prec, rnd = mp._prec_rounding
-    gl = [mp.fdiv(num, den)._mpf_ for num, den in g]
-    M = [m._mpf_ for m in _fp_kernel_values(d, 2 * K + 1)]
+    gl = [mpf_div(from_man_exp((-1) ** l * G, e), from_int(factorial(l)), prec, rnd)
+          for l, (G, e) in enumerate(g)]
+    gl = [(-man if sign else man, exp) for sign, man, exp, _ in gl]
+    M = _fp_kernel_values(d, 2 * K + 1, prec)
     T, lost_bits = [], 0
     for k in range(K + 1):
-        terms = [mpf_mul(a, M[2 * k + 1 - l + d]) for l, a in enumerate(gl)]
-        t = mpf_sum(terms, prec, rnd)
+        terms = [(a * m, ea + em)
+                 for (a, ea), (m, em) in zip(gl, M[2 * k + 1 + d:2 * k:-1]) if a]
+        e0 = min((e for _, e in terms), default=0)
+        t = from_man_exp(sum(m << (e - e0) for m, e in terms), e0, prec, rnd)
         T.append(mp.make_mpf(t))
-        if t[1]:  # mag = exponent + bitcount, as mp.mag reads it
-            top = max(exp + bc for _, man, exp, bc in terms if man)
+        if t[1]:
+            top = max(e + abs(m).bit_length() for m, e in terms)
             lost_bits = max(lost_bits, top - (t[2] + t[3]))
     return tuple(T), ceil(lost_bits * log10(2))
 
@@ -143,7 +151,7 @@ class Extrapolant:
         """K=None means 2d (all useful terms); stacklevel is TruncationWarning's."""
         K = 2 * rec.d if K is None else K
         if K < 1:
-            raise DomainError(f"tail_sum requires K >= 1, got {K}")
+            raise DomainError(f"truncation K must be >= 1, got {K}")
         if K > 2 * rec.d:
             warnings.warn(
                 f"truncation K={K} beyond 2d={2 * rec.d}; extra terms cannot improve the result",

@@ -8,6 +8,10 @@ writes the manifest before it and checks against it after:
     python tests/cli_golden.py --write   # record the manifest
     python tests/cli_golden.py --check   # rerun everything; exit 1 on a mismatch
 
+--check prints one line per entry that differs, naming which of stdout,
+stderr and the exit code differ, and counts an entry the manifest lacks as a
+difference.
+
 The full set takes about 80 s, most of it in `table 6`. A change that alters
 the output on purpose rewrites the manifest and says so. pytest does not
 collect this file (its name does not start with test_); test_cli.py checks
@@ -57,9 +61,18 @@ def load() -> dict[str, dict]:
 
 
 def check() -> list[str]:
-    """The entries whose output differs from the manifest."""
-    golden = load()
-    return [e for e in ENTRIES if run(e) != golden[e]]
+    """One line per entry that the manifest lacks or whose output differs from
+    it, naming which of stdout, stderr and the exit code differ."""
+    golden, bad = load(), []
+    for e in ENTRIES:
+        if e not in golden:
+            bad.append(f"missing from the manifest: {e}")
+            continue
+        got = run(e)
+        fields = [f for f in ("stdout", "stderr", "exit") if got[f] != golden[e].get(f)]
+        if fields:
+            bad.append(f"differs in {', '.join(fields)}: {e}")
+    return bad
 
 
 def main() -> int:
@@ -73,8 +86,8 @@ def main() -> int:
                         encoding="utf-8")
         return 0
     bad = check()
-    for e in bad:
-        print(f"differs: {e}")
+    for line in bad:
+        print(line)
     print(f"{len(ENTRIES) - len(bad)} of {len(ENTRIES)} entries match")
     return 1 if bad else 0
 

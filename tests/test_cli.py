@@ -284,6 +284,13 @@ def test_truncation_warning_is_one_stderr_line():
                         "extra terms cannot improve the result\n")
 
 
+def test_truncation_below_one_exits_2_naming_the_truncation(capsys):
+    code, out, err = run(["extrapolate", "--moments", "10", "--truncation", "0",
+                          "--beta", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: truncation K must be >= 1, got 0\n"
+
+
 def test_compare_builds_the_tail_once(monkeypatch, capsys):
     # one T build for the reconstruction, not one per beta
     builds = []
@@ -417,6 +424,17 @@ def test_cross_process_byte_determinism(tmp_path):
     r2 = _run_child(argv)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_golden_check_names_what_differs(monkeypatch, capsys):
+    same = {"exit": 0, "stdout": "x", "stderr": "y"}
+    monkeypatch.setattr(cli_golden, "ENTRIES", ("a", "b", "c"))
+    monkeypatch.setattr(cli_golden, "load", lambda: {"a": same, "b": same})
+    monkeypatch.setattr(cli_golden, "run", lambda e: {**same, "exit": int(e != "a")})
+    monkeypatch.setattr(sys, "argv", ["cli_golden.py", "--check"])
+    assert cli_golden.main() == 1
+    assert capsys.readouterr().out == ("differs in exit: b\nmissing from the manifest: c\n"
+                                       "1 of 3 entries match\n")
 
 
 @pytest.mark.parametrize("entry", cli_golden.QUICK)

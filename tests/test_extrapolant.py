@@ -1,10 +1,12 @@
 """Extrapolant layer: finite-part kernel values, tail construction, the pole
 correction, and end-to-end accuracy against the closed forms."""
+import math
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from mpmath import euler, exp, log, log10, mp, mpf, polyval
+from mpmath.libmp import mpf_mul, mpf_sum
 
 from heulag import (
     DomainError,
@@ -21,7 +23,7 @@ from heulag import (
     rho_eval,
     tail_sum,
 )
-from heulag.extrapolant import _fp_kernel_values
+from heulag.extrapolant import _density_taylor, _fp_kernel_values, _tail_coefficients
 from conftest import printed_match, rel_err
 
 
@@ -31,7 +33,26 @@ from conftest import printed_match, rel_err
 
 def _kernel_table(d: int, jmax: int, ctx: PrecisionContext) -> dict[int, mpf]:
     with ctx.work():
-        return dict(zip(range(-d, jmax + 1), _fp_kernel_values(d, jmax)))
+        pairs = _fp_kernel_values(d, jmax, mp.prec)
+        return dict(zip(range(-d, jmax + 1), (mpf(pair) for pair in pairs)))
+
+
+def _reference_kernel(d: int, jmax: int) -> list[mpf]:
+    """The kernel table as a loop over mpf objects at ambient precision, in the
+    same order of operations as the libmp table."""
+    out = [mpf(factorial(n) << (n + 1)) for n in range(d, -1, -1)]
+    gamma = +mp.euler
+    ln_half = -log(mpf(2))
+    harmonic = mpf(0)  # H_{j-1}
+    inv_fact = mpf(1)  # 1/(j-1)!
+    power = mpf(1)  # (1/2)^{j-1}
+    for j in range(1, jmax + 1):
+        psi_j = -gamma + harmonic
+        out.append((-1) ** j * power * inv_fact * (ln_half - psi_j))
+        harmonic += mpf(1) / j
+        power /= 2
+        inv_fact /= j
+    return out
 
 
 def test_kernel_k0_l0_is_ln2_minus_gamma(ctx60):
@@ -63,9 +84,58 @@ def test_kernel_convergent_orders_are_exact(ctx60):
         assert M[-n] == factorial(n) * 2 ** (n + 1), n
 
 
+@pytest.mark.parametrize("d", [19, 49, 199])
+def test_kernel_table_matches_the_mpf_loop(d):
+    for ctx in (PrecisionContext(30), PrecisionContext(60, guard=5), PrecisionContext(200)):
+        M = _kernel_table(d, 4 * d + 1, ctx)
+        with ctx.work():
+            ref = _reference_kernel(d, 4 * d + 1)
+        assert [M[j]._mpf_ for j in range(-d, 4 * d + 2)] == [r._mpf_ for r in ref], ctx
+
+
 # ---------------------------------------------------------------------------
 # The tail coefficients T_k as finite-part integrals of the density factor.
 # ---------------------------------------------------------------------------
+
+def _reference_tail(g, K: int) -> tuple[tuple[mpf, ...], int]:
+    """(T, digits lost) through mpf objects: each g_l by mp.fdiv of an integer
+    numerator and denominator, the mpf kernel loop, and mpf_mul/mpf_sum."""
+    d = len(g) - 1
+    prec, rnd = mp._prec_rounding
+    gl = [mp.fdiv((-1) ** l * G << max(e, 0), factorial(l) << max(-e, 0))._mpf_
+          for l, (G, e) in enumerate(g)]
+    M = [m._mpf_ for m in _reference_kernel(d, 2 * K + 1)]
+    T, lost_bits = [], 0
+    for k in range(K + 1):
+        terms = [mpf_mul(a, M[2 * k + 1 - l + d]) for l, a in enumerate(gl)]
+        t = mpf_sum(terms, prec, rnd)
+        T.append(mp.make_mpf(t))
+        if t[1]:
+            top = max(exp + bc for _, man, exp, bc in terms if man)
+            lost_bits = max(lost_bits, top - (t[2] + t[3]))
+    return tuple(T), math.ceil(lost_bits * math.log10(2))
+
+
+def _bits(T) -> list[tuple]:
+    return [t._mpf_ for t in T]
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("moments, digits", [(10, 30), (50, 60), (100, 100)])
+def test_integer_T_matches_the_mpf_reference(model, moments, digits, reconstruct):
+    # the exact integer sums round to the mpf route's bits and lose as much,
+    # at workdps and at the raised precision of T_raised
+    ctx = PrecisionContext(digits)
+    g = _density_taylor(reconstruct(model, moments, digits))
+    K = 2 * (moments - 1)
+    with ctx.work():
+        T, lost = _tail_coefficients(g, K)
+        ref, ref_lost = _reference_tail(g, K)
+    assert (_bits(T), lost) == (_bits(ref), ref_lost)
+    with ctx.work(lost + 5):
+        (T, raised_lost), (ref, ref_raised_lost) = _tail_coefficients(g, K), _reference_tail(g, K)
+    assert (_bits(T), raised_lost) == (_bits(ref), ref_raised_lost)
+
 
 def _density_factor(rec, order: int) -> KernelDescriptor:
     """g(x) = e^{-x/2} sum_m c_m L_m(x) with `order` exact Taylor coefficients,
@@ -133,6 +203,26 @@ def test_one_build_evaluates_like_fresh_calls(model, ctx, reconstruct):
         assert ext.evaluate(beta) == extrapolate(model, rec, beta, None, ctx)
     # the raised T is built only where T's own loss needs it
     assert ("T_raised" in vars(ext)) == (ctx.guard == 5)
+
+
+def test_one_shot_calls_share_the_kernel_table(reconstruct):
+    rec = reconstruct(ModelId.SPIN0, 50, 60)
+    _fp_kernel_values.cache_clear()
+    for beta in ("1", "1e7"):
+        extrapolate(ModelId.SPIN0, rec, beta, None, PrecisionContext(60))
+    assert _fp_kernel_values.cache_info().misses == 1
+
+
+def test_kernel_cache_stays_bounded(reconstruct):
+    # at guard 5 the betas raise the precision by different amounts, so each
+    # asks for its own table
+    rec = reconstruct(ModelId.SPIN0, 50, 60)
+    ctx = PrecisionContext(60, guard=5)
+    _fp_kernel_values.cache_clear()
+    for beta in ("1e-4", "0.01", "1", "1e7", "1e20"):
+        extrapolate(ModelId.SPIN0, rec, beta, None, ctx)
+    info = _fp_kernel_values.cache_info()
+    assert info.misses > 1 and info.maxsize is not None and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("moments, digits", [(50, 60), (100, 100)])

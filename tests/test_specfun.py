@@ -202,6 +202,7 @@ def _zeta_sderiv(s0: int, a: mpf, ctx: PrecisionContext) -> mpf:
 
 
 ZETA_REFERENCES = zeta_sderiv_references.load()
+LOGGAMMA_REFERENCES = zeta_sderiv_references.load_loggamma()
 
 
 @pytest.mark.parametrize("a", zeta_sderiv_references.ARGUMENTS)
@@ -223,28 +224,32 @@ def test_zeta_sderiv_edge_sweep_against_mpmath(s0, digits, a):
 
 def test_frozen_zeta_references_match_mpmath():
     # recomputing at 100 digits catches a corrupted or truncated data file
-    for s0 in zeta_sderiv_references.ORDERS:
-        for a in zeta_sderiv_references.ARGUMENTS:
-            text = ZETA_REFERENCES[str(s0)][a]
-            mantissa = text.partition("e")[0].lstrip("-0.").replace(".", "")
-            assert len(mantissa) >= zeta_sderiv_references.DIGITS + 10, (s0, a)
-            fresh = zeta_sderiv_references.mpmath_zeta_sderiv(s0, a, 100)
-            with mp.workdps(110):
-                assert rel_err(fresh, mpf(text)) < mpf("1e-105"), (s0, a)
+    z = zeta_sderiv_references
+    refs = [(ZETA_REFERENCES[str(s0)][a], z.DIGITS, z.mpmath_zeta_sderiv(s0, a, 100))
+            for s0 in z.ORDERS for a in z.ARGUMENTS]
+    refs += [(LOGGAMMA_REFERENCES[str(digits)][a], digits,
+              z.mpmath_zeta0_sderiv_by_loggamma(a, 100))
+             for digits in z.LOGGAMMA_DIGITS for a in z.LOGGAMMA_ARGUMENTS]
+    for text, digits, fresh in refs:
+        mantissa = text.partition("e")[0].lstrip("-0.").replace(".", "")
+        assert len(mantissa) >= digits + 10, text[:20]
+        with mp.workdps(110):
+            assert rel_err(fresh, mpf(text)) < mpf("1e-105"), text[:20]
 
 
-@pytest.mark.parametrize("digits", [1000, 1500])
+@pytest.mark.parametrize("digits", zeta_sderiv_references.LOGGAMMA_DIGITS)
 def test_high_precision_against_mpmath(digits):
-    # zeta'(0, a) = ln Gamma(a) - (1/2) ln 2pi against mpmath's loggamma;
-    # zeta'(-1, a) at 1000 digits is the sweep above, and every closed form,
-    # which takes both, at 1000 and 1500 digits is
+    # zeta'(0, a) = ln Gamma(a) - (1/2) ln 2pi against mpmath's loggamma,
+    # frozen: its first call at these precisions takes seconds. zeta'(-1, a)
+    # at 1000 digits is the sweep above, and every closed form, which takes
+    # both, at 1000 and 1500 digits is
     # test_closed_form_high_precision_against_mpmath
     ctx = PrecisionContext(digits)
     tol = mpf(10) ** (1 - digits)
-    for text in ("0.3", "2.5", "17"):
-        b = _argument(text, ctx)
-        ref = _mpmath(lambda x: mp.loggamma(x) - mp.log(2 * mp.pi) / 2, ctx, b)
-        assert rel_err(_zeta_sderiv(0, b, ctx), ref) < tol, text
+    for text in zeta_sderiv_references.LOGGAMMA_ARGUMENTS:
+        with mp.workdps(digits + 10):
+            ref = mpf(LOGGAMMA_REFERENCES[str(digits)][text])
+        assert rel_err(_zeta_sderiv(0, _argument(text, ctx), ctx), ref) < tol, text
 
 
 # ---------------------------------------------------------------------------
