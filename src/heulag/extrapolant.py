@@ -25,7 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import ceil, comb, factorial, log10
+from math import ceil, factorial, log10
 
 from mpmath import mp, mpc, mpf, ln, pi, sqrt
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_euler,
@@ -33,7 +33,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
 
 from .errors import DomainError, TruncationWarning
 from .models import ModelId
-from .momentrec import ReconstructionCoefficients, rho_eval
+from .momentrec import ReconstructionCoefficients, _taylor_shift, rho_eval
 from .specfun import PrecisionContext, _to_beta
 
 __all__ = [
@@ -90,12 +90,10 @@ def _fp_kernel_values(d: int, jmax: int, prec: int) -> tuple[tuple[int, int], ..
 def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], ...]:
     """Exact (G_l, e) with g_l = (-1)^l G_l 2^e / l!, G_l 2^e = sum_m c_m C(m, l).
     The c_m are dyadic, so with e their least binary exponent each G_l is an
-    integer."""
+    integer, and G is a Taylor shift of the integers c_m 2^{-e}."""
     parts = [c.man_exp for c in rec.c]
     e = min((exp for man, exp in parts if man), default=0)
-    ints = [man << (exp - e) for man, exp in parts]
-    return tuple((sum(ints[m] * comb(m, l) for m in range(l, rec.d + 1)), e)
-                 for l in range(rec.d + 1))
+    return tuple((G, e) for G in _taylor_shift([man << (exp - e) for man, exp in parts]))
 
 
 def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:

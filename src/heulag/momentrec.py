@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from mpmath import mp, mpc, mpf, exp
 
@@ -92,23 +92,32 @@ def moments_from_coeffs(series: SeriesCoefficients, d: int) -> MomentVector:
 def build_P_exact(d: int) -> tuple[tuple[int, ...], ...]:
     """Exact integer matrix P(n,m) = m! 2^{2n+2} sum_k (-2)^k (2n+k+1)!/((k!)^2 (m-k)!).
 
-    Row-wise: u_k = (-2)^k (2n+k+1)!/k! is built by an exact integer
-    recurrence, then P(n,m) = 2^{2n+2} sum_{k<=m} C(m,k) u_k.
+    Row n is 2^{2n+2} (2n+1)! F_m with F_m = 2F1(-m, 2n+2; 1; 2), and Gauss's
+    contiguous relation in m (DLMF 15.5.11) gives
+    (m+1) P(n,m+1) = m P(n,m-1) - (4n+3) P(n,m): each entry from the two
+    before it by small-integer multiplications and one exact division, O(d^2)
+    steps in all.
     """
     if d < 0:
         raise DomainError(f"build_P_exact requires d >= 0, got {d}")
     rows = []
     for n in range(d + 1):
-        u = [0] * (d + 1)
-        r = factorial(2 * n + 1)
-        u[0] = r
-        for k in range(d):
-            r = r * (2 * n + k + 2) // (k + 1)
-            u[k + 1] = (-2) ** (k + 1) * r
-        pref = 2 ** (2 * n + 2)
-        rows.append(tuple(pref * sum(comb(m, k) * u[k] for k in range(m + 1))
-                          for m in range(d + 1)))
+        a, prev, x = 4 * n + 3, 0, factorial(2 * n + 1) << (2 * n + 2)
+        row = []
+        for m in range(d + 1):
+            row.append(x)
+            prev, x = x, (m * prev - a * x) // (m + 1)
+        rows.append(tuple(row))
     return tuple(rows)
+
+
+def _taylor_shift(a: list[int]) -> list[int]:
+    """a_k -> sum_m a_m C(m, k) in place: the coefficients of p(s + 1) for
+    p(s) = sum_k a_k s^k, in O(d^2) integer additions."""
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] += a[k + 1]
+    return a
 
 
 def _magnitude_digits(rows) -> int:
@@ -124,7 +133,8 @@ def _exact_solve(mu: tuple[Fraction, ...]) -> tuple[list[int], int]:
     and the Pascal matrix C[m][k] = binom(m, k). So t_n = mu_n / (2^{2n+2} (2n+1)!)
     are the values at x_n = 2n+1 of q(x) = sum_k w_k R_k(x), R_k(x) = binom(x+k, k):
     Newton differences at the equispaced nodes give q, Horner's rule rewrites
-    it in the R_k basis, y_k = w_k / (-2)^k, and c(s) = y(s - 1) inverts C^T.
+    it in the R_k basis, y_k = w_k / (-2)^k, and c(s) = y(s - 1) inverts C^T;
+    with y_k = (-1)^k z_k that is c_l = (-1)^l [z(s + 1)]_l, a Taylor shift.
     Integer form of Bjorck & Pereyra, Math. Comp. 24 (1970); O(d^2) operations
     on integers scaled by the common denominator 4^d d! lcm(denominators of t).
     """
@@ -145,11 +155,8 @@ def _exact_solve(mu: tuple[Fraction, ...]) -> tuple[list[int], int]:
             w[k] = k * w[k - 1] - (k + 1 + x) * w[k]
         w[0] = T[j] * f - (1 + x) * w[0]
         f *= 2 * j
-    y = [(-1) ** k * 2 ** (d - k) * v for k, v in enumerate(w)]
-    for i in range(d):  # Taylor shift by -1
-        for k in range(d - 1, i - 1, -1):
-            y[k] -= y[k + 1]
-    return y, 4 ** d * factorial(d) * scale
+    z = _taylor_shift([2 ** (d - k) * v for k, v in enumerate(w)])
+    return [-v if k % 2 else v for k, v in enumerate(z)], 4 ** d * factorial(d) * scale
 
 
 def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCoefficients:

@@ -12,10 +12,10 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set takes about 80 s, most of it in `table 6`. A change that alters
-the output on purpose rewrites the manifest and says so. pytest does not
-collect this file (its name does not start with test_); test_cli.py checks
-the entries listed in QUICK.
+The full set takes about 20 s on a 2-core x86-64 host; each `table 6` entry
+takes 2.5-3 s of that. A change that alters the output on purpose rewrites
+the manifest and says so. pytest does not collect this file (its name does
+not start with test_); test_cli.py checks every entry.
 """
 import argparse
 import hashlib
@@ -39,10 +39,6 @@ COMMANDS = (
 )
 FORMATS = ("markdown", "csv", "json")
 ENTRIES = tuple(" ".join((*cmd, "--format", fmt)) for cmd in COMMANDS for fmt in FORMATS)
-# The entries that each take under a second (0.2-0.4 s on a 2-core x86-64 host);
-# tables 2, 3, 5 and 6 and the quadrature oracle take 0.8-17 s each.
-QUICK = tuple(e for e in ENTRIES
-              if e.startswith(("table 1 ", "table 4 ", "extrapolate ", "compare ")))
 
 
 def run(entry: str) -> dict:

@@ -437,7 +437,7 @@ def test_golden_check_names_what_differs(monkeypatch, capsys):
                                        "1 of 3 entries match\n")
 
 
-@pytest.mark.parametrize("entry", cli_golden.QUICK)
+@pytest.mark.parametrize("entry", cli_golden.ENTRIES)
 def test_cli_output_matches_golden_manifest(entry):
     # stdout, stderr and exit code as recorded in data/cli_golden.json
     assert cli_golden.run(entry) == cli_golden.load()[entry]

@@ -116,6 +116,18 @@ def _reference_tail(g, K: int) -> tuple[tuple[mpf, ...], int]:
     return tuple(T), math.ceil(lost_bits * math.log10(2))
 
 
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("d", [0, 9, 49])
+def test_density_taylor_is_the_binomial_sum(model, d, reconstruct):
+    # G_l 2^e = sum_m c_m C(m, l), with e the least exponent of the c_m
+    rec = reconstruct(model, d + 1, 60)
+    parts = [c.man_exp for c in rec.c]
+    e = min(exp for man, exp in parts if man)
+    x = [man << (exp - e) for man, exp in parts]
+    assert _density_taylor(rec) == tuple(
+        (sum(x[m] * comb(m, l) for m in range(l, d + 1)), e) for l in range(d + 1))
+
+
 def _bits(T) -> list[tuple]:
     return [t._mpf_ for t in T]
 

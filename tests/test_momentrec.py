@@ -67,11 +67,33 @@ def genfun_entry(n: int, m: int) -> int:
 
 
 def test_P_against_generating_function_oracle():
-    d = 12
+    for d in (12, 49):
+        P = build_P_exact(d)
+        for n in range(d + 1):
+            for m in range(d + 1):
+                assert P[n][m] == genfun_entry(n, m), (d, n, m)
+
+
+def defining_sum_entry(n: int, m: int) -> int:
+    # P(n,m) = m! 2^{2n+2} sum_k (-2)^k (2n+k+1)!/((k!)^2 (m-k)!), term by term
+    total = sum(Fraction((-2) ** k * math.factorial(2 * n + k + 1),
+                         math.factorial(k) ** 2 * math.factorial(m - k)) for k in range(m + 1))
+    return math.factorial(m) * 2 ** (2 * n + 2) * total
+
+
+def test_P_matches_its_defining_sum():
+    assert build_P_exact(0) == ((4,),)
+    for d in range(16):
+        assert build_P_exact(d) == tuple(
+            tuple(defining_sum_entry(n, m) for m in range(d + 1)) for n in range(d + 1)), d
+
+
+@pytest.mark.parametrize("d", [19, 49, 99, 199])
+def test_P_corner_is_the_unique_largest_entry(d):
+    # so P's magnitude span is read from P(d, d) alone
     P = build_P_exact(d)
-    for n in range(d + 1):
-        for m in range(d + 1):
-            assert P[n][m] == genfun_entry(n, m), (n, m)
+    corner = abs(P[d][d])
+    assert sum(abs(x) >= corner for row in P for x in row) == 1
 
 
 def test_P_alternating_signs_along_rows():
