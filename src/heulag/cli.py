@@ -10,7 +10,7 @@ All numeric output is serialized as decimal strings (JSON numbers are never
 used for high-precision values), beta rows appear in input order, and cache
 files are written atomically (temp file + rename). Exit codes: 0 success,
 2 domain error (any other HeulagError, or an unreadable or unwritable file),
-4 cache mismatch.
+4 cache mismatch (a stale, missing or malformed cache field).
 """
 from __future__ import annotations
 
@@ -50,20 +50,6 @@ from .specfun import PrecisionContext, _to_beta
 PRINT_DIGITS = 21  # table/report cells carry this many significant digits
 
 Row = dict[str, str]  # one output row: column name -> cell text
-
-
-@dataclass
-class RunConfig:
-    model: ModelId
-    digits: int
-    moments: int | None
-    truncation: int | None
-    betas: list[str]
-    fmt: str
-    cache: str | None
-    oracle: bool = False
-    pade: tuple[int, int] | None = None
-    delta: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -136,92 +122,22 @@ def _emit(command: str, fmt: str, model: ModelId, digits: int,
 # Cache file handling.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientCacheFile:
-    """In-memory image of a coefficient cache file: the identifying header
-    fields plus the coefficient body as full-precision decimal strings."""
-    model: ModelId
-    d: int
-    digits: int
-    generator: str
-    residual_norm: str
-    coefficients: tuple[str, ...]
-
-    @classmethod
-    def from_reconstruction(cls, rec: ReconstructionCoefficients) -> "CoefficientCacheFile":
-        body = []
-        for c in rec.c:
-            bc = c._mpf_[3] if c else 0
-            body.append(nstr(c, max(rec.digits, int(abs(bc) * 0.30103) + 5)))
-        return cls(model=rec.model, d=rec.d, digits=rec.digits,
-                   generator=GENERATOR_VERSION,
-                   residual_norm=_fmt(rec.residual_norm, 8),
-                   coefficients=tuple(body))
-
-    @classmethod
-    def parse(cls, text: str) -> "CoefficientCacheFile":
-        header: dict[str, str] = {}
-        coeff_strings: list[str] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                stripped = line.lstrip("#").strip()
-                if ":" in stripped:
-                    key, _, val = stripped.partition(":")
-                    header[key.strip()] = val.strip()
-            else:
-                coeff_strings.append(line)
-        if header.get("generator") != GENERATOR_VERSION:
-            raise CacheMismatchError("generator", GENERATOR_VERSION, header.get("generator"))
-        for key in ("model", "d", "digits", "residual_norm"):
-            if key not in header:
-                raise CacheMismatchError(key, "present", "missing")
-        d = int(header["d"])
-        if len(coeff_strings) != d + 1:
-            raise CacheMismatchError("coefficient count", d + 1, len(coeff_strings))
-        try:
-            model = ModelId(header["model"])
-        except ValueError:
-            raise CacheMismatchError(
-                "model", "/".join(m.value for m in ModelId), header["model"]) from None
-        return cls(model=model, d=d, digits=int(header["digits"]),
-                   generator=header["generator"],
-                   residual_norm=header["residual_norm"],
-                   coefficients=tuple(coeff_strings))
-
-    def render(self) -> str:
-        lines = [
-            "# heulag coefficient cache",
-            f"# model: {self.model.value}",
-            f"# d: {self.d}",
-            f"# digits: {self.digits}",
-            f"# generator: {self.generator}",
-            f"# residual_norm: {self.residual_norm}",
-        ]
-        lines.extend(self.coefficients)
-        return "\n".join(lines) + "\n"
-
-    def to_reconstruction(self) -> tuple[ReconstructionCoefficients, mpf]:
-        maxlen = max(len(s) for s in self.coefficients)
-        with mp.workdps(maxlen + 10):
-            c = tuple(mpf(s) for s in self.coefficients)
-            stored_residual = mpf(self.residual_norm)
-        rec = ReconstructionCoefficients(
-            model=self.model, d=self.d, c=c, digits=self.digits,
-            residual_norm=stored_residual)
-        return rec, stored_residual
-
-
 def write_cache(path: str, rec: ReconstructionCoefficients) -> None:
-    """Write coefficients atomically; no partial file is ever left behind."""
-    text = CoefficientCacheFile.from_reconstruction(rec).render()
+    """Write the header and each coefficient to full precision, atomically;
+    no partial file is ever left behind."""
+    lines = ["# heulag coefficient cache",
+             f"# model: {rec.model.value}",
+             f"# d: {rec.d}",
+             f"# digits: {rec.digits}",
+             f"# generator: {GENERATOR_VERSION}",
+             f"# residual_norm: {_fmt(rec.residual_norm, 8)}"]
+    # a mantissa of bc bits needs about 0.30103 bc digits
+    lines += (nstr(c, max(rec.digits, int(c._mpf_[3] * 0.30103) + 5)) for c in rec.c)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".heulag-cache-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -229,32 +145,64 @@ def write_cache(path: str, rec: ReconstructionCoefficients) -> None:
         raise
 
 
+def _cache_field(field: str, convert, text: str, expected: str):
+    """convert(text), or a CacheMismatchError naming the field."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise CacheMismatchError(field, expected, text) from None
+
+
 def load_cache(path: str) -> tuple[ReconstructionCoefficients, mpf]:
-    """Parse a cache file; returns (coefficients, stored residual_norm)."""
+    """Parse a cache file; returns (coefficients, stored residual_norm). A
+    stale, missing or malformed field raises CacheMismatchError naming it."""
+    header: dict[str, str] = {}
+    body: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        return CoefficientCacheFile.parse(fh.read()).to_reconstruction()
+        for line in filter(None, map(str.strip, fh)):
+            if not line.startswith("#"):
+                body.append(line)
+            elif ":" in line:
+                key, _, val = line.lstrip("#").partition(":")
+                header[key.strip()] = val.strip()
+    if header.get("generator") != GENERATOR_VERSION:
+        raise CacheMismatchError("generator", GENERATOR_VERSION, header.get("generator"))
+    for key in ("model", "d", "digits", "residual_norm"):
+        if key not in header:
+            raise CacheMismatchError(key, "present", "missing")
+    d = _cache_field("d", int, header["d"], "an integer")
+    if d < 0:
+        raise CacheMismatchError("d", ">= 0", d)
+    if len(body) != d + 1:
+        raise CacheMismatchError("coefficient count", d + 1, len(body))
+    model = _cache_field("model", ModelId, header["model"], "/".join(m.value for m in ModelId))
+    digits = _cache_field("digits", int, header["digits"], "an integer")
+    with mp.workdps(max(map(len, body)) + 10):
+        c = tuple(_cache_field("coefficients", mpf, v, "a decimal number") for v in body)
+        stored = _cache_field("residual_norm", mpf, header["residual_norm"], "a decimal number")
+    return ReconstructionCoefficients(model, d, c, digits, stored), stored
 
 
 # ---------------------------------------------------------------------------
 # Reconstruction plumbing shared by subcommands.
 # ---------------------------------------------------------------------------
 
-def _reconstruct(config: RunConfig) -> ReconstructionCoefficients:
-    if config.moments is None:
+def _reconstruct(args: argparse.Namespace) -> ReconstructionCoefficients:
+    if args.moments is None:
         raise DomainError("this command requires --moments")
-    if config.moments < 1:
-        raise DomainError(f"--moments must be >= 1, got {config.moments}")
-    return reconstruct(config.model, config.moments, PrecisionContext(config.digits))
+    if args.moments < 1:
+        raise DomainError(f"--moments must be >= 1, got {args.moments}")
+    return reconstruct(args.model, args.moments, PrecisionContext(args.digits))
 
 
 def _verify_cache(rec: ReconstructionCoefficients, stored_residual: mpf,
-                  config: RunConfig) -> None:
-    if rec.model is not config.model:
-        raise CacheMismatchError("model", config.model.value, rec.model.value)
-    if config.moments is not None and rec.d != config.moments - 1:
-        raise CacheMismatchError("d", config.moments - 1, rec.d)
-    if rec.digits < config.digits:
-        raise CacheMismatchError("digits", f">= {config.digits}", rec.digits)
+                  args: argparse.Namespace) -> None:
+    if rec.model is not args.model:
+        raise CacheMismatchError("model", args.model.value, rec.model.value)
+    if args.moments is not None and rec.d != args.moments - 1:
+        raise CacheMismatchError("d", args.moments - 1, rec.d)
+    if rec.digits < args.digits:
+        raise CacheMismatchError("digits", f">= {args.digits}", rec.digits)
     ctx = PrecisionContext(rec.digits)
     series = coefficients(rec.model, rec.d + 1)
     mu = moments_from_coeffs(series, rec.d)
@@ -265,14 +213,14 @@ def _verify_cache(rec: ReconstructionCoefficients, stored_residual: mpf,
             raise CacheMismatchError("residual_norm", str(stored_residual), str(fresh))
 
 
-def _obtain_reconstruction(config: RunConfig) -> ReconstructionCoefficients:
-    if config.cache and os.path.exists(config.cache):
-        rec, stored = load_cache(config.cache)
-        _verify_cache(rec, stored, config)
+def _obtain_reconstruction(args: argparse.Namespace) -> ReconstructionCoefficients:
+    if args.cache and os.path.exists(args.cache):
+        rec, stored = load_cache(args.cache)
+        _verify_cache(rec, stored, args)
         return rec
-    rec = _reconstruct(config)
-    if config.cache:
-        write_cache(config.cache, rec)
+    rec = _reconstruct(args)
+    if args.cache:
+        write_cache(args.cache, rec)
     return rec
 
 
@@ -280,59 +228,58 @@ def _obtain_reconstruction(config: RunConfig) -> ReconstructionCoefficients:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def cmd_exact(config: RunConfig, out) -> int:
-    ctx = PrecisionContext(config.digits)
-    columns = ["beta", "exact"] + (["oracle"] if config.oracle else [])
+def cmd_exact(args: argparse.Namespace, out) -> int:
+    ctx = PrecisionContext(args.digits)
+    columns = ["beta", "exact"] + (["oracle"] if args.oracle else [])
     rows = []
-    for b in config.betas:
-        row = {"beta": b, "exact": _fmt(closed_form(config.model, b, ctx), config.digits)}
-        if config.oracle:
-            row["oracle"] = _fmt(direct_integral_oracle(config.model, b, ctx), config.digits)
+    for b in args.betas:
+        row = {"beta": b, "exact": _fmt(closed_form(args.model, b, ctx), args.digits)}
+        if args.oracle:
+            row["oracle"] = _fmt(direct_integral_oracle(args.model, b, ctx), args.digits)
         rows.append(row)
-    out.write(_emit("exact", config.fmt, config.model, config.digits, columns, rows))
+    out.write(_emit("exact", args.fmt, args.model, args.digits, columns, rows))
     return 0
 
 
-def cmd_series(config: RunConfig, out) -> int:
-    if config.truncation is None:
+def cmd_series(args: argparse.Namespace, out) -> int:
+    if args.truncation is None:
         raise DomainError("series requires --truncation (the partial-sum order d)")
-    ctx = PrecisionContext(config.digits)
-    d = config.truncation
+    ctx = PrecisionContext(args.digits)
+    d = args.truncation
     rows = [{"beta": b, "d": str(d),
-             "partial_sum": _fmt(partial_sum(config.model, b, d, ctx), config.digits)}
-            for b in config.betas]
-    out.write(_emit("series", config.fmt, config.model, config.digits,
+             "partial_sum": _fmt(partial_sum(args.model, b, d, ctx), args.digits)}
+            for b in args.betas]
+    out.write(_emit("series", args.fmt, args.model, args.digits,
                     ["beta", "d", "partial_sum"], rows))
     return 0
 
 
-def cmd_reconstruct(config: RunConfig, out) -> int:
-    if not config.cache:
+def cmd_reconstruct(args: argparse.Namespace, out) -> int:
+    if not args.cache:
         raise DomainError("reconstruct requires --cache PATH to persist coefficients")
-    rec = _reconstruct(config)
-    write_cache(config.cache, rec)
+    rec = _reconstruct(args)
+    write_cache(args.cache, rec)
     out.write(f"residual_norm: {_fmt(rec.residual_norm, 8)}\n")
-    out.write(f"coefficients: {rec.d + 1} -> {config.cache}\n")
+    out.write(f"coefficients: {rec.d + 1} -> {args.cache}\n")
     return 0
 
 
-def cmd_extrapolate(config: RunConfig, out) -> int:
-    rec = _obtain_reconstruction(config)
-    ctx = PrecisionContext(config.digits)
-    ext = cache(lambda: Extrapolant.build(rec, config.truncation, ctx))  # on the first beta
-    columns = ["beta", "value", "tail", "delta", "K", "im_residual"]
+def cmd_extrapolate(args: argparse.Namespace, out) -> int:
+    rec = _obtain_reconstruction(args)
+    ctx = PrecisionContext(args.digits)
+    ext = cache(lambda: Extrapolant.build(rec, args.truncation, ctx))  # on the first beta
+    columns = ["beta", "value", "tail", "delta", "K"]
     rows = []
-    for b in config.betas:
+    for b in args.betas:
         r: ExtrapolationResult = ext().evaluate(b)
         rows.append({
             "beta": b,
-            "value": _fmt(r.value, config.digits),
-            "tail": _fmt(r.tail, config.digits),
-            "delta": _fmt(r.delta, config.digits),
+            "value": _fmt(r.value, args.digits),
+            "tail": _fmt(r.tail, args.digits),
+            "delta": _fmt(r.delta, args.digits),
             "K": str(r.K),
-            "im_residual": _fmt(r.im_residual, 5),
         })
-    out.write(_emit("extrapolate", config.fmt, config.model, config.digits, columns, rows))
+    out.write(_emit("extrapolate", args.fmt, args.model, args.digits, columns, rows))
     return 0
 
 
@@ -417,40 +364,40 @@ def _cell(method: Callable[[str], mpf], beta: str, exact: mpf, fmt: str) -> tupl
     return (_bracket(text, agree) if fmt == "markdown" else text), str(agree)
 
 
-def _compare_columns(config: RunConfig) -> list[Method]:
+def _compare_columns(args: argparse.Namespace) -> list[Method]:
     """Ordered methods of the comparison grid, run at the requested digits."""
-    model, digits = config.model, config.digits
+    model, digits = args.model, args.digits
     ctx = PrecisionContext(digits)
     cols: list[Method] = []
-    order = config.truncation if config.truncation is not None else (
-        config.moments - 1 if config.moments else None)
+    order = args.truncation if args.truncation is not None else (
+        args.moments - 1 if args.moments else None)
     if order is not None:
         cols.append((f"partial_d{order}", lambda b: partial_sum(model, b, order, ctx)))
-    if config.pade is not None:
-        cols += _Pade(*config.pade).methods(model, digits)
-    if config.delta is not None:
-        cols += _Delta(config.delta).methods(model, digits)
-    if config.moments is not None:
-        rec = _obtain_reconstruction(config)
+    if args.pade is not None:
+        cols += _Pade(*args.pade).methods(model, digits)
+    if args.delta is not None:
+        cols += _Delta(args.delta).methods(model, digits)
+    if args.moments is not None:
+        rec = _obtain_reconstruction(args)
         ext = cache(lambda: Extrapolant.build(rec, None, ctx))
         cols.append((f"extrap_d{rec.d}", lambda b: ext().evaluate(b).value))
     return cols
 
 
-def cmd_compare(config: RunConfig, out) -> int:
-    ctx = PrecisionContext(config.digits)
-    methods = _compare_columns(config)
+def cmd_compare(args: argparse.Namespace, out) -> int:
+    ctx = PrecisionContext(args.digits)
+    methods = _compare_columns(args)
     columns = ["beta"] + [name for name, _ in methods] + ["exact"]
-    if config.fmt != "markdown":
+    if args.fmt != "markdown":
         columns += [f"{name}_agree" for name, _ in methods]
     rows = []
-    for b in config.betas:
-        exact = closed_form(config.model, b, ctx)
+    for b in args.betas:
+        exact = closed_form(args.model, b, ctx)
         row = {"beta": b, "exact": _fmt(exact)}
         for name, method in methods:
-            row[name], row[f"{name}_agree"] = _cell(method, b, exact, config.fmt)
+            row[name], row[f"{name}_agree"] = _cell(method, b, exact, args.fmt)
         rows.append(row)
-    out.write(_emit("compare", config.fmt, config.model, config.digits, columns, rows))
+    out.write(_emit("compare", args.fmt, args.model, args.digits, columns, rows))
     return 0
 
 
@@ -521,13 +468,13 @@ _TABLES = {
 }
 
 
-def cmd_table(config: RunConfig, number: int, out) -> int:
-    table = _TABLES.get(number)
+def cmd_table(args: argparse.Namespace, out) -> int:
+    table = _TABLES.get(args.number)
     if table is None:
-        raise DomainError(f"table number must be 1..{len(_TABLES)}, got {number}")
-    digits = max(config.digits, table.floor)
-    columns, rows = table.layout(table, digits, config.fmt)
-    out.write(_emit("table", config.fmt, table.model, digits, columns, rows))
+        raise DomainError(f"table number must be 1..{len(_TABLES)}, got {args.number}")
+    digits = max(args.digits, table.floor)
+    columns, rows = table.layout(table, digits, args.fmt)
+    out.write(_emit("table", args.fmt, table.model, digits, columns, rows))
     return 0
 
 
@@ -570,75 +517,52 @@ _FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with only the flags it reads."""
+    """One subparser per command, each with only the flags it reads and the
+    function that runs it."""
     parser = argparse.ArgumentParser(
         prog="heulag",
         description="Arbitrary-precision Heisenberg-Euler functions and "
                     "divergent-series resummation")
     sub = parser.add_subparsers(dest="command", required=True)
     # A flag a command does not take keeps its default in the namespace.
-    parser.set_defaults(**{spec.get("dest", flag[2:]): spec["default"]
+    parser.set_defaults(oracle=False, pade=None, delta=None,
+                        **{spec.get("dest", flag[2:]): spec["default"]
                            for flag, spec in _FLAGS.items()})
 
-    def command(name, help, *flags):
+    def command(name, help, run, *flags):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    p_exact = command("exact", "closed-form values",
+    p_exact = command("exact", "closed-form values", cmd_exact,
                       "--model", "--digits", "--beta", "--format")
     p_exact.add_argument("--oracle", action="store_true",
                          help="also run the direct-quadrature oracle")
-    command("series", "partial sums of the weak-field series",
+    command("series", "partial sums of the weak-field series", cmd_series,
             "--model", "--digits", "--truncation", "--beta", "--format")
-    command("reconstruct", "solve the moment problem, write cache",
+    command("reconstruct", "solve the moment problem, write cache", cmd_reconstruct,
             "--model", "--digits", "--moments", "--cache")
-    command("extrapolate", "strong-field extrapolant rows", *_FLAGS)
-    p_cmp = command("compare", "method-comparison grid", *_FLAGS)
+    command("extrapolate", "strong-field extrapolant rows", cmd_extrapolate, *_FLAGS)
+    p_cmp = command("compare", "method-comparison grid", cmd_compare, *_FLAGS)
     p_cmp.add_argument("--pade", type=str, default=None, help="N,M degrees, N >= M - 1")
     p_cmp.add_argument("--delta", type=int, default=None, help="delta order n")
-    p_tab = command("table", "desk-scale reproduction of tables 1-6", "--digits", "--format")
+    p_tab = command("table", "desk-scale reproduction of tables 1-6", cmd_table,
+                    "--digits", "--format")
     p_tab.add_argument("number", type=int)
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        model=ModelId(args.model),
-        digits=args.digits,
-        moments=args.moments,
-        truncation=args.truncation,
-        betas=_parse_betas(args.beta),
-        fmt=args.fmt,
-        cache=args.cache,
-        oracle=getattr(args, "oracle", False),
-        pade=_parse_pade(getattr(args, "pade", None)),
-        delta=getattr(args, "delta", None),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():  # a warning is one stderr line, like an error
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            config = _config_from(args)
-            out = sys.stdout
-            if args.command == "exact":
-                return cmd_exact(config, out)
-            if args.command == "series":
-                return cmd_series(config, out)
-            if args.command == "reconstruct":
-                return cmd_reconstruct(config, out)
-            if args.command == "extrapolate":
-                return cmd_extrapolate(config, out)
-            if args.command == "compare":
-                return cmd_compare(config, out)
-            if args.command == "table":
-                return cmd_table(config, args.number, out)
-            raise DomainError(f"unknown command {args.command!r}")
+            args.model = ModelId(args.model)
+            args.betas = _parse_betas(args.beta)
+            args.pade = _parse_pade(args.pade)
+            return args.run(args, sys.stdout)
         except CacheMismatchError as e:
             print(f"error: {e}", file=sys.stderr)
             return 4

@@ -14,7 +14,8 @@ class DegeneracyError(HeulagError):
 
 
 class ConsistencyError(HeulagError):
-    """An internal cross-check failed (e.g. broken conjugate symmetry)."""
+    """An internal cross-check failed (moments of an alternating Stieltjes
+    series that are not all positive)."""
 
 
 class OracleFailureError(HeulagError):

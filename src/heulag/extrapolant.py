@@ -59,7 +59,6 @@ class ExtrapolationResult:
     tail: mpf
     delta: mpf
     K: int
-    im_residual: mpf
 
 
 @lru_cache(maxsize=4)
@@ -170,12 +169,12 @@ class Extrapolant:
         with self.ctx.work():
             b = _to_beta(beta)
             tail = tail_sum(self, b)
-            delta, imres = map(self.ctx.round, _delta_raw(self.rec, b, self.ctx))
+            delta = self.ctx.round(_delta_raw(self.rec, b, self.ctx))
         # Exact float addition of the rounded parts, so value == tail + delta
         # holds on the reported fields at any comparison precision.
         return ExtrapolationResult(
             model=self.rec.model, beta=self.ctx.round(b), value=mp.fadd(tail, delta, exact=True),
-            tail=tail, delta=delta, K=self.K, im_residual=imres)
+            tail=tail, delta=delta, K=self.K)
 
 
 def tail_sum(ext: Extrapolant, beta) -> mpf:
@@ -194,23 +193,20 @@ def tail_sum(ext: Extrapolant, beta) -> mpf:
     return ext.ctx.round(total)
 
 
-def _delta_raw(rec: ReconstructionCoefficients, beta: mpf,
-               ctx: PrecisionContext) -> tuple[mpf, mpf]:
-    """(delta, im_residual) at ambient precision: the pole-correction term.
+def _delta_raw(rec: ReconstructionCoefficients, beta: mpf, ctx: PrecisionContext) -> mpf:
+    """The pole-correction term at ambient precision:
 
     Delta(beta) = (pi sqrt(b)/4)(rho(i/sqrt(b)) + rho(-i/sqrt(b)))
                 + (sqrt(b) ln b/4i)(rho(i/sqrt(b)) - rho(-i/sqrt(b))).
     The c_m are real, so rho(-i/sqrt(b)) is the conjugate of rho(i/sqrt(b))
-    bit for bit and one density evaluation gives both. Spin models return
+    and Delta = (pi sqrt(b)/2) Re rho + (sqrt(b) ln b/2) Im rho, with
+    rho = rho(i/sqrt(b)) from one density evaluation. Spin models return
     beta * Delta; SD returns Delta itself.
     """
     rb = sqrt(beta)
     rho = rho_eval(rec, mpc(0, 1 / rb), ctx)
-    raw = (pi * rb / 4) * (rho + mp.conj(rho)) \
-        + (rb * ln(beta) / (4 * mpc(0, 1))) * (rho - mp.conj(rho))
-    if rec.model is not ModelId.SELF_DUAL:
-        raw = beta * raw
-    return raw.real, abs(raw.imag)
+    raw = (pi * rb / 2) * rho.real + (rb * ln(beta) / 2) * rho.imag
+    return raw if rec.model is ModelId.SELF_DUAL else beta * raw
 
 
 def extrapolate(model: ModelId, rec: ReconstructionCoefficients, beta,

@@ -12,10 +12,11 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set takes about 20 s on a 2-core x86-64 host; each `table 6` entry
-takes 2.5-3 s of that. A change that alters the output on purpose rewrites
-the manifest and says so. pytest does not collect this file (its name does
-not start with test_); test_cli.py checks every entry.
+The full set takes about 24 s on a 2-core x86-64 host; each `table 6` entry
+takes 2.5-3 s of that, and each of the nine error runs well under 1 s. A
+change that alters the output on purpose rewrites the manifest and says so.
+pytest does not collect this file (its name does not start with test_);
+test_cli.py checks every entry.
 """
 import argparse
 import hashlib
@@ -38,7 +39,21 @@ COMMANDS = (
     ("exact", "--beta", "0.01,1,100", "--oracle"),
 )
 FORMATS = ("markdown", "csv", "json")
-ENTRIES = tuple(" ".join((*cmd, "--format", fmt)) for cmd in COMMANDS for fmt in FORMATS)
+# Runs that fail, once each: every argument conversion and dispatch path
+# that ends in an error line and a nonzero exit code.
+ERRORS = (
+    "table 7",
+    "extrapolate --moments 10 --truncation 0 --beta 1",
+    "extrapolate --beta 1",
+    "exact --beta -1",
+    "compare --pade 9 --beta 1",
+    "series --beta 1",
+    "extrapolate --moments 10 --force",
+    "exact --model spin3 --beta 1",
+    "reconstruct --moments 10",
+)
+ENTRIES = (*(" ".join((*cmd, "--format", fmt)) for cmd in COMMANDS for fmt in FORMATS),
+           *ERRORS)
 
 
 def run(entry: str) -> dict:

@@ -8,10 +8,11 @@ import warnings
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_pos, round_nearest
 
 import heulag
 from heulag import CacheMismatchError, ModelId, comparators, extrapolant
-from heulag.cli import CoefficientCacheFile, _fmt, main
+from heulag.cli import _fmt, load_cache, main, write_cache
 import cli_golden
 
 def run(argv, capsys):
@@ -151,29 +152,60 @@ def test_reconstruct_deterministic_bytes(tmp_path, capsys):
     assert c1.read_bytes() == c2.read_bytes()
 
 
-def test_cache_file_image_round_trip(tmp_path, capsys):
-    cache = tmp_path / "c.cache"
-    run(["reconstruct", "--model", "sd", "--moments", "6", "--digits", "30",
-         "--cache", str(cache)], capsys)
-    text = cache.read_text()
-    img = CoefficientCacheFile.parse(text)
-    assert img.render() == text
-    assert img.model is ModelId.SELF_DUAL
-    assert (img.d, img.digits) == (5, 30)
-    assert len(img.coefficients) == 6
-    rec, stored = img.to_reconstruction()
-    assert rec.d == 5 and len(rec.c) == 6
-    # parse -> render -> parse is a fixed point
-    assert CoefficientCacheFile.parse(img.render()) == img
+@pytest.mark.parametrize("model, moments, digits",
+                         [(ModelId.SELF_DUAL, 6, 30), (ModelId.SPIN0, 100, 60)])
+def test_cache_round_trip(model, moments, digits, tmp_path, reconstruct):
+    # The file keeps every bit: rounded to the written mantissa's width, each
+    # loaded coefficient is the written one bit for bit. Loading parses at
+    # more bits than were written, so a rewrite of a loaded cache keeps the
+    # header's bytes but carries longer coefficient lines, which still round
+    # back to the same coefficients.
+    rec = reconstruct(model, moments, digits)
+
+    def widths_match(loaded):
+        return [mpf_pos(a._mpf_, b._mpf_[3], round_nearest) for a, b in zip(loaded.c, rec.c)] \
+            == [b._mpf_ for b in rec.c]
+
+    first, second = tmp_path / "a.cache", tmp_path / "b.cache"
+    write_cache(str(first), rec)
+    loaded, stored = load_cache(str(first))
+    assert widths_match(loaded)
+    assert (loaded.model, loaded.d, loaded.digits) == (model, moments - 1, digits)
+    assert stored == loaded.residual_norm
+    write_cache(str(second), loaded)
+    assert second.read_text().splitlines()[:6] == first.read_text().splitlines()[:6]
+    assert widths_match(load_cache(str(second))[0])
 
 
-def test_cache_file_image_rejects_missing_header(tmp_path, capsys):
+def test_cache_missing_header_field_is_a_mismatch(tmp_path, capsys):
     cache = tmp_path / "c.cache"
     run(["reconstruct", "--moments", "4", "--digits", "30", "--cache", str(cache)], capsys)
     lines = cache.read_text().splitlines()
-    dropped = "\n".join(l for l in lines if not l.startswith("# digits")) + "\n"
-    with pytest.raises(CacheMismatchError):
-        CoefficientCacheFile.parse(dropped)
+    cache.write_text("\n".join(l for l in lines if not l.startswith("# digits")) + "\n")
+    with pytest.raises(CacheMismatchError) as info:
+        load_cache(str(cache))
+    assert info.value.field == "digits"
+
+
+@pytest.mark.parametrize("field, prefix, bad", [
+    ("d", "# d:", "# d: three"),
+    ("d", "# d:", "# d: -1"),
+    ("digits", "# digits:", "# digits: x"),
+    ("coefficients", "0.", "oops"),
+    ("residual_norm", "# residual_norm:", "# residual_norm: nan?"),
+])
+def test_malformed_cache_value_exits_4_naming_the_field(field, prefix, bad, tmp_path, capsys):
+    cache = tmp_path / "c.cache"
+    sizes = ["--moments", "10", "--digits", "30"]
+    run(["reconstruct", *sizes, "--cache", str(cache)], capsys)
+    lines = cache.read_text().splitlines()
+    at = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    cache.write_text("\n".join([*lines[:at], bad, *lines[at + 1:]]) + "\n")
+    r = _run_child(["extrapolate", *sizes, "--beta", "1", "--cache", str(cache)])
+    assert (r.returncode, r.stdout) == (4, "")
+    assert r.stderr.startswith(f"error: cache mismatch on '{field}': ")
+    assert r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
 
 
 def test_fewer_digits_than_moments_run_quietly(tmp_path, capsys):
@@ -216,7 +248,7 @@ def test_extrapolate_computes_and_persists(tmp_path, capsys):
     assert code == 0
     assert cache.exists()
     header = out.splitlines()[0]
-    assert header == "beta,value,tail,delta,K,im_residual"
+    assert header == "beta,value,tail,delta,K"
     # reload from the cache: identical output
     code2, out2, _ = run(["extrapolate", "--model", "sd", "--moments", "50",
                           "--digits", "60", "--cache", str(cache),
@@ -270,7 +302,7 @@ def test_extrapolate_in_memory_without_cache(capsys):
                        capsys)
     assert code == 0
     row = json.loads(out)["rows"][0]
-    assert set(row) == {"beta", "value", "tail", "delta", "K", "im_residual"}
+    assert set(row) == {"beta", "value", "tail", "delta", "K"}
     # value equals tail + delta as decimal strings recombined
     with mp.workdps(60):
         assert abs(mpf(row["value"]) - (mpf(row["tail"]) + mpf(row["delta"]))) \

@@ -23,7 +23,8 @@ from heulag import (
     rho_eval,
     tail_sum,
 )
-from heulag.extrapolant import _density_taylor, _fp_kernel_values, _tail_coefficients
+from heulag.extrapolant import (_delta_raw, _density_taylor, _fp_kernel_values,
+                                _tail_coefficients)
 from conftest import printed_match, rel_err
 
 
@@ -264,13 +265,29 @@ def test_value_is_exact_sum_of_tail_and_delta(beta, ctx100, reconstruct):
         assert r.value == r.tail + r.delta
 
 
+def _complex_pair_delta(rec, beta: mpf, ctx: PrecisionContext):
+    """Delta from rho at +i/sqrt(b) and at -i/sqrt(b), two density
+    evaluations combined as complex numbers, at ambient precision."""
+    rb = mp.sqrt(beta)
+    rho_plus, rho_minus = (rho_eval(rec, mp.mpc(0, v / rb), ctx) for v in (1, -1))
+    raw = (mp.pi * rb / 4) * (rho_plus + rho_minus) \
+        + (rb * mp.ln(beta) / (4 * mp.mpc(0, 1))) * (rho_plus - rho_minus)
+    return raw if rec.model is ModelId.SELF_DUAL else beta * raw
+
+
 @pytest.mark.parametrize("model", list(ModelId))
-def test_imaginary_residual_bounded(model, ctx100, reconstruct):
-    rec = reconstruct(model, 100, 100)
-    for beta in ("0.1", "10", "1e6"):
-        r = extrapolate(model, rec, beta, None, ctx100)
-        bound = mpf(10) ** (-(ctx100.digits - 10)) * max(1, abs(r.value))
-        assert r.im_residual <= bound
+@pytest.mark.parametrize("moments, digits", [(10, 60), (50, 60), (100, 100)])
+def test_delta_matches_the_complex_pair_formula(model, moments, digits, reconstruct):
+    # one real evaluation gives the complex-pair Delta bit for bit at the
+    # working precision, and the pair's imaginary part is exactly zero
+    rec = reconstruct(model, moments, digits)
+    ctx = PrecisionContext(digits)
+    for beta in ("1e-6", "0.01", "1", "1e7", "1e30"):
+        with ctx.work():
+            b = mpf(beta)
+            pair = _complex_pair_delta(rec, b, ctx)
+            assert pair.imag == 0
+            assert _delta_raw(rec, b, ctx) == pair.real
 
 
 @pytest.mark.parametrize("model", list(ModelId))
