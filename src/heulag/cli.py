@@ -10,7 +10,7 @@ All numeric output is serialized as decimal strings (JSON numbers are never
 used for high-precision values), beta rows appear in input order, and cache
 files are written atomically (temp file + rename). Exit codes: 0 success,
 2 domain error (any other HeulagError, or an unreadable or unwritable file),
-4 cache mismatch (a stale, missing or malformed cache field).
+4 cache mismatch (a non-UTF-8 cache or a stale, missing or malformed field).
 """
 from __future__ import annotations
 
@@ -38,13 +38,7 @@ from .models import (
     direct_integral_oracle,
     partial_sum,
 )
-from .momentrec import (
-    GENERATOR_VERSION,
-    ReconstructionCoefficients,
-    moments_from_coeffs,
-    reconstruct,
-    residual_norm_of,
-)
+from .momentrec import GENERATOR_VERSION, ReconstructionCoefficients, reconstruct
 from .specfun import PrecisionContext, _to_beta
 
 PRINT_DIGITS = 21  # table/report cells carry this many significant digits
@@ -154,17 +148,22 @@ def _cache_field(field: str, convert, text: str, expected: str):
 
 
 def load_cache(path: str) -> tuple[ReconstructionCoefficients, mpf]:
-    """Parse a cache file; returns (coefficients, stored residual_norm). A
-    stale, missing or malformed field raises CacheMismatchError naming it."""
+    """Parse a cache file; returns (coefficients, stored residual_norm). A file
+    not in UTF-8 or a stale, missing or malformed field raises
+    CacheMismatchError naming it."""
     header: dict[str, str] = {}
     body: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in filter(None, map(str.strip, fh)):
-            if not line.startswith("#"):
-                body.append(line)
-            elif ":" in line:
-                key, _, val = line.lstrip("#").partition(":")
-                header[key.strip()] = val.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(filter(None, map(str.strip, fh)))
+    except UnicodeDecodeError as e:
+        raise CacheMismatchError("encoding", "UTF-8", f"byte {e.object[e.start]:#04x}") from None
+    for line in lines:
+        if not line.startswith("#"):
+            body.append(line)
+        elif ":" in line:
+            key, _, val = line.lstrip("#").partition(":")
+            header[key.strip()] = val.strip()
     if header.get("generator") != GENERATOR_VERSION:
         raise CacheMismatchError("generator", GENERATOR_VERSION, header.get("generator"))
     for key in ("model", "d", "digits", "residual_norm"):
@@ -180,7 +179,7 @@ def load_cache(path: str) -> tuple[ReconstructionCoefficients, mpf]:
     with mp.workdps(max(map(len, body)) + 10):
         c = tuple(_cache_field("coefficients", mpf, v, "a decimal number") for v in body)
         stored = _cache_field("residual_norm", mpf, header["residual_norm"], "a decimal number")
-    return ReconstructionCoefficients(model, d, c, digits, stored), stored
+    return ReconstructionCoefficients(model, c, digits), stored
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +202,10 @@ def _verify_cache(rec: ReconstructionCoefficients, stored_residual: mpf,
         raise CacheMismatchError("d", args.moments - 1, rec.d)
     if rec.digits < args.digits:
         raise CacheMismatchError("digits", f">= {args.digits}", rec.digits)
-    ctx = PrecisionContext(rec.digits)
-    series = coefficients(rec.model, rec.d + 1)
-    mu = moments_from_coeffs(series, rec.d)
-    fresh = residual_norm_of(rec, mu, ctx)
+    fresh = rec.residual_norm
     with mp.workdps(30):
         lo, hi = stored_residual / 10, stored_residual * 10
-        if not (lo <= fresh <= hi) and abs(fresh - stored_residual) > mpf("1e-300"):
+        if not (lo <= fresh <= hi or abs(fresh - stored_residual) <= mpf("1e-300")):
             raise CacheMismatchError("residual_norm", str(stored_residual), str(fresh))
 
 

@@ -89,8 +89,8 @@ def _fp_kernel_values(d: int, jmax: int, prec: int) -> tuple[tuple[int, int], ..
 def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], ...]:
     """Exact (G_l, e) with g_l = (-1)^l G_l 2^e / l!, G_l 2^e = sum_m c_m C(m, l).
     The c_m are dyadic, so with e their least binary exponent each G_l is an
-    integer, and G is a Taylor shift of the integers c_m 2^{-e}."""
-    parts = [c.man_exp for c in rec.c]
+    integer, and G is a Taylor shift of the signed integers c_m 2^{-e}."""
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (c._mpf_ for c in rec.c)]
     e = min((exp for man, exp in parts if man), default=0)
     return tuple((G, e) for G in _taylor_shift([man << (exp - e) for man, exp in parts]))
 

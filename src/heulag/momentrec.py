@@ -7,14 +7,14 @@ the equispaced nodes 2n+1 times a Pascal matrix, so the system is solved
 exactly by Newton interpolation and two changes of basis (Bjorck & Pereyra,
 "Solution of Vandermonde systems of equations", Math. Comp. 24, 1970). The
 exact coefficients are rounded once, at a precision raised by P's magnitude
-span, and the recorded residual is the backward error of those rounded
-coefficients.
+span. A reconstruction holds only those rounded coefficients; their backward
+error is derived from them when first read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 
 from mpmath import mp, mpc, mpf, exp
@@ -65,19 +65,22 @@ class ReconstructionCoefficients:
     """Solved Laguerre coefficients c_m defining g(x) = e^{-x/2} sum c_m L_m(x).
 
     c entries are the exact solution rounded once at the span-boosted solve
-    precision; digits records the nominal precision requested, and
-    residual_norm the relative backward residual of the rounded c.
+    precision; digits records the nominal precision requested. residual_norm,
+    the relative backward residual of the rounded c, is derived on first read.
     """
 
     model: ModelId
-    d: int
     c: tuple[mpf, ...]
     digits: int
-    residual_norm: mpf
 
-    def __post_init__(self):
-        if len(self.c) != self.d + 1:
-            raise DomainError(f"expected {self.d + 1} coefficients, got {len(self.c)}")
+    @property
+    def d(self) -> int:
+        return len(self.c) - 1
+
+    @cached_property
+    def residual_norm(self) -> mpf:
+        mu = moments_from_coeffs(coefficients(self.model, self.d + 1), self.d)
+        return residual_norm_of(self, mu, PrecisionContext(self.digits))
 
 
 def moments_from_coeffs(series: SeriesCoefficients, d: int) -> MomentVector:
@@ -164,20 +167,18 @@ def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCo
 
     The exact rational solution comes from the structured factorisation of P
     (see _exact_solve). It is rounded at a precision raised by the magnitude
-    span of P, so the reported backward residual of the rounded coefficients
-    lands at the nominal working tolerance. Nothing ties ctx.digits to the
-    number of moments: the rounding precision grows with P on its own, so
-    fewer digits than moments loses nothing downstream.
+    span of P, so the backward residual of the rounded coefficients (computed
+    when residual_norm is first read) lands at the nominal working tolerance.
+    Nothing ties ctx.digits to the number of moments: the rounding precision
+    grows with P on its own, so fewer digits than moments loses nothing.
     """
     d = mu.d
     if len(P) != d + 1 or any(len(row) != d + 1 for row in P):
         raise DomainError(f"P must be {d + 1}x{d + 1} to match the moment vector")
     nums, den = _exact_solve(mu.mu)
     with mp.workdps(ctx.workdps + _magnitude_digits(P) + 10):
-        c = [mp.fdiv(v, den) for v in nums]
-        res = _residual(P, c, mu)
-    return ReconstructionCoefficients(
-        model=mu.model, d=d, c=tuple(c), digits=ctx.digits, residual_norm=res)
+        c = tuple(mp.fdiv(v, den) for v in nums)
+    return ReconstructionCoefficients(model=mu.model, c=c, digits=ctx.digits)
 
 
 def reconstruct(model: ModelId, moments: int, ctx: PrecisionContext) -> ReconstructionCoefficients:

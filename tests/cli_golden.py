@@ -12,9 +12,10 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set takes about 24 s on a 2-core x86-64 host; each `table 6` entry
-takes 2.5-3 s of that, and each of the nine error runs well under 1 s. A
-change that alters the output on purpose rewrites the manifest and says so.
+The full set takes about 17 s on a 2-core x86-64 host; each `table 6` entry
+takes 0.8-1 s of that, each 200-moment `extrapolate` entry about 0.7 s, and
+each of the nine error runs well under 1 s. A change that alters the output
+on purpose rewrites the manifest and says so.
 pytest does not collect this file (its name does not start with test_);
 test_cli.py checks every entry.
 """
@@ -35,6 +36,7 @@ COMMANDS = (
     ("extrapolate", "--moments", "50", "--beta", "1,1e7,1e12"),
     ("extrapolate", "--moments", "50", "--beta", "1e-4,1e-3,0.01"),
     ("extrapolate", "--moments", "20", "--truncation", "45", "--beta", "1,1e7"),
+    ("extrapolate", "--moments", "200", "--digits", "200", "--beta", "0.01,1"),
     ("compare", "--moments", "50", "--pade", "9,10", "--delta", "25", "--beta", "0.1,10"),
     ("exact", "--beta", "0.01,1,100", "--oracle"),
 )

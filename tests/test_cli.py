@@ -159,7 +159,8 @@ def test_cache_round_trip(model, moments, digits, tmp_path, reconstruct):
     # loaded coefficient is the written one bit for bit. Loading parses at
     # more bits than were written, so a rewrite of a loaded cache keeps the
     # header's bytes but carries longer coefficient lines, which still round
-    # back to the same coefficients.
+    # back to the same coefficients. The loaded record derives its residual
+    # from its own c, which the header's 8 digits match.
     rec = reconstruct(model, moments, digits)
 
     def widths_match(loaded):
@@ -171,7 +172,7 @@ def test_cache_round_trip(model, moments, digits, tmp_path, reconstruct):
     loaded, stored = load_cache(str(first))
     assert widths_match(loaded)
     assert (loaded.model, loaded.d, loaded.digits) == (model, moments - 1, digits)
-    assert stored == loaded.residual_norm
+    assert _fmt(stored, 8) == _fmt(loaded.residual_norm, 8)
     write_cache(str(second), loaded)
     assert second.read_text().splitlines()[:6] == first.read_text().splitlines()[:6]
     assert widths_match(load_cache(str(second))[0])
@@ -281,19 +282,30 @@ def test_extrapolate_cache_generator_mismatch(tmp_path, capsys):
     assert "generator" in err
 
 
-def test_extrapolate_cache_residual_tamper(tmp_path, capsys):
+@pytest.mark.parametrize("stored", ["0.00001", "nan"])
+def test_extrapolate_cache_residual_tamper(stored, tmp_path, capsys):
     cache = tmp_path / "spin0.cache"
     run(["reconstruct", "--model", "spin0", "--moments", "20", "--digits", "40",
          "--cache", str(cache)], capsys)
     lines = cache.read_text().splitlines()
-    lines = ["# residual_norm: 0.00001" if l.startswith("# residual_norm")
+    lines = [f"# residual_norm: {stored}" if l.startswith("# residual_norm")
              else l for l in lines]
     cache.write_text("\n".join(lines) + "\n")
-    code, _, err = run(["extrapolate", "--model", "spin0", "--moments", "20",
-                        "--digits", "40", "--cache", str(cache), "--beta", "1"],
-                       capsys)
-    assert code == 4
-    assert "residual_norm" in err
+    code, out, err = run(["extrapolate", "--model", "spin0", "--moments", "20",
+                          "--digits", "40", "--cache", str(cache), "--beta", "1"],
+                         capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: cache mismatch on 'residual_norm': ")
+    assert err.count("\n") == 1
+
+
+def test_cache_that_is_not_utf8_exits_4(tmp_path):
+    cache = tmp_path / "x.cache"
+    cache.write_bytes(b"\xff\xfe")
+    r = _run_child(["extrapolate", "--moments", "10", "--digits", "30", "--beta", "1",
+                    "--cache", str(cache)])
+    assert (r.returncode, r.stdout) == (4, "")
+    assert r.stderr == "error: cache mismatch on 'encoding': expected 'UTF-8', found 'byte 0xff'\n"
 
 
 def test_extrapolate_in_memory_without_cache(capsys):

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 from mpmath import euler, exp, log, log10, mp, mpf, polyval
-from mpmath.libmp import mpf_mul, mpf_sum
+from mpmath.libmp import mpf_mul, mpf_sum, to_rational
 
 from heulag import (
     DomainError,
@@ -117,16 +117,41 @@ def _reference_tail(g, K: int) -> tuple[tuple[mpf, ...], int]:
     return tuple(T), math.ceil(lost_bits * math.log10(2))
 
 
+def _exact_c(rec) -> list[Fraction]:
+    """The dyadic coefficients c_m as exact signed rationals."""
+    return [Fraction(*to_rational(cm._mpf_)) for cm in rec.c]
+
+
+def _binomial_sums(rec) -> tuple[tuple[int, int], ...]:
+    """(G_l, e) with G_l 2^e = sum_m c_m C(m, l) and e the least exponent of
+    the c_m, so that every G_l is an integer."""
+    e = min(cm.man_exp[1] for cm in rec.c if cm)
+    x = [cm / Fraction(2) ** e for cm in _exact_c(rec)]
+    return tuple((sum(x[m] * comb(m, l) for m in range(l, rec.d + 1)), e)
+                 for l in range(rec.d + 1))
+
+
 @pytest.mark.parametrize("model", list(ModelId))
 @pytest.mark.parametrize("d", [0, 9, 49])
 def test_density_taylor_is_the_binomial_sum(model, d, reconstruct):
-    # G_l 2^e = sum_m c_m C(m, l), with e the least exponent of the c_m
     rec = reconstruct(model, d + 1, 60)
-    parts = [c.man_exp for c in rec.c]
-    e = min(exp for man, exp in parts if man)
-    x = [man << (exp - e) for man, exp in parts]
-    assert _density_taylor(rec) == tuple(
-        (sum(x[m] * comb(m, l) for m in range(l, d + 1)), e) for l in range(d + 1))
+    assert _density_taylor(rec) == _binomial_sums(rec)
+
+
+@pytest.mark.parametrize("moments", [160, 200])
+def test_density_taylor_keeps_the_sign_of_negative_coefficients(moments, reconstruct):
+    # spin0 is the model with negative c_m at these sizes (18 at 160 moments)
+    rec = reconstruct(ModelId.SPIN0, moments, 200)
+    assert any(cm < 0 for cm in rec.c)
+    assert _density_taylor(rec) == _binomial_sums(rec)
+
+
+def test_weak_field_digits_at_200_moments(reconstruct):
+    # with the signs of spin0's negative c_m kept, 13.9 digits at beta = 0.01
+    ctx = PrecisionContext(200)
+    rec = reconstruct(ModelId.SPIN0, 200, 200)
+    value = extrapolate(ModelId.SPIN0, rec, "0.01", None, ctx).value
+    assert -log10(rel_err(value, closed_form(ModelId.SPIN0, "0.01", ctx))) >= 13
 
 
 def _bits(T) -> list[tuple]:
@@ -153,7 +178,7 @@ def test_integer_T_matches_the_mpf_reference(model, moments, digits, reconstruct
 def _density_factor(rec, order: int) -> KernelDescriptor:
     """g(x) = e^{-x/2} sum_m c_m L_m(x) with `order` exact Taylor coefficients,
     taken from the dyadic coefficients c_m and the explicit Laguerre sums."""
-    c = [Fraction(man) * Fraction(2) ** e for man, e in (cm.man_exp for cm in rec.c)]
+    c = _exact_c(rec)
     poly = [sum(c[m] * comb(m, l) for m in range(l, rec.d + 1)) * (-1) ** l / factorial(l)
             for l in range(rec.d + 1)]
     taylor = [sum(poly[l] * Fraction(-1, 2) ** (i - l) / factorial(i - l)

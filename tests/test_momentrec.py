@@ -5,11 +5,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 
 from heulag import (
     ConsistencyError,
     DomainError,
+    Extrapolant,
     ModelId,
     MomentVector,
     PrecisionContext,
@@ -20,6 +21,7 @@ from heulag import (
     rho_eval,
     solve_coeffs,
 )
+from heulag import momentrec
 from heulag.momentrec import _magnitude_digits
 
 
@@ -157,6 +159,27 @@ def test_residual_meets_invariant_d50(ctx60, reconstruct):
     mu = moments_from_coeffs(s, 50)
     fresh = residual_norm_of(rec, mu, ctx60)
     assert fresh <= rec.residual_norm * 10 + mpf("1e-300")
+
+
+def test_residual_is_computed_once_and_only_when_read(monkeypatch):
+    calls = []
+    residual = momentrec._residual
+    monkeypatch.setattr(momentrec, "_residual", lambda *a: calls.append(a) or residual(*a))
+    ctx = PrecisionContext(40)
+    rec = momentrec.reconstruct(ModelId.SPIN0, 20, ctx)
+    Extrapolant.build(rec, None, ctx).evaluate("1")
+    assert calls == []
+    assert rec.residual_norm is rec.residual_norm
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model, moments, digits, residual", [
+    (ModelId.SELF_DUAL, 6, 30, "3.3905584e-66"),
+    (ModelId.SPIN0, 50, 60, "2.3276665e-223"),
+    (ModelId.SPIN_HALF, 100, 100, "2.449674e-453"),
+])
+def test_residual_norm_frozen(model, moments, digits, residual, reconstruct):
+    assert nstr(reconstruct(model, moments, digits).residual_norm, 8) == residual
 
 
 def test_fewer_digits_than_moments_emits_no_warning():
