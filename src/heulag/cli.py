@@ -1,5 +1,5 @@
-"""Command-line surface: model evaluation, reconstruction with persistence,
-extrapolation, method comparison, and desk-scale table reproduction.
+"""Command-line surface: model evaluation, extrapolation, method comparison,
+and desk-scale table reproduction.
 
 Each reference table is data: its model, beta columns, digit floor and
 method rows (partial sums, extrapolation, delta, Pade). One grid layout
@@ -7,10 +7,9 @@ builds every table but table 5's per-beta decomposition, and every method
 cell goes through the evaluator that `compare` uses.
 
 All numeric output is serialized as decimal strings (JSON numbers are never
-used for high-precision values), beta rows appear in input order, and cache
-files are written atomically (temp file + rename). Exit codes: 0 success,
-2 domain error (any other HeulagError, or an unreadable or unwritable file),
-4 cache mismatch (a non-UTF-8 cache or a stale, missing or malformed field).
+used for high-precision values), and beta rows appear in input order. Every
+run recomputes its reconstruction. Exit codes: 0 success, 2 domain error
+(any HeulagError, or an OSError).
 """
 from __future__ import annotations
 
@@ -183,46 +182,17 @@ def load_cache(path: str) -> tuple[ReconstructionCoefficients, mpf]:
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction plumbing shared by subcommands.
+# Subcommands.
 # ---------------------------------------------------------------------------
 
-def _reconstruct(args: argparse.Namespace) -> ReconstructionCoefficients:
+def _moments(args: argparse.Namespace) -> int:
+    """The --moments a command requires, checked."""
     if args.moments is None:
         raise DomainError("this command requires --moments")
     if args.moments < 1:
         raise DomainError(f"--moments must be >= 1, got {args.moments}")
-    return reconstruct(args.model, args.moments, PrecisionContext(args.digits))
+    return args.moments
 
-
-def _verify_cache(rec: ReconstructionCoefficients, stored_residual: mpf,
-                  args: argparse.Namespace) -> None:
-    if rec.model is not args.model:
-        raise CacheMismatchError("model", args.model.value, rec.model.value)
-    if args.moments is not None and rec.d != args.moments - 1:
-        raise CacheMismatchError("d", args.moments - 1, rec.d)
-    if rec.digits < args.digits:
-        raise CacheMismatchError("digits", f">= {args.digits}", rec.digits)
-    fresh = rec.residual_norm
-    with mp.workdps(30):
-        lo, hi = stored_residual / 10, stored_residual * 10
-        if not (lo <= fresh <= hi or abs(fresh - stored_residual) <= mpf("1e-300")):
-            raise CacheMismatchError("residual_norm", str(stored_residual), str(fresh))
-
-
-def _obtain_reconstruction(args: argparse.Namespace) -> ReconstructionCoefficients:
-    if args.cache and os.path.exists(args.cache):
-        rec, stored = load_cache(args.cache)
-        _verify_cache(rec, stored, args)
-        return rec
-    rec = _reconstruct(args)
-    if args.cache:
-        write_cache(args.cache, rec)
-    return rec
-
-
-# ---------------------------------------------------------------------------
-# Subcommands.
-# ---------------------------------------------------------------------------
 
 def cmd_exact(args: argparse.Namespace, out) -> int:
     ctx = PrecisionContext(args.digits)
@@ -250,24 +220,12 @@ def cmd_series(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_reconstruct(args: argparse.Namespace, out) -> int:
-    if not args.cache:
-        raise DomainError("reconstruct requires --cache PATH to persist coefficients")
-    rec = _reconstruct(args)
-    write_cache(args.cache, rec)
-    out.write(f"residual_norm: {_fmt(rec.residual_norm, 8)}\n")
-    out.write(f"coefficients: {rec.d + 1} -> {args.cache}\n")
-    return 0
-
-
 def cmd_extrapolate(args: argparse.Namespace, out) -> int:
-    rec = _obtain_reconstruction(args)
-    ctx = PrecisionContext(args.digits)
-    ext = cache(lambda: Extrapolant.build(rec, args.truncation, ctx))  # on the first beta
+    result = _Extrap(_moments(args), args.truncation).results(args.model, args.digits)
     columns = ["beta", "value", "tail", "delta", "K"]
     rows = []
     for b in args.betas:
-        r: ExtrapolationResult = ext().evaluate(b)
+        r: ExtrapolationResult = result(b)
         rows.append({
             "beta": b,
             "value": _fmt(r.value, args.digits),
@@ -300,15 +258,21 @@ class _Partials:
 
 @dataclass(frozen=True)
 class _Extrap:
-    """The extrapolant from `moments` moments at the table's digits. The
-    digits need not cover the moments: the solve is exact and rounds c with
-    P's span on top, and the tail rebuilds T when its sums cancel."""
+    """The extrapolant from `moments` moments at the given digits, truncated
+    at `truncation` (K = 2d when None). It is reconstructed and built on the
+    first beta, so a run with no beta builds nothing, and a build that
+    raises runs and raises again at every beta. The digits need not cover
+    the moments: the solve is exact and rounds c with P's span on top, and
+    the tail rebuilds T when its sums cancel."""
 
     moments: int
+    truncation: int | None = None
 
     def results(self, model: ModelId, digits: int) -> Callable[[str], ExtrapolationResult]:
         ctx = PrecisionContext(digits)
-        return Extrapolant.build(reconstruct(model, self.moments, ctx), None, ctx).evaluate
+        ext = cache(lambda: Extrapolant.build(reconstruct(model, self.moments, ctx),
+                                              self.truncation, ctx))
+        return lambda b: ext().evaluate(b)
 
     def methods(self, model: ModelId, digits: int) -> list[Method]:
         result = self.results(model, digits)
@@ -374,9 +338,7 @@ def _compare_columns(args: argparse.Namespace) -> list[Method]:
     if args.delta is not None:
         cols += _Delta(args.delta).methods(model, digits)
     if args.moments is not None:
-        rec = _obtain_reconstruction(args)
-        ext = cache(lambda: Extrapolant.build(rec, None, ctx))
-        cols.append((f"extrap_d{rec.d}", lambda b: ext().evaluate(b).value))
+        cols += _Extrap(_moments(args)).methods(model, digits)
     return cols
 
 
@@ -508,7 +470,6 @@ _FLAGS = {
     "--truncation": dict(type=int, default=None),
     "--beta": dict(type=str, default=""),
     "--format": dict(choices=["csv", "json", "markdown"], default="markdown", dest="fmt"),
-    "--cache": dict(type=str, default=None),
 }
 
 
@@ -538,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the direct-quadrature oracle")
     command("series", "partial sums of the weak-field series", cmd_series,
             "--model", "--digits", "--truncation", "--beta", "--format")
-    command("reconstruct", "solve the moment problem, write cache", cmd_reconstruct,
-            "--model", "--digits", "--moments", "--cache")
     command("extrapolate", "strong-field extrapolant rows", cmd_extrapolate, *_FLAGS)
     p_cmp = command("compare", "method-comparison grid", cmd_compare, *_FLAGS)
     p_cmp.add_argument("--pade", type=str, default=None, help="N,M degrees, N >= M - 1")
@@ -559,9 +518,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.betas = _parse_betas(args.beta)
             args.pade = _parse_pade(args.pade)
             return args.run(args, sys.stdout)
-        except CacheMismatchError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 4
         except (HeulagError, OSError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2

@@ -23,7 +23,8 @@ class OracleFailureError(HeulagError):
 
 
 class CacheMismatchError(HeulagError):
-    """A coefficient cache file does not match the requested configuration."""
+    """A coefficient cache file that cli.load_cache cannot read: not UTF-8,
+    or a stale, missing or malformed field, which `field` names."""
 
     def __init__(self, field: str, expected, found):
         self.field = field

@@ -12,10 +12,10 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set takes about 17 s on a 2-core x86-64 host; each `table 6` entry
-takes 0.8-1 s of that, each 200-moment `extrapolate` entry about 0.7 s, and
-each of the nine error runs well under 1 s. A change that alters the output
-on purpose rewrites the manifest and says so.
+The full set of 52 entries takes 16-21 s on a 2-core x86-64 host; each
+`table 6` entry takes 0.8-1 s of that, each 200-moment `extrapolate` entry
+about 0.7 s, and each of the ten error runs well under 1 s. A change that
+alters the output on purpose rewrites the manifest and says so.
 pytest does not collect this file (its name does not start with test_);
 test_cli.py checks every entry.
 """
@@ -38,6 +38,10 @@ COMMANDS = (
     ("extrapolate", "--moments", "20", "--truncation", "45", "--beta", "1,1e7"),
     ("extrapolate", "--moments", "200", "--digits", "200", "--beta", "0.01,1"),
     ("compare", "--moments", "50", "--pade", "9,10", "--delta", "25", "--beta", "0.1,10"),
+    # compare's --truncation orders the partial sum; the extrapolant keeps K = 2d
+    ("compare", "--moments", "5", "--truncation", "3", "--beta", "1"),
+    # one moment: every extrapolant cell reads ERR(DomainError)
+    ("compare", "--moments", "1", "--beta", "1,10"),
     ("exact", "--beta", "0.01,1,100", "--oracle"),
 )
 FORMATS = ("markdown", "csv", "json")
@@ -53,6 +57,7 @@ ERRORS = (
     "extrapolate --moments 10 --force",
     "exact --model spin3 --beta 1",
     "reconstruct --moments 10",
+    "extrapolate --moments 10 --beta 1 --cache x",
 )
 ENTRIES = (*(" ".join((*cmd, "--format", fmt)) for cmd in COMMANDS for fmt in FORMATS),
            *ERRORS)

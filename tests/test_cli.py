@@ -1,5 +1,6 @@
-"""Command-line surface: subcommands, output formats, cache round trips,
-exit codes, and byte-level determinism."""
+"""Command-line surface: subcommands, output formats, exit codes and
+byte-level determinism; and the coefficient-cache file functions
+write_cache and load_cache, called directly."""
 import json
 import os
 import subprocess
@@ -112,32 +113,24 @@ def test_non_finite_beta_exits_2(argv, beta, capsys):
 
 
 # ---------------------------------------------------------------------------
-# reconstruct and the cache file.
+# The cache file: write_cache and load_cache.
 # ---------------------------------------------------------------------------
 
-def test_reconstruct_requires_cache(capsys):
-    code, _, err = run(["reconstruct", "--model", "spin0", "--moments", "10"],
-                       capsys)
-    assert code == 2
-    assert "--cache" in err
+def _written(path, moments=10, digits=30):
+    """Lines of a fresh spin0 reconstruction written to `path`."""
+    rec = heulag.reconstruct(ModelId.SPIN0, moments, heulag.PrecisionContext(digits))
+    write_cache(str(path), rec)
+    return path.read_text().splitlines()
 
 
-def test_reconstruct_writes_cache(tmp_path, capsys):
+def test_reconstruct_writes_cache(tmp_path):
     cache = tmp_path / "spin0.cache"
-    code, out, _ = run(["reconstruct", "--model", "spin0", "--moments", "50",
-                        "--digits", "60", "--cache", str(cache)], capsys)
-    assert code == 0
-    assert "residual_norm:" in out
-    reported = mpf(out.splitlines()[0].split(":")[1].strip())
-    assert reported < mpf("1e-45")
-    text = cache.read_text()
-    header = [l for l in text.splitlines() if l.startswith("#")]
-    assert any("model: spin0" in l for l in header)
-    assert any("d: 49" in l for l in header)
-    assert any("digits: 60" in l for l in header)
-    assert any("generator: " in l for l in header)
-    assert any("residual_norm: " in l for l in header)
-    body = [l for l in text.splitlines() if l and not l.startswith("#")]
+    lines = _written(cache, 50, 60)
+    header = dict(l.lstrip("# ").split(": ") for l in lines[1:6])
+    assert mpf(header.pop("residual_norm")) < mpf("1e-45")
+    assert header == {"model": "spin0", "d": "49", "digits": "60",
+                      "generator": heulag.GENERATOR_VERSION}
+    body = [l for l in lines if l and not l.startswith("#")]
     assert len(body) == 50
     # full-precision decimal strings
     assert all(len(l.replace(".", "").replace("-", "").lstrip("0")) >= 60 for l in body)
@@ -145,10 +138,10 @@ def test_reconstruct_writes_cache(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cache]
 
 
-def test_reconstruct_deterministic_bytes(tmp_path, capsys):
+def test_reconstruct_deterministic_bytes(tmp_path):
+    # two independent solves write the same bytes
     c1, c2 = tmp_path / "a.cache", tmp_path / "b.cache"
-    run(["reconstruct", "--moments", "30", "--digits", "40", "--cache", str(c1)], capsys)
-    run(["reconstruct", "--moments", "30", "--digits", "40", "--cache", str(c2)], capsys)
+    assert _written(c1, 30, 40) == _written(c2, 30, 40)
     assert c1.read_bytes() == c2.read_bytes()
 
 
@@ -178,14 +171,18 @@ def test_cache_round_trip(model, moments, digits, tmp_path, reconstruct):
     assert widths_match(load_cache(str(second))[0])
 
 
-def test_cache_missing_header_field_is_a_mismatch(tmp_path, capsys):
-    cache = tmp_path / "c.cache"
-    run(["reconstruct", "--moments", "4", "--digits", "30", "--cache", str(cache)], capsys)
-    lines = cache.read_text().splitlines()
-    cache.write_text("\n".join(l for l in lines if not l.startswith("# digits")) + "\n")
+def _mismatch(cache, lines) -> CacheMismatchError:
+    """The CacheMismatchError that loading `lines` from `cache` raises."""
+    cache.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheMismatchError) as info:
         load_cache(str(cache))
-    assert info.value.field == "digits"
+    return info.value
+
+
+def test_cache_missing_header_field_is_a_mismatch(tmp_path):
+    cache = tmp_path / "c.cache"
+    lines = _written(cache, 4)
+    assert _mismatch(cache, [l for l in lines if not l.startswith("# digits")]).field == "digits"
 
 
 @pytest.mark.parametrize("field, prefix, bad", [
@@ -195,118 +192,65 @@ def test_cache_missing_header_field_is_a_mismatch(tmp_path, capsys):
     ("coefficients", "0.", "oops"),
     ("residual_norm", "# residual_norm:", "# residual_norm: nan?"),
 ])
-def test_malformed_cache_value_exits_4_naming_the_field(field, prefix, bad, tmp_path, capsys):
+def test_malformed_cache_value_exits_4_naming_the_field(field, prefix, bad, tmp_path):
+    # a malformed value raises CacheMismatchError naming its field
     cache = tmp_path / "c.cache"
-    sizes = ["--moments", "10", "--digits", "30"]
-    run(["reconstruct", *sizes, "--cache", str(cache)], capsys)
-    lines = cache.read_text().splitlines()
+    lines = _written(cache)
     at = next(i for i, l in enumerate(lines) if l.startswith(prefix))
-    cache.write_text("\n".join([*lines[:at], bad, *lines[at + 1:]]) + "\n")
-    r = _run_child(["extrapolate", *sizes, "--beta", "1", "--cache", str(cache)])
-    assert (r.returncode, r.stdout) == (4, "")
-    assert r.stderr.startswith(f"error: cache mismatch on '{field}': ")
-    assert r.stderr.count("\n") == 1
-    assert "Traceback" not in r.stderr
+    error = _mismatch(cache, [*lines[:at], bad, *lines[at + 1:]])
+    assert error.field == field
+    assert str(error).startswith(f"cache mismatch on '{field}': ")
 
 
-def test_fewer_digits_than_moments_run_quietly(tmp_path, capsys):
+def test_extrapolate_cache_generator_mismatch(tmp_path):
+    # a cache from another generator version is refused on load
+    cache = tmp_path / "spin0.cache"
+    lines = _written(cache, 20, 40)
+    stale = [l.replace("# generator: ", "# generator: stale-") for l in lines]
+    assert _mismatch(cache, stale).field == "generator"
+
+
+def test_cache_that_is_not_utf8_exits_4(tmp_path):
+    # a file that is not UTF-8 raises CacheMismatchError, not UnicodeDecodeError
     cache = tmp_path / "x.cache"
-    sizes = ["--moments", "80", "--digits", "60"]
+    cache.write_bytes(b"\xff\xfe")
+    with pytest.raises(CacheMismatchError) as info:
+        load_cache(str(cache))
+    assert info.value.field == "encoding"
+    assert str(info.value) == "cache mismatch on 'encoding': expected 'UTF-8', found 'byte 0xff'"
+
+
+def test_reconstruct_unwritable_path(tmp_path):
+    # OSError, and the temp file is gone: a missing directory fails before
+    # the temp file exists, a directory in the way after it is written
+    target = tmp_path / "taken"
+    target.mkdir()
+    for path in (tmp_path / "missing" / "x.cache", target):
+        with pytest.raises(OSError):
+            _written(path)
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
+
+
+def test_fewer_digits_than_moments_run_quietly(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(["reconstruct", *sizes, "--cache", str(cache)], capsys)
-        assert (code, err) == (0, "")
-        assert out.startswith("residual_norm: ")
-        assert cache.exists()
-        for extra in ([], ["--cache", str(cache)]):  # computed, then reloaded
-            code, out, err = run(["extrapolate", *sizes, "--beta", "1,1e7", *extra], capsys)
-            assert (code, err) == (0, "")
-            assert len(out.splitlines()) == 6
+        code, out, err = run(["extrapolate", "--moments", "80", "--digits", "60",
+                              "--beta", "1,1e7"], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
 
 
-def test_force_is_an_unknown_flag(tmp_path, capsys):
+def test_force_is_an_unknown_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["reconstruct", "--moments", "10", "--cache", str(tmp_path / "x"), "--force"])
+        main(["extrapolate", "--moments", "10", "--force"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
-def test_reconstruct_unwritable_path(capsys):
-    code, _, err = run(["reconstruct", "--moments", "10", "--digits", "30",
-                        "--cache", "/nonexistent-dir/x.cache"], capsys)
-    assert code == 2
-
-
 # ---------------------------------------------------------------------------
-# extrapolate, including cache verification.
+# extrapolate.
 # ---------------------------------------------------------------------------
-
-def test_extrapolate_computes_and_persists(tmp_path, capsys):
-    cache = tmp_path / "sd.cache"
-    code, out, _ = run(["extrapolate", "--model", "sd", "--moments", "50",
-                        "--digits", "60", "--cache", str(cache),
-                        "--beta", "1e7", "--format", "csv"], capsys)
-    assert code == 0
-    assert cache.exists()
-    header = out.splitlines()[0]
-    assert header == "beta,value,tail,delta,K"
-    # reload from the cache: identical output
-    code2, out2, _ = run(["extrapolate", "--model", "sd", "--moments", "50",
-                          "--digits", "60", "--cache", str(cache),
-                          "--beta", "1e7", "--format", "csv"], capsys)
-    assert code2 == 0
-    assert out2 == out
-
-
-def test_extrapolate_cache_model_mismatch_names_field(tmp_path, capsys):
-    cache = tmp_path / "spin0.cache"
-    run(["reconstruct", "--model", "spin0", "--moments", "20", "--digits", "40",
-         "--cache", str(cache)], capsys)
-    code, _, err = run(["extrapolate", "--model", "spin12", "--moments", "20",
-                        "--digits", "40", "--cache", str(cache), "--beta", "1"],
-                       capsys)
-    assert code == 4
-    assert "model" in err
-
-
-def test_extrapolate_cache_generator_mismatch(tmp_path, capsys):
-    cache = tmp_path / "spin0.cache"
-    run(["reconstruct", "--model", "spin0", "--moments", "20", "--digits", "40",
-         "--cache", str(cache)], capsys)
-    text = cache.read_text().replace("# generator: ", "# generator: stale-")
-    cache.write_text(text)
-    code, _, err = run(["extrapolate", "--model", "spin0", "--moments", "20",
-                        "--digits", "40", "--cache", str(cache), "--beta", "1"],
-                       capsys)
-    assert code == 4
-    assert "generator" in err
-
-
-@pytest.mark.parametrize("stored", ["0.00001", "nan"])
-def test_extrapolate_cache_residual_tamper(stored, tmp_path, capsys):
-    cache = tmp_path / "spin0.cache"
-    run(["reconstruct", "--model", "spin0", "--moments", "20", "--digits", "40",
-         "--cache", str(cache)], capsys)
-    lines = cache.read_text().splitlines()
-    lines = [f"# residual_norm: {stored}" if l.startswith("# residual_norm")
-             else l for l in lines]
-    cache.write_text("\n".join(lines) + "\n")
-    code, out, err = run(["extrapolate", "--model", "spin0", "--moments", "20",
-                          "--digits", "40", "--cache", str(cache), "--beta", "1"],
-                         capsys)
-    assert (code, out) == (4, "")
-    assert err.startswith("error: cache mismatch on 'residual_norm': ")
-    assert err.count("\n") == 1
-
-
-def test_cache_that_is_not_utf8_exits_4(tmp_path):
-    cache = tmp_path / "x.cache"
-    cache.write_bytes(b"\xff\xfe")
-    r = _run_child(["extrapolate", "--moments", "10", "--digits", "30", "--beta", "1",
-                    "--cache", str(cache)])
-    assert (r.returncode, r.stdout) == (4, "")
-    assert r.stderr == "error: cache mismatch on 'encoding': expected 'UTF-8', found 'byte 0xff'\n"
-
 
 def test_extrapolate_in_memory_without_cache(capsys):
     code, out, _ = run(["extrapolate", "--model", "spin0", "--moments", "20",
@@ -448,7 +392,7 @@ def test_table_rejects_unknown_number(capsys):
     ["table", "2", "--moments", "7", "--cache", "/nonexistent/x", "--force"],
     ["exact", "--moments", "3"],
     ["series", "--truncation", "5", "--cache", "x"],
-    ["reconstruct", "--moments", "5", "--format", "csv"],
+    ["extrapolate", "--moments", "5", "--cache", "x"],
 ])
 def test_flags_a_command_does_not_read_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

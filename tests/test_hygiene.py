@@ -18,6 +18,10 @@ MODULES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "
 
 # Public names that nothing in the package reads, each with its reason.
 PUBLIC_API = {
+    "cli.load_cache": "bench/workloads.py reads reconstructions back through it until "
+                      "ROADMAP item 2 moves the bench off the cache file",
+    "cli.write_cache": "bench/workloads.py persists reconstructions through it until "
+                       "ROADMAP item 2 moves the bench off the cache file",
     "comparators.pade_eval": "the Pade baseline; bench/spans.py traces it, the CLI calls its _pade",
     "extrapolant.extrapolate": "the one-shot build-then-evaluate API that the bench and the "
                                "README use; the CLI builds an Extrapolant per reconstruction",
