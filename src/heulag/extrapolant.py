@@ -10,15 +10,16 @@ density factor g(x) = e^{-x/2} sum_m c_m L_m(x), and one convolution:
 
 with g_l = (-1)^l/l! sum_m c_m C(m, l) the Taylor coefficients of
 sum_m c_m L_m and M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for
-j = -d..2K+1. The c_m are dyadic, so each g_l is an integer sum over an
-integer, rounded once, and each T_k is the exact integer sum of the products
-of the g and M mantissas, rounded once. M depends only on d, K and the
-precision, so a small bounded cache keeps it across builds. No T_k depends
-on beta, so an Extrapolant builds them once and evaluate(beta) runs the
-O(K) final sum and Delta. The convolution alternates and cancels more digits
-as d grows, and at small beta the final sum does too. When their combined
-loss reaches into the guard digits, the sum is redone at a raised precision:
-with a T built there once if the beta sum lost nothing, else with T rebuilt.
+j = -d..2K+1. The exact g is momentrec's _density_taylor, the same
+polynomial rho_eval sums for Delta; each g_l is rounded once, and each T_k
+is the exact integer sum of the products of the g and M mantissas, rounded
+once. M depends only on d, K and the precision, so a small bounded cache
+keeps it across builds. No T_k depends on beta, so an Extrapolant builds
+them once and evaluate(beta) runs the O(K) final sum and Delta. The
+convolution alternates and cancels more digits as d grows, and at small beta
+the final sum does too. When their combined loss reaches into the guard
+digits, the sum is redone at a raised precision: with a T built there once
+if the beta sum lost nothing, else with T rebuilt.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
 
 from .errors import DomainError, TruncationWarning
 from .models import ModelId
-from .momentrec import ReconstructionCoefficients, _taylor_shift, rho_eval
+from .momentrec import ReconstructionCoefficients, _density_taylor, rho_eval
 from .specfun import PrecisionContext, _to_beta
 
 __all__ = [
@@ -46,15 +47,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    """Extrapolant value with its decomposition and diagnostics.
+    """Extrapolant value with its decomposition and the truncation K.
 
     value is the exact float sum of the reported tail and delta fields, so
     value == tail + delta whenever the addition is carried out without
     rounding (e.g. inside the working precision context).
     """
 
-    model: ModelId
-    beta: mpf
     value: mpf
     tail: mpf
     delta: mpf
@@ -84,15 +83,6 @@ def _fp_kernel_values(d: int, jmax: int, prec: int) -> tuple[tuple[int, int], ..
         harmonic = mpf_add(harmonic, mpf_div(fone, from_int(j), prec, rnd), prec, rnd)
         inv_fact = mpf_div(inv_fact, from_int(j), prec, rnd)
     return tuple(out)
-
-
-def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], ...]:
-    """Exact (G_l, e) with g_l = (-1)^l G_l 2^e / l!, G_l 2^e = sum_m c_m C(m, l).
-    The c_m are dyadic, so with e their least binary exponent each G_l is an
-    integer, and G is a Taylor shift of the signed integers c_m 2^{-e}."""
-    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (c._mpf_ for c in rec.c)]
-    e = min((exp for man, exp in parts if man), default=0)
-    return tuple((G, e) for G in _taylor_shift([man << (exp - e) for man, exp in parts]))
 
 
 def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:
@@ -132,8 +122,9 @@ def _beta_sum(T, beta, p: int) -> tuple[mpf, int]:
 
 @dataclass(frozen=True)
 class Extrapolant:
-    """The beta-free half of one reconstruction's extrapolant: g exactly, and
-    T_0..T_K at ctx.workdps with lost_T, the digits their sums cancelled."""
+    """The beta-free half of one reconstruction's extrapolant: the exact g of
+    _density_taylor(rec), and T_0..T_K at ctx.workdps with lost_T, the digits
+    their sums cancelled."""
 
     rec: ReconstructionCoefficients
     K: int
@@ -172,9 +163,8 @@ class Extrapolant:
             delta = self.ctx.round(_delta_raw(self.rec, b, self.ctx))
         # Exact float addition of the rounded parts, so value == tail + delta
         # holds on the reported fields at any comparison precision.
-        return ExtrapolationResult(
-            model=self.rec.model, beta=self.ctx.round(b), value=mp.fadd(tail, delta, exact=True),
-            tail=tail, delta=delta, K=self.K)
+        return ExtrapolationResult(value=mp.fadd(tail, delta, exact=True), tail=tail,
+                                   delta=delta, K=self.K)
 
 
 def tail_sum(ext: Extrapolant, beta) -> mpf:
@@ -198,10 +188,11 @@ def _delta_raw(rec: ReconstructionCoefficients, beta: mpf, ctx: PrecisionContext
 
     Delta(beta) = (pi sqrt(b)/4)(rho(i/sqrt(b)) + rho(-i/sqrt(b)))
                 + (sqrt(b) ln b/4i)(rho(i/sqrt(b)) - rho(-i/sqrt(b))).
-    The c_m are real, so rho(-i/sqrt(b)) is the conjugate of rho(i/sqrt(b))
+    The g_l are real, so rho(-i/sqrt(b)) is the conjugate of rho(i/sqrt(b))
     and Delta = (pi sqrt(b)/2) Re rho + (sqrt(b) ln b/2) Im rho, with
-    rho = rho(i/sqrt(b)) from one density evaluation. Spin models return
-    beta * Delta; SD returns Delta itself.
+    rho = rho(i/sqrt(b)) from one density evaluation: the exact Taylor sum
+    of rho_eval, rounded once. Spin models return beta * Delta; SD returns
+    Delta itself.
     """
     rb = sqrt(beta)
     rho = rho_eval(rec, mpc(0, 1 / rb), ctx)

@@ -118,14 +118,13 @@ def _richardson_constant(eps_values: Sequence[Fraction], data: Sequence[mpf]) ->
         return +x[0]
 
 
-def fp_canonical_oracle(kernel: KernelDescriptor, m: int, ctx: PrecisionContext,
-                        eps_grid: Sequence[int] | None = None) -> mpf:
+def fp_canonical_oracle(kernel: KernelDescriptor, m: int, ctx: PrecisionContext) -> mpf:
     """Finite part of f(x)/x^m by the canonical cutoff definition.
 
     Integrates from eps to a cutoff where the exponential tail is negligible,
     subtracts the analytically known divergent terms, and extrapolates
-    eps -> 0 over the grid. eps_grid is a decreasing sequence of exact rational
-    epsilons; default is the geometric grid 10^{-j}, j = 2 .. digits/4.
+    eps -> 0 over the geometric grid eps = 10^{-j}, j = 2 .. digits/4 (at
+    least six points, as digits >= 30).
 
     Convergence is checked by re-extrapolating without the smallest epsilon;
     disagreement beyond the oracle tolerance raises OracleFailureError.
@@ -135,19 +134,10 @@ def fp_canonical_oracle(kernel: KernelDescriptor, m: int, ctx: PrecisionContext,
     if len(kernel.taylor) < m:
         raise DomainError(
             f"kernel supplies {len(kernel.taylor)} Taylor coefficients, need {m}")
-    if eps_grid is not None:
-        eps_values = [Fraction(e) for e in eps_grid]
-    else:
-        eps_values = [Fraction(1, 10 ** j) for j in range(2, ctx.digits // 4 + 1)]
-    if len(eps_values) < 3 or any(e <= 0 for e in eps_values) or any(
-            eps_values[i] <= eps_values[i + 1] for i in range(len(eps_values) - 1)):
-        raise DomainError("eps_grid must be >= 3 strictly decreasing positive values")
-    if eps_values[0] >= 1:
-        raise DomainError("eps_grid values must lie below 1")
+    jmax = ctx.digits // 4
+    eps_values = [Fraction(1, 10 ** j) for j in range(2, jmax + 1)]
     # Quadrature precision covers the divergence magnitude eps_min^{-(m-1)}.
-    eps_min = eps_values[-1]
-    digits_span = len(str(eps_min.denominator)) - len(str(eps_min.numerator)) + 1
-    qdps = ctx.workdps + (m - 1) * max(digits_span, 1) + 10
+    qdps = ctx.workdps + (m - 1) * (jmax + 1) + 10
     with mp.workdps(qdps):
         decay = _to_mpf(kernel.decay)
         cutoff = int(qdps * ln(mpf(10)) / decay) + 10

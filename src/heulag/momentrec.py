@@ -9,6 +9,10 @@ exactly by Newton interpolation and two changes of basis (Bjorck & Pereyra,
 exact coefficients are rounded once, at a precision raised by P's magnitude
 span. A reconstruction holds only those rounded coefficients; their backward
 error is derived from them when first read.
+
+After the solve the density has one polynomial form: the exact Taylor
+coefficients g_l of sum_m c_m L_m (_density_taylor). rho_eval sums them
+exactly and rounds once; the extrapolant's tail convolves them.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from mpmath import mp, mpc, mpf, exp
 
 from .errors import ConsistencyError, DomainError
 from .models import ModelId, SeriesCoefficients, coefficients
-from .specfun import PrecisionContext, _laguerre_seq, _to_mpf
+from .specfun import PrecisionContext, _to_mpf
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -67,6 +71,8 @@ class ReconstructionCoefficients:
     c entries are the exact solution rounded once at the span-boosted solve
     precision; digits records the nominal precision requested. residual_norm,
     the relative backward residual of the rounded c, is derived on first read.
+    Readers of the density take its exact Taylor coefficients from
+    _density_taylor on each call; nothing is cached on the record.
     """
 
     model: ModelId
@@ -216,16 +222,31 @@ def residual_norm_of(rec: ReconstructionCoefficients, mu: MomentVector,
         return _residual(exact, [mpf(x) for x in rec.c], mu)
 
 
-def rho_eval(rec: ReconstructionCoefficients, z, ctx: PrecisionContext):
-    """Reconstructed density rho(z) = z e^{-z/2} sum_m c_m L_m(z).
+def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], ...]:
+    """Exact (G_l, e) with g_l = (-1)^l G_l 2^e / l!, G_l 2^e = sum_m c_m C(m, l),
+    the Taylor coefficients of sum_m c_m L_m. The c_m are dyadic, so with e
+    their least binary exponent each G_l is an integer, and G is a Taylor
+    shift of the signed integers c_m 2^{-e}."""
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (c._mpf_ for c in rec.c)]
+    e = min((exp for man, exp in parts if man), default=0)
+    return tuple((G, e) for G in _taylor_shift([man << (exp - e) for man, exp in parts]))
 
-    Real input yields a real value; complex input a complex one.
+
+def rho_eval(rec: ReconstructionCoefficients, z, ctx: PrecisionContext):
+    """Reconstructed density rho(z) = z e^{-z/2} sum_l g_l z^l.
+
+    The sum is one exact Horner pass over the integers d! g_l 2^{-e} at the
+    dyadic z, rounded once at the working precision. Real input yields a real
+    value; complex input a complex one.
     """
+    g = _density_taylor(rec)
+    d, e = rec.d, g[0][1]
     with ctx.work():
         zz = mpc(z) if isinstance(z, (mpc, complex)) else _to_mpf(z)
-        lag = _laguerre_seq(zz, rec.d)
-        acc = lag[0] * 0
-        for cm, lm in zip(rec.c, lag):
-            acc += cm * lm
-        v = zz * exp(-zz / 2) * acc
+        acc, f = mpf(0), 1  # f = d!/l!
+        for l in range(d, -1, -1):
+            G = g[l][0] * f
+            acc = mp.fadd(mp.fmul(acc, zz, exact=True), -G if l % 2 else G, exact=True)
+            f *= l
+        v = zz * exp(-zz / 2) * mp.fdiv(acc, mp.ldexp(factorial(d), -e))
     return ctx.round(v)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from mpmath import mp, mpc, mpf, ln
+from mpmath import mp, mpf, ln
 
 from .errors import DomainError, OracleFailureError
 
@@ -196,18 +196,3 @@ def _hurwitz_zeta(s: int, a: mpf) -> mpf:
             v = (-(ln(q) + (a - 1) * ln(p)) + ((z - 1) * z / 2 + mpf(1) / 12) * lz
                  - z * z / 4 + mpf(1) / 12 + h)
     return +v
-
-
-# ---------------------------------------------------------------------------
-# Laguerre polynomials by the three-term recurrence.
-# ---------------------------------------------------------------------------
-
-def _laguerre_seq(z, m: int) -> list:
-    """[L_0(z), ..., L_m(z)] via (k+1)L_{k+1} = (2k+1-z)L_k - k L_{k-1}."""
-    one = mpc(1) if isinstance(z, (mpc, complex)) else mpf(1)
-    vals = [one]
-    if m >= 1:
-        vals.append(one - z)
-    for k in range(1, m):
-        vals.append(((2 * k + 1 - z) * vals[k] - k * vals[k - 1]) / (k + 1))
-    return vals

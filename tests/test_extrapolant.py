@@ -23,8 +23,8 @@ from heulag import (
     rho_eval,
     tail_sum,
 )
-from heulag.extrapolant import (_delta_raw, _density_taylor, _fp_kernel_values,
-                                _tail_coefficients)
+from heulag.extrapolant import _delta_raw, _fp_kernel_values, _tail_coefficients
+from heulag.momentrec import _density_taylor
 from conftest import printed_match, rel_err
 
 

@@ -80,18 +80,6 @@ def test_oracle_zero_origin_kernel_is_plain_integral(ctx50):
         assert abs(v - 1) < mpf("1e-24")
 
 
-def test_oracle_rejects_short_grid(ctx50):
-    with pytest.raises(DomainError):
-        fp_canonical_oracle(exp_kernel(Fraction(1), 5), 1, ctx50,
-                            eps_grid=[Fraction(1, 10), Fraction(1, 100)])
-
-
-def test_oracle_rejects_nondecreasing_grid(ctx50):
-    with pytest.raises(DomainError):
-        fp_canonical_oracle(exp_kernel(Fraction(1), 5), 1, ctx50,
-                            eps_grid=[Fraction(1, 100), Fraction(1, 10), Fraction(1, 1000)])
-
-
 def test_oracle_failure_on_wrong_taylor(ctx50):
     # Lie about the kernel's Taylor expansion: the divergent part then fails
     # to cancel and the extrapolation cannot stabilize.

@@ -17,6 +17,7 @@ from heulag import (
     PrecisionContext,
     build_P_exact,
     coefficients,
+    extrapolate,
     moments_from_coeffs,
     rho_eval,
     solve_coeffs,
@@ -228,6 +229,45 @@ def test_rho_conjugate_symmetry(ctx60, reconstruct):
     # both round at ambient precision and would mask (or fake) asymmetry
     assert zp.real == zm.real
     assert zp.imag == mp.fneg(zm.imag, exact=True)
+
+
+def _laguerre_rho(rec, z, dps: int):
+    """z e^{-z/2} sum_m c_m L_m(z) by the three-term recurrence
+    (k+1) L_{k+1} = (2k+1-z) L_k - k L_{k-1}, at dps digits."""
+    with mp.workdps(dps):
+        acc, lag, prev = mpf(0), mpf(1), mpf(0)
+        for k, cm in enumerate(rec.c):
+            acc += cm * lag
+            lag, prev = ((2 * k + 1 - z) * lag - k * prev) / (k + 1), lag
+        return z * mp.exp(-z / 2) * acc
+
+
+@pytest.mark.parametrize("model, moments, digits", [
+    *((m, n, d) for n, d in ((50, 60), (100, 100), (200, 200)) for m in ModelId),
+])
+def test_rho_matches_the_laguerre_recurrence_higher_up(model, moments, digits, reconstruct):
+    # the exact Taylor sum keeps every digit; the recurrence cancels on the
+    # real axis (about 60 digits at x = 300, 200 moments), so it runs 60
+    # digits above the working precision
+    ctx = PrecisionContext(digits)
+    rec = reconstruct(model, moments, digits)
+    with ctx.work():
+        points = [*(mpf(x) for x in (3, 20, 40, 100, 300)), mp.mpc(1, 1), mp.mpc(1, -1),
+                  *(mp.mpc(0, 1 / mp.sqrt(mpf(b))) for b in ("1e-4", "1", "1e20"))]
+    for z in points:
+        ref = _laguerre_rho(rec, z, ctx.workdps + 60)
+        with mp.workdps(ctx.workdps + 60):
+            assert abs(rho_eval(rec, z, ctx) - ref) <= mpf(10) ** -digits * abs(ref), z
+
+
+def test_density_readers_cache_nothing_on_the_record(ctx60):
+    # g is recomputed per call: anything stored on a record stays alive with it
+    rec = momentrec.reconstruct(ModelId.SPIN0, 20, ctx60)
+    before = dict(vars(rec))
+    rho_eval(rec, mp.mpc(0, 1), ctx60)
+    Extrapolant.build(rec, None, ctx60).evaluate("1")
+    extrapolate(ModelId.SPIN0, rec, "1", None, ctx60)
+    assert vars(rec) == before
 
 
 def test_rho_reproduces_moments_through_P(ctx60, reconstruct):

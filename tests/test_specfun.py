@@ -1,12 +1,11 @@
 """Scalar layer: Bernoulli numbers, the s-derivative of Hurwitz zeta,
-digamma at integers, Laguerre recurrence, precision-context behavior."""
-import math
+digamma at integers, precision-context behavior."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf, zeta
+from mpmath import mp, mpf, zeta
 
 from heulag import DomainError, PrecisionContext
 from heulag import specfun
@@ -16,7 +15,6 @@ from heulag.specfun import (
     _digamma_int,
     _euler_gamma,
     _hurwitz_zeta,
-    _laguerre_seq,
 )
 import zeta_sderiv_references
 from conftest import rel_err
@@ -250,52 +248,6 @@ def test_high_precision_against_mpmath(digits):
         with mp.workdps(digits + 10):
             ref = mpf(LOGGAMMA_REFERENCES[str(digits)][text])
         assert rel_err(_zeta_sderiv(0, _argument(text, ctx), ctx), ref) < tol, text
-
-
-# ---------------------------------------------------------------------------
-# Laguerre polynomials.
-# ---------------------------------------------------------------------------
-
-def explicit_laguerre(m: int, z):
-    # L_m(z) = sum_k C(m,k) (-z)^k / k!
-    acc = mpf(0)
-    for k in range(m + 1):
-        acc += Fraction(math.comb(m, k), math.factorial(k)) * (-z) ** k
-    return acc
-
-
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 11, 20, 30])
-def test_laguerre_recurrence_matches_explicit_sum(m, ctx60):
-    with ctx60.work():
-        for z in (mpf("0.25"), mpf(1), mpf("7.5")):
-            ref = explicit_laguerre(m, z)
-            assert abs(_laguerre_seq(z, m)[m] - ref) < mpf("1e-50") * max(1, abs(ref))
-
-
-def test_laguerre_seq_consistent(ctx60):
-    # every entry against mpmath's laguerre(m, 0, z)
-    with ctx60.work():
-        z = mpf("2.125")
-        seq = _laguerre_seq(z, 12)
-        assert len(seq) == 13
-        for m, v in enumerate(seq):
-            assert abs(v - mp.laguerre(m, 0, z)) < mpf("1e-55")
-
-
-def test_laguerre_seq_conjugate_symmetry(ctx60):
-    with ctx60.work():
-        z = mpc("0.7", "1.9")
-        v = _laguerre_seq(z, 9)[9]
-        assert isinstance(v, mpc)
-        # real recurrence coefficients: L_m(conj z) = conj L_m(z)
-        vc = _laguerre_seq(mp.fneg(z.imag, exact=True) * 1j + z.real, 9)[9]
-        assert vc.real == v.real
-        assert vc.imag == mp.fneg(v.imag, exact=True)
-
-
-def test_laguerre_at_zero(ctx60):
-    with ctx60.work():
-        assert _laguerre_seq(mpf(0), 7) == [1] * 8
 
 
 # ---------------------------------------------------------------------------
