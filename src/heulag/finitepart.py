@@ -23,6 +23,7 @@ from .specfun import (
     _hurwitz_zeta,
     _to_beta,
     _to_mpf,
+    _zeta_sderivs,
 )
 
 __all__ = [
@@ -210,7 +211,7 @@ def fp_sinh2(beta, ctx: PrecisionContext) -> mpf:
         beta = _to_beta(beta)
         q = 1 / sqrt(beta)
         g = _euler_gamma()
+        z1, z0 = _zeta_sderivs(q, (-1, 0))
         v = ((-g - ln(mpf(2))) * (_zeta_bernoulli(-1, q) - q * _zeta_bernoulli(0, q))
-             + _hurwitz_zeta(-1, q)
-             - q * _hurwitz_zeta(0, q))
+             + z1 - q * z0)
     return ctx.round(v)

@@ -19,7 +19,8 @@ from mpmath import mp, mpf, ceil, exp, ln, log10, quad, sqrt
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
-from .specfun import PrecisionContext, _bernoulli_even, _hurwitz_zeta, _to_beta, _to_mpf
+from .specfun import (PrecisionContext, _bernoulli_even, _hurwitz_zeta, _to_beta, _to_mpf,
+                      _zeta_sderivs)
 
 __all__ = [
     "ModelId",
@@ -127,8 +128,8 @@ def _closed_form(model: ModelId, beta: mpf) -> mpf:
                 - beta * (ln(mpf(16)) + 2 * lb)
                 * (mpf(-1) / 12 + 1 / (4 * rb) - 1 / (8 * beta)))
     q = 1 / rb
-    return (_hurwitz_zeta(-1, q)
-            - q * _hurwitz_zeta(0, q)
+    z1, z0 = _zeta_sderivs(q, (-1, 0))
+    return (z1 - q * z0
             - lb * (1 / (4 * beta) - mpf(1) / 24)
             - 3 / (4 * beta))
 

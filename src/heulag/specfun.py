@@ -12,9 +12,11 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 from mpmath import mp, mpf, ln
+from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
 
 from .errors import DomainError, OracleFailureError
 
@@ -143,56 +145,105 @@ def _em_plan(a: mpf, s: int) -> tuple[int, int, int]:
     cover terms of size z^{1-s} cancelling to a result of size
     max(a, 1)^{1-s}.
     """
-    N = max(0, int(mp.dps / 2 - a) + 1)
+    dps = mp.dps
+    N = max(0, int(dps / 2 - a) + 1)
     lz, la = float(ln(a + N, prec=53)), float(ln(a, prec=53))
-    head = math.log(4) + (1 - s) * lz
+    head, step = math.log(4) + (1 - s) * lz, math.log(2 * math.pi) + lz
+    floor = -(dps + 5) * math.log(10)
     log_f, prev = 0.0, math.inf
     for j in count(1):
         for i in (2 * j - 3, 2 * j - 2):
             f = abs(s + i) if i >= 0 else 1
             log_f += math.log(f) if f else 0.0
-        bound = head + log_f - 2 * j * (math.log(2 * math.pi) + lz)
-        if bound < -(mp.dps + 5) * math.log(10):
+        bound = head + log_f - 2 * j * step
+        if bound < floor:
             cancel = (1 - s) * (lz - max(0.0, la))
             return N, j - 1, int(cancel / math.log(10)) + 3
         if bound > prev:
             raise OracleFailureError(f"Euler-Maclaurin terms for zeta'({s}, a) "
-                                     f"grow before they reach 1e-{mp.dps + 5}")
+                                     f"grow before they reach 1e-{dps + 5}")
         prev = bound
 
 
-def _bernoulli_over(j: int, d: int) -> mpf:
-    """B_2j / d at ambient precision."""
-    b = _bernoulli_even(j)
-    return mpf(b.numerator) / (b.denominator * d)
+_em_lock = threading.Lock()
+
+
+@lru_cache(maxsize=32)
+def _em_corrections(s: int, prec: int) -> list[tuple]:
+    """The Euler-Maclaurin correction coefficients of d/ds zeta(s, a) at prec
+    bits, as raw mpf tuples: entry j + s - 1 is B_2j / (2j (2j-1) (2-2j)^[s = -1])
+    for j >= 1 - s, B_2j's numerator rounded to prec bits and divided by the
+    rest, as mpf arithmetic at prec would do it.
+
+    Made empty; _zeta_sderivs fills it upward to the count it needs, so one
+    table serves every a at one working precision. Every libmp call takes
+    prec, not the ambient precision, and growth is serialized by _em_lock and
+    append-only: a reader that saw the old length still finds its entries,
+    every entry depends on (s, j, prec) alone, and the tables are safe to
+    read concurrently. A baselines pass of the benchmark fills 15-16
+    tables with 2155-2236 coefficients, about 0.8 MB. The bound of 32 tables
+    keeps them all with room for a second mix of precisions, and caps the
+    cache near 11 MB even if every table were a 1000-digit one.
+    """
+    return []
+
+
+def _zeta_sderivs(a: mpf, orders: tuple[int, ...]) -> tuple[mpf, ...]:
+    """d/ds zeta(s, a) for each s in orders, a subset of {-1, 0}, from one
+    Euler-Maclaurin pass at z = a + N.
+
+    The orders share N, z, w = 1/z^2 and the product p = prod_{k<N} (a+k), at
+    the largest working precision any of them needs. The product
+    q = prod_{k<N} (a+k)^{k+1}, built from running suffix products, is built
+    only when s = -1 is asked for. So the power sum takes no logarithm per
+    term: it is -ln p at s = 0 and -(ln q + (a-1) ln p) at s = -1. The
+    corrections are (-1)^s B_2j (2j-2+s)!/(2j)! z^{1-s-2j} for j >= 1 - s, one
+    Horner sum in w over the table of _em_corrections. A value depends only on
+    s, a, the precision and whether s = 0 is asked for with s = -1: then it
+    runs at s = -1's higher working precision and lands within 1 ulp of the
+    single call, while s = -1 is the single call's value to the bit.
+    """
+    a = mpf(a)
+    plans = [_em_plan(a, s) for s in orders]
+    N = plans[0][0]  # max(0, int(dps/2 - a) + 1) for every s
+    # the tables fill upward from j = 1 - s: grow the Bernoulli cache once,
+    # to the largest count, not in doubling steps on the way up
+    _bernoulli_even(max(J for _, J, _ in plans))
+    with mp.extradps(max(extra for _, _, extra in plans)):
+        z = a + N
+        w = 1 / (z * z)
+        p = mpf(1)
+        q = mpf(1) if -1 in orders else None
+        for k in reversed(range(N)):
+            p *= a + k      # prod_{i >= k} (a + i)
+            if q is not None:
+                q *= p      # prod_{i >= k} (a + i)^{i - k + 1}
+        lp, lz = ln(p), ln(z)
+        prec, rnd = mp.prec, round_nearest
+        values = []
+        for s, (_, J, _) in zip(orders, plans):
+            c = _em_corrections(s, prec)
+            if len(c) < J + s:
+                with _em_lock:
+                    for j in range(len(c) + 1 - s, J + 1):
+                        b = _bernoulli_even(j)
+                        d = 2 * j * (2 * j - 1) * (1 if s == 0 else 2 - 2 * j)
+                        c.append(mpf_div(from_int(b.numerator, prec, rnd),
+                                         from_int(b.denominator * d), prec, rnd))
+            h = fzero
+            for j in range(J, -s, -1):
+                h = mpf_mul(mpf_add(h, c[j + s - 1], prec, rnd), w._mpf_, prec, rnd)
+            h = mp.make_mpf(h)
+            if s == 0:
+                v = -lp + (z - mpf(1) / 2) * lz - z + z * h
+            else:
+                v = (-(ln(q) + (a - 1) * lp) + ((z - 1) * z / 2 + mpf(1) / 12) * lz
+                     - z * z / 4 + mpf(1) / 12 + h)
+            values.append(v)
+    return tuple(+v for v in values)
 
 
 def _hurwitz_zeta(s: int, a: mpf) -> mpf:
-    """d/ds zeta(s, a) at s in {0, -1}, by Euler-Maclaurin summation.
-
-    No logarithm per power-sum term: with the products p = prod_{k<N} (a+k)
-    and q = prod_{k<N} (a+k)^{k+1}, built from running suffix products, the
-    power sum is -ln p at s = 0 and -(ln q + (a-1) ln p) at s = -1. The
-    corrections are (-1)^s B_2j (2j-2+s)!/(2j)! z^{1-s-2j} for j >= 1 - s,
-    one Horner sum in 1/z^2.
-    """
-    a = mpf(a)
-    N, J, extra = _em_plan(a, s)
-    with mp.extradps(extra):
-        z = a + N
-        w = 1 / (z * z)
-        p = q = mpf(1)
-        for k in reversed(range(N)):
-            p *= a + k  # prod_{i >= k} (a + i)
-            q *= p      # prod_{i >= k} (a + i)^{i - k + 1}
-        h = mpf(0)
-        for j in range(J, -s, -1):
-            d = 2 * j * (2 * j - 1) * (1 if s == 0 else 2 - 2 * j)
-            h = (h + _bernoulli_over(j, d)) * w
-        lz = ln(z)
-        if s == 0:
-            v = -ln(p) + (z - mpf(1) / 2) * lz - z + z * h
-        else:
-            v = (-(ln(q) + (a - 1) * ln(p)) + ((z - 1) * z / 2 + mpf(1) / 12) * lz
-                 - z * z / 4 + mpf(1) / 12 + h)
-    return +v
+    """d/ds zeta(s, a) at s in {0, -1}, by Euler-Maclaurin summation; one
+    order of _zeta_sderivs."""
+    return _zeta_sderivs(a, (s,))[0]

@@ -12,10 +12,11 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set of 55 entries takes 17-22 s on a 2-core x86-64 host; each
+The full set of 61 entries takes 20-25 s on a 2-core x86-64 host; each
 `table 6` entry takes 0.8-1 s of that, each 200-moment `extrapolate` entry
-about 0.7 s, each `series` entry about 0.2 s, and each of the ten error runs
-well under 1 s. A change that alters the output on purpose rewrites the
+about 0.7 s, each 300-digit SD and 1000-digit spin-1/2 `exact` entry about
+0.5 s, each `series` entry about 0.2 s, and each of the ten error runs well
+under 1 s. A change that alters the output on purpose rewrites the
 manifest and says so.
 pytest does not collect this file (its name does not start with test_);
 test_cli.py checks every entry.
@@ -44,6 +45,10 @@ COMMANDS = (
     # one moment: every extrapolant cell reads ERR(DomainError)
     ("compare", "--moments", "1", "--beta", "1,10"),
     ("exact", "--beta", "0.01,1,100", "--oracle"),
+    # SD closed forms (paired zeta'(-1, q), zeta'(0, q)) and a spin one far
+    # above 100 digits
+    ("exact", "--model", "sd", "--digits", "300", "--beta", "1e-4,0.5,1e7,1e20"),
+    ("exact", "--model", "spin12", "--digits", "1000", "--beta", "0.01,1e12"),
     ("series", "--model", "sd", "--truncation", "20", "--beta", "0.01,0.1"),
 )
 FORMATS = ("markdown", "csv", "json")

@@ -14,7 +14,9 @@ from heulag.specfun import (
     _bernoulli_even,
     _digamma_int,
     _euler_gamma,
+    _em_plan,
     _hurwitz_zeta,
+    _zeta_sderivs,
 )
 import zeta_sderiv_references
 from conftest import rel_err
@@ -248,6 +250,72 @@ def test_high_precision_against_mpmath(digits):
         with mp.workdps(digits + 10):
             ref = mpf(LOGGAMMA_REFERENCES[str(digits)][text])
         assert rel_err(_zeta_sderiv(0, _argument(text, ctx), ctx), ref) < tol, text
+
+
+@pytest.mark.parametrize("orders", [(-1,), (0,), (-1, 0)])
+def test_cold_zeta_sderiv_grows_the_bernoulli_cache_once(monkeypatch, orders):
+    # the correction tables fill upward from j = 1 - s; the Bernoulli cache
+    # must grow to the largest correction count in one step, not in doubling
+    # steps on the way up
+    cache = _LengthLog([])
+    monkeypatch.setattr(specfun, "_bern_even", cache)
+    specfun._em_corrections.cache_clear()
+    ctx = PrecisionContext(300)
+    with ctx.work():
+        a = mpf("0.045")
+        J = max(_em_plan(a, s)[1] for s in orders)
+        _zeta_sderivs(a, orders)
+    assert len(cache.lengths) == 2 and cache.lengths[-1] >= J, cache.lengths
+
+
+def _ulp(x: mpf) -> mpf:
+    """One unit in the last place of x at the ambient precision."""
+    _, _, exp, bc = x._mpf_
+    return mp.ldexp(1, exp + bc - mp.prec)
+
+
+HISTORY_DIGITS = (30, 300, zeta_sderiv_references.DIGITS)
+
+
+def _sderiv_bits(digits_order) -> dict:
+    """{(s0, digits, a): the mantissa tuple of zeta'(s0, a)} in the given
+    order of precisions."""
+    out = {}
+    for digits in digits_order:
+        ctx = PrecisionContext(digits)
+        for a in zeta_sderiv_references.ARGUMENTS:
+            for s0 in zeta_sderiv_references.ORDERS:
+                out[s0, digits, a] = _zeta_sderiv(s0, _argument(a, ctx), ctx)._mpf_
+    return out
+
+
+def test_zeta_sderiv_bits_do_not_depend_on_history():
+    # the correction tables are caches: the same bits before any 1000-digit
+    # call, after one, and after the tables are dropped and refilled in
+    # another order of precisions
+    specfun._em_corrections.cache_clear()
+    before = _sderiv_bits(HISTORY_DIGITS[:2])
+    first = _sderiv_bits(HISTORY_DIGITS[2:])
+    after = _sderiv_bits(HISTORY_DIGITS)
+    specfun._em_corrections.cache_clear()
+    cleared = _sderiv_bits(reversed(HISTORY_DIGITS))
+    assert after == {**before, **first}
+    assert cleared == after
+
+
+@pytest.mark.parametrize("digits", HISTORY_DIGITS)
+def test_paired_zeta_sderivs_match_single_calls(digits):
+    # one pass for both orders: zeta'(-1, a) is the single call to the bit;
+    # zeta'(0, a), taken at zeta'(-1, a)'s higher working precision, is within
+    # 1 ulp of the single call
+    ctx = PrecisionContext(digits)
+    with ctx.work():
+        for text in zeta_sderiv_references.ARGUMENTS:
+            a = mpf(text)
+            pair = _zeta_sderivs(a, (-1, 0))
+            single = _hurwitz_zeta(-1, a), _hurwitz_zeta(0, a)
+            assert pair[0]._mpf_ == single[0]._mpf_, text
+            assert abs(pair[1] - single[1]) <= _ulp(single[1]), text
 
 
 # ---------------------------------------------------------------------------
