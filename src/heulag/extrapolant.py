@@ -11,7 +11,7 @@ density factor g(x) = e^{-x/2} sum_m c_m L_m(x), and one convolution:
 with g_l = (-1)^l/l! sum_m c_m C(m, l) the Taylor coefficients of
 sum_m c_m L_m and M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for
 j = -d..2K+1. The exact g is momentrec's _density_taylor, the same
-polynomial rho_eval sums for Delta; each g_l is rounded once, and each T_k
+polynomial rho_eval reads for Delta; each g_l is rounded once, and each T_k
 is the exact integer sum of the products of the g and M mantissas, rounded
 once. M depends only on d, K and the precision, so a small bounded cache
 keeps it across builds. No T_k depends on beta, so an Extrapolant builds
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import ceil, factorial, log10
 
-from mpmath import mp, mpc, mpf, ln, pi, sqrt
+from mpmath import mp, mpf, ln, pi, sqrt
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_euler,
                           mpf_log, mpf_mul, mpf_sub, round_nearest)
 
@@ -122,11 +122,11 @@ def _beta_sum(T, beta, p: int) -> tuple[mpf, int]:
 
 @dataclass(frozen=True)
 class Extrapolant:
-    """The beta-free half of one reconstruction's extrapolant: the exact g of
-    _density_taylor(rec), and T_0..T_K at ctx.workdps with lost_T, the digits
-    their sums cancelled."""
+    """The beta-free half of one reconstruction's extrapolant: its model, the
+    exact g of _density_taylor(rec), and T_0..T_K at ctx.workdps with lost_T,
+    the digits their sums cancelled. Nothing after build reads rec."""
 
-    rec: ReconstructionCoefficients
+    model: ModelId
     K: int
     ctx: PrecisionContext
     g: tuple[tuple[int, int], ...]
@@ -147,7 +147,7 @@ class Extrapolant:
         g = _density_taylor(rec)
         with ctx.work():
             T, lost = _tail_coefficients(g, K)
-        return cls(rec, K, ctx, g, T, lost)
+        return cls(rec.model, K, ctx, g, T, lost)
 
     @cached_property
     def T_raised(self) -> tuple[mpf, ...]:
@@ -160,7 +160,7 @@ class Extrapolant:
         with self.ctx.work():
             b = _to_beta(beta)
             tail = tail_sum(self, b)
-            delta = self.ctx.round(_delta_raw(self.rec, b, self.ctx))
+            delta = self.ctx.round(_delta_raw(self, b))
         # Exact float addition of the rounded parts, so value == tail + delta
         # holds on the reported fields at any comparison precision.
         return ExtrapolationResult(value=mp.fadd(tail, delta, exact=True), tail=tail,
@@ -172,7 +172,7 @@ def tail_sum(ext: Extrapolant, beta) -> mpf:
     When T's sums and the beta sum together cancel more than guard - 5
     digits, the sum is redone that many digits (+5) higher: with T_raised if
     the beta sum lost nothing, else with T rebuilt there for this beta."""
-    p = ext.rec.model.tail_power_offset
+    p = ext.model.tail_power_offset
     with ext.ctx.work():
         total, lost = _beta_sum(ext.T, beta, p)
         lost += ext.lost_T
@@ -183,21 +183,19 @@ def tail_sum(ext: Extrapolant, beta) -> mpf:
     return ext.ctx.round(total)
 
 
-def _delta_raw(rec: ReconstructionCoefficients, beta: mpf, ctx: PrecisionContext) -> mpf:
-    """The pole-correction term at ambient precision:
+def _delta_raw(ext: Extrapolant, beta: mpf) -> mpf:
+    """The pole-correction term at ambient precision, times beta^p for the
+    tail's leading power p (1 for the spins, 0 for SD):
 
     Delta(beta) = (pi sqrt(b)/4)(rho(i/sqrt(b)) + rho(-i/sqrt(b)))
                 + (sqrt(b) ln b/4i)(rho(i/sqrt(b)) - rho(-i/sqrt(b))).
-    The g_l are real, so rho(-i/sqrt(b)) is the conjugate of rho(i/sqrt(b))
-    and Delta = (pi sqrt(b)/2) Re rho + (sqrt(b) ln b/2) Im rho, with
-    rho = rho(i/sqrt(b)) from one density evaluation: the exact Taylor sum
-    of rho_eval, rounded once. Spin models return beta * Delta; SD returns
-    Delta itself.
+    The g_l are real, so rho(-i/sqrt(b)) is the conjugate of rho = rho(i/sqrt(b)),
+    one pole-axis read of ext.g, and Delta = (pi sqrt(b)/2) Re rho + (sqrt(b) ln b/2) Im rho.
     """
     rb = sqrt(beta)
-    rho = rho_eval(rec, mpc(0, 1 / rb), ctx)
-    raw = (pi * rb / 2) * rho.real + (rb * ln(beta) / 2) * rho.imag
-    return raw if rec.model is ModelId.SELF_DUAL else beta * raw
+    re, im = rho_eval(ext.g, 1 / rb, ext.ctx)
+    raw = (pi * rb / 2) * re + (rb * ln(beta) / 2) * im
+    return beta ** ext.model.tail_power_offset * raw
 
 
 def extrapolate(model: ModelId, rec: ReconstructionCoefficients, beta,

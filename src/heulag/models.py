@@ -295,7 +295,7 @@ def finite_part_assembly(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     SpinHalf: fp_exp(1,3) + (b/3) fp_exp(1,1) - sqrt(b) fp_coth
     SD:     fp_sinh2 - (1/4) fp_exp(2/sqrt(b),3) + (1/12) fp_exp(2/sqrt(b),1)
     """
-    inner = PrecisionContext(ctx.workdps, ctx.guard)
+    inner = PrecisionContext(ctx.workdps)
     with ctx.work(extra=inner.guard):
         beta = _to_beta(beta)
         rb = sqrt(beta)

@@ -11,8 +11,8 @@ span. A reconstruction holds only those rounded coefficients; their backward
 error is derived from them when first read.
 
 After the solve the density has one polynomial form: the exact Taylor
-coefficients g_l of sum_m c_m L_m (_density_taylor). rho_eval sums them
-exactly and rounds once; the extrapolant's tail convolves them.
+coefficients g_l of sum_m c_m L_m (_density_taylor). The extrapolant's tail
+convolves them, and rho_eval reads them on the pole axis for Delta.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 
-from mpmath import mp, mpc, mpf, exp
+from mpmath import mp, mpf
 
 from .errors import ConsistencyError, DomainError
 from .models import ModelId, SeriesCoefficients, coefficients
@@ -71,8 +71,7 @@ class ReconstructionCoefficients:
     c entries are the exact solution rounded once at the span-boosted solve
     precision; digits records the nominal precision requested. residual_norm,
     the relative backward residual of the rounded c, is derived on first read.
-    Readers of the density take its exact Taylor coefficients from
-    _density_taylor on each call; nothing is cached on the record.
+    Nothing else is cached on the record: readers call _density_taylor.
     """
 
     model: ModelId
@@ -232,21 +231,26 @@ def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], .
     return tuple((G, e) for G in _taylor_shift([man << (exp - e) for man, exp in parts]))
 
 
-def rho_eval(rec: ReconstructionCoefficients, z, ctx: PrecisionContext):
-    """Reconstructed density rho(z) = z e^{-z/2} sum_l g_l z^l.
-
-    The sum is one exact Horner pass over the integers d! g_l 2^{-e} at the
-    dyadic z, rounded once at the working precision. Real input yields a real
-    value; complex input a complex one.
-    """
-    g = _density_taylor(rec)
-    d, e = rec.d, g[0][1]
+def rho_eval(g: tuple[tuple[int, int], ...], y, ctx: PrecisionContext) -> tuple[mpf, mpf]:
+    """The density on the pole axis, rho(iy) = iy e^{-iy/2} sum_l g_l (iy)^l, as
+    (Re, Im) rounded to ctx.digits, from _density_taylor's exact g. With the
+    integers a_l = d! g_l 2^{-e}, sum_l a_l (iy)^l = E + iO: exact Horner sums
+    in -y^2 over even and odd l, each divided once by d! 2^{-e} at the working
+    precision. Then iy e^{-iy/2} = y sin(y/2) + i y cos(y/2) multiplies E + iO."""
+    d, e = len(g) - 1, g[0][1]
     with ctx.work():
-        zz = mpc(z) if isinstance(z, (mpc, complex)) else _to_mpf(z)
-        acc, f = mpf(0), 1  # f = d!/l!
+        y = _to_mpf(y)
+        if not mp.isfinite(y):
+            raise DomainError(f"rho_eval needs a finite y, got {y}")
+        t, f = mp.fneg(mp.fmul(y, y, exact=True), exact=True), 1  # f = d!/l!
+        s = [mpf(0), mpf(0)]  # E and -O/y: a_l = (-1)^l G_l f
         for l in range(d, -1, -1):
-            G = g[l][0] * f
-            acc = mp.fadd(mp.fmul(acc, zz, exact=True), -G if l % 2 else G, exact=True)
+            s[l % 2] = mp.fadd(mp.fmul(s[l % 2], t, exact=True), g[l][0] * f, exact=True)
             f *= l
-        v = zz * exp(-zz / 2) * mp.fdiv(acc, mp.ldexp(factorial(d), -e))
-    return ctx.round(v)
+        scale = mp.ldexp(factorial(d), -e)
+        E, O = mp.fdiv(s[0], scale), mp.fdiv(mp.fmul(-y, s[1], exact=True), scale)
+        cos, sin = mp.cos_sin(y / 2)
+        A, B = y * sin, y * cos
+        re = mp.fsub(mp.fmul(A, E, exact=True), mp.fmul(B, O, exact=True))
+        im = mp.fadd(mp.fmul(A, O, exact=True), mp.fmul(B, E, exact=True))
+    return ctx.round(re), ctx.round(im)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from typing import ClassVar
 
 from mpmath import mp, mpf, ln
 from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
@@ -25,19 +26,15 @@ __all__ = ["PrecisionContext"]
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits plus guard digits.
-
-    All operations evaluate at digits+guard and round results to digits.
-    """
+    """Working precision in decimal digits: operations evaluate at digits plus
+    guard (a fixed 20) decimal digits and round results to digits."""
 
     digits: int
-    guard: int = 20
+    guard: ClassVar[int] = 20
 
     def __post_init__(self):
         if self.digits < 30:
             raise DomainError(f"digits must be >= 30, got {self.digits}")
-        if self.guard < 0:
-            raise DomainError(f"guard must be >= 0, got {self.guard}")
 
     @property
     def workdps(self) -> int:

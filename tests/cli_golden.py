@@ -12,9 +12,9 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set of 61 entries takes 20-25 s on a 2-core x86-64 host; each
+The full set of 67 entries takes 30-35 s on a 2-core x86-64 host; each
 `table 6` entry takes 0.8-1 s of that, each 200-moment `extrapolate` entry
-about 0.7 s, each 300-digit SD and 1000-digit spin-1/2 `exact` entry about
+0.8-1.2 s, each 300-digit SD and 1000-digit spin-1/2 `exact` entry about
 0.5 s, each `series` entry about 0.2 s, and each of the ten error runs well
 under 1 s. A change that alters the output on purpose rewrites the
 manifest and says so.
@@ -39,6 +39,12 @@ COMMANDS = (
     ("extrapolate", "--moments", "50", "--beta", "1e-4,1e-3,0.01"),
     ("extrapolate", "--moments", "20", "--truncation", "45", "--beta", "1,1e7"),
     ("extrapolate", "--moments", "200", "--digits", "200", "--beta", "0.01,1"),
+    # SD's beta power in Delta, and Delta at long-mantissa y = 1/sqrt(beta)
+    # with 200 moments
+    ("extrapolate", "--model", "sd", "--moments", "100", "--digits", "100",
+     "--beta", "1e-6,1,1e7,1e30"),
+    ("extrapolate", "--model", "spin12", "--moments", "200", "--digits", "200",
+     "--beta", "3,1e7,1e12,1e20"),
     ("compare", "--moments", "50", "--pade", "9,10", "--delta", "25", "--beta", "0.1,10"),
     # compare's --truncation orders the partial sum; the extrapolant keeps K = 2d
     ("compare", "--moments", "5", "--truncation", "3", "--beta", "1"),

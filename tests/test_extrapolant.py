@@ -87,7 +87,7 @@ def test_kernel_convergent_orders_are_exact(ctx60):
 
 @pytest.mark.parametrize("d", [19, 49, 199])
 def test_kernel_table_matches_the_mpf_loop(d):
-    for ctx in (PrecisionContext(30), PrecisionContext(60, guard=5), PrecisionContext(200)):
+    for ctx in (PrecisionContext(30), PrecisionContext(45), PrecisionContext(200)):
         M = _kernel_table(d, 4 * d + 1, ctx)
         with ctx.work():
             ref = _reference_kernel(d, 4 * d + 1)
@@ -199,13 +199,16 @@ def test_tail_coefficient_is_canonical_finite_part(k, reconstruct):
 
 
 @pytest.mark.parametrize("beta", ["1", "1e7", "1e18"])
-def test_tail_keeps_digits_beyond_a_short_guard(beta, reconstruct):
-    # at d = 99 the T_k sums cancel ~9 digits: a 5-digit guard must rebuild T
-    rec = reconstruct(ModelId.SPIN0, 100, 100)
-    short = tail_sum(Extrapolant.build(rec, 2 * rec.d, PrecisionContext(100, guard=5)), beta)
-    long = tail_sum(Extrapolant.build(rec, 2 * rec.d, PrecisionContext(100, guard=100)), beta)
-    with mp.workdps(120):
-        assert short == long or -log10(abs(short - long) / abs(long)) >= mpf("99.5")
+def test_tail_keeps_digits_beyond_the_guard(beta, reconstruct):
+    # at d = 199 the T_k sums cancel 19-20 digits, past the 20 guard digits
+    # less 5: the sum must be redone higher, with T_raised or a rebuilt T
+    rec = reconstruct(ModelId.SPIN0, 200, 200)
+    ext = Extrapolant.build(rec, None, PrecisionContext(200))
+    assert ext.lost_T > ext.ctx.guard - 5
+    short = tail_sum(ext, beta)
+    long = tail_sum(Extrapolant.build(rec, None, PrecisionContext(300)), beta)
+    with mp.workdps(220):
+        assert short == long or -log10(abs(short - long) / abs(long)) >= mpf("199.5")
 
 
 @pytest.mark.parametrize("model", list(ModelId))
@@ -230,17 +233,17 @@ def test_fewer_digits_than_moments_keep_every_digit(model, reconstruct):
         assert rel_err(r.delta, ref.delta) < mpf("1e-30")
 
 
-@pytest.mark.parametrize("ctx", [PrecisionContext(60), PrecisionContext(60, guard=5)],
-                         ids=["guard20", "guard5"])
+@pytest.mark.parametrize("moments, digits", [(50, 60), (200, 200)], ids=["d49", "d199"])
 @pytest.mark.parametrize("model", list(ModelId))
-def test_one_build_evaluates_like_fresh_calls(model, ctx, reconstruct):
-    # guard 5 makes d = 49 take the raised-precision paths; reuse carries no state
-    rec = reconstruct(model, 50, 60)
+def test_one_build_evaluates_like_fresh_calls(model, moments, digits, reconstruct):
+    # d = 199 takes the raised-precision paths, T_raised among them; reuse
+    # carries no state
+    rec, ctx = reconstruct(model, moments, digits), PrecisionContext(digits)
     ext = Extrapolant.build(rec, None, ctx)
     for beta in ("1e-4", "0.01", "1", "1e7", "1e20"):
         assert ext.evaluate(beta) == extrapolate(model, rec, beta, None, ctx)
     # the raised T is built only where T's own loss needs it
-    assert ("T_raised" in vars(ext)) == (ctx.guard == 5)
+    assert ("T_raised" in vars(ext)) == (moments == 200)
 
 
 def test_one_shot_calls_share_the_kernel_table(reconstruct):
@@ -252,12 +255,12 @@ def test_one_shot_calls_share_the_kernel_table(reconstruct):
 
 
 def test_kernel_cache_stays_bounded(reconstruct):
-    # at guard 5 the betas raise the precision by different amounts, so each
-    # asks for its own table
+    # at d = 49 these betas' sums cancel 19 and 30 digits, so each raises the
+    # precision by its own amount and asks for its own table
     rec = reconstruct(ModelId.SPIN0, 50, 60)
-    ctx = PrecisionContext(60, guard=5)
+    ctx = PrecisionContext(60)
     _fp_kernel_values.cache_clear()
-    for beta in ("1e-4", "0.01", "1", "1e7", "1e20"):
+    for beta in ("3e-4", "1e-4"):
         extrapolate(ModelId.SPIN0, rec, beta, None, ctx)
     info = _fp_kernel_values.cache_info()
     assert info.misses > 1 and info.maxsize is not None and info.currsize <= info.maxsize
@@ -290,41 +293,58 @@ def test_value_is_exact_sum_of_tail_and_delta(beta, ctx100, reconstruct):
         assert r.value == r.tail + r.delta
 
 
-def _complex_pair_delta(rec, beta: mpf, ctx: PrecisionContext):
-    """Delta from rho at +i/sqrt(b) and at -i/sqrt(b), two density
+def _complex_rho(g, z, ctx: PrecisionContext):
+    """rho(z) = z e^{-z/2} sum_l g_l z^l in complex arithmetic: one exact
+    Horner pass over the integers d! g_l 2^{-e} at the dyadic z, divided
+    once at the working precision and rounded to ctx.digits."""
+    d, e = len(g) - 1, g[0][1]
+    with ctx.work():
+        z = mp.mpc(z)
+        acc, f = mpf(0), 1  # f = d!/l!
+        for l in range(d, -1, -1):
+            G = g[l][0] * f
+            acc = mp.fadd(mp.fmul(acc, z, exact=True), -G if l % 2 else G, exact=True)
+            f *= l
+        v = z * exp(-z / 2) * mp.fdiv(acc, mp.ldexp(factorial(d), -e))
+    return ctx.round(v)
+
+
+def _complex_pair_delta(model, g, beta: mpf, ctx: PrecisionContext):
+    """Delta from rho at +i/sqrt(b) and at -i/sqrt(b), two complex density
     evaluations combined as complex numbers, at ambient precision."""
     rb = mp.sqrt(beta)
-    rho_plus, rho_minus = (rho_eval(rec, mp.mpc(0, v / rb), ctx) for v in (1, -1))
+    rho_plus, rho_minus = (_complex_rho(g, mp.mpc(0, v / rb), ctx) for v in (1, -1))
     raw = (mp.pi * rb / 4) * (rho_plus + rho_minus) \
         + (rb * mp.ln(beta) / (4 * mp.mpc(0, 1))) * (rho_plus - rho_minus)
-    return raw if rec.model is ModelId.SELF_DUAL else beta * raw
+    return raw if model is ModelId.SELF_DUAL else beta * raw
 
 
 @pytest.mark.parametrize("model", list(ModelId))
-@pytest.mark.parametrize("moments, digits", [(10, 60), (50, 60), (100, 100)])
+@pytest.mark.parametrize("moments, digits", [(10, 60), (50, 60), (100, 100), (200, 200)])
 def test_delta_matches_the_complex_pair_formula(model, moments, digits, reconstruct):
-    # one real evaluation gives the complex-pair Delta bit for bit at the
+    # the real pole-axis read gives the complex-pair Delta bit for bit at the
     # working precision, and the pair's imaginary part is exactly zero
-    rec = reconstruct(model, moments, digits)
     ctx = PrecisionContext(digits)
+    ext = Extrapolant.build(reconstruct(model, moments, digits), 1, ctx)
     for beta in ("1e-6", "0.01", "1", "1e7", "1e30"):
         with ctx.work():
             b = mpf(beta)
-            pair = _complex_pair_delta(rec, b, ctx)
+            pair = _complex_pair_delta(model, ext.g, b, ctx)
             assert pair.imag == 0
-            assert _delta_raw(rec, b, ctx) == pair.real
+            assert _delta_raw(ext, b) == pair.real
 
 
 @pytest.mark.parametrize("model", list(ModelId))
 @pytest.mark.parametrize("moments", [10, 50])
 def test_density_on_the_pole_axis_is_conjugate_symmetric(model, moments, ctx60, reconstruct):
     # Delta takes rho(-i/sqrt(b)) as the conjugate of rho(i/sqrt(b)): bit for bit
-    rec = reconstruct(model, moments, 60)
+    g = _density_taylor(reconstruct(model, moments, 60))
     for beta in ("1e-6", "0.01", "1", "1e7", "1e30"):
-        with ctx60.work():  # conj rounds to the ambient precision, which is above rho's
+        with ctx60.work():
             y = 1 / mp.sqrt(mpf(beta))
-            rho_plus, rho_minus = (rho_eval(rec, mp.mpc(0, v), ctx60) for v in (y, -y))
-            assert rho_minus == mp.conj(rho_plus)
+            (re_plus, im_plus), (re_minus, im_minus) = (rho_eval(g, v, ctx60) for v in (y, -y))
+        assert re_minus == re_plus
+        assert im_minus == mp.fneg(im_plus, exact=True)  # unary minus would round
 
 
 def test_default_truncation_is_2d(ctx100, reconstruct):

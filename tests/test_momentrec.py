@@ -22,8 +22,8 @@ from heulag import (
     rho_eval,
     solve_coeffs,
 )
-from heulag import momentrec
-from heulag.momentrec import _magnitude_digits
+from heulag import extrapolant, momentrec
+from heulag.momentrec import _density_taylor, _magnitude_digits
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +211,15 @@ def test_solve_rejects_shape_mismatch(ctx60):
 # ---------------------------------------------------------------------------
 
 def test_rho_at_zero_vanishes(ctx60, reconstruct):
-    rec = reconstruct(ModelId.SPIN0, 20, 60)
-    assert rho_eval(rec, mpf(0), ctx60) == 0
+    g = _density_taylor(reconstruct(ModelId.SPIN0, 20, 60))
+    assert rho_eval(g, mpf(0), ctx60) == (0, 0)
 
 
-def test_rho_real_input_gives_real_output(ctx60, reconstruct):
-    rec = reconstruct(ModelId.SPIN0, 20, 60)
-    v = rho_eval(rec, mpf("1.5"), ctx60)
-    assert isinstance(v, mpf)
-
-
-def test_rho_conjugate_symmetry(ctx60, reconstruct):
-    rec = reconstruct(ModelId.SPIN0, 20, 60)
-    zp = rho_eval(rec, mp.mpc(1, 1), ctx60)
-    zm = rho_eval(rec, mp.mpc(1, -1), ctx60)
-    # compare components with exact negation: mpc.conjugate() and unary minus
-    # both round at ambient precision and would mask (or fake) asymmetry
-    assert zp.real == zm.real
-    assert zp.imag == mp.fneg(zm.imag, exact=True)
+@pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+def test_rho_rejects_a_non_finite_y(y, ctx60, reconstruct):
+    g = _density_taylor(reconstruct(ModelId.SPIN0, 20, 60))
+    with pytest.raises(DomainError):
+        rho_eval(g, mpf(y), ctx60)
 
 
 def _laguerre_rho(rec, z, dps: int):
@@ -246,28 +237,41 @@ def _laguerre_rho(rec, z, dps: int):
     *((m, n, d) for n, d in ((50, 60), (100, 100), (200, 200)) for m in ModelId),
 ])
 def test_rho_matches_the_laguerre_recurrence_higher_up(model, moments, digits, reconstruct):
-    # the exact Taylor sum keeps every digit; the recurrence cancels on the
-    # real axis (about 60 digits at x = 300, 200 moments), so it runs 60
-    # digits above the working precision
+    # rho at the poles i/sqrt(b) against the recurrence 60 digits above the
+    # working precision
     ctx = PrecisionContext(digits)
     rec = reconstruct(model, moments, digits)
+    g = _density_taylor(rec)
     with ctx.work():
-        points = [*(mpf(x) for x in (3, 20, 40, 100, 300)), mp.mpc(1, 1), mp.mpc(1, -1),
-                  *(mp.mpc(0, 1 / mp.sqrt(mpf(b))) for b in ("1e-4", "1", "1e20"))]
+        points = [mp.mpc(0, 1 / mp.sqrt(mpf(b))) for b in ("1e-4", "1", "1e20")]
     for z in points:
         ref = _laguerre_rho(rec, z, ctx.workdps + 60)
         with mp.workdps(ctx.workdps + 60):
-            assert abs(rho_eval(rec, z, ctx) - ref) <= mpf(10) ** -digits * abs(ref), z
+            rho = mp.mpc(*rho_eval(g, z.imag, ctx))
+            assert abs(rho - ref) <= mpf(10) ** -digits * abs(ref), z
 
 
 def test_density_readers_cache_nothing_on_the_record(ctx60):
-    # g is recomputed per call: anything stored on a record stays alive with it
+    # anything stored on a record stays alive with it
     rec = momentrec.reconstruct(ModelId.SPIN0, 20, ctx60)
     before = dict(vars(rec))
-    rho_eval(rec, mp.mpc(0, 1), ctx60)
     Extrapolant.build(rec, None, ctx60).evaluate("1")
     extrapolate(ModelId.SPIN0, rec, "1", None, ctx60)
     assert vars(rec) == before
+
+
+def test_one_extrapolate_call_builds_g_once(ctx60, reconstruct, monkeypatch):
+    rec = reconstruct(ModelId.SPIN0, 20, 60)
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return _density_taylor(r)
+
+    for module in (momentrec, extrapolant):
+        monkeypatch.setattr(module, "_density_taylor", counted)
+    extrapolate(ModelId.SPIN0, rec, "1", None, ctx60)
+    assert calls == [rec]
 
 
 def test_rho_reproduces_moments_through_P(ctx60, reconstruct):
@@ -286,13 +290,18 @@ def test_rho_reproduces_moments_through_P(ctx60, reconstruct):
             assert abs(acc - target) < mpf("1e-45") * max(1, abs(target))
 
 
-def test_rho_quadrature_recovers_moments(ctx60, reconstruct):
-    # numerically integrate x^{2k} rho(x) over [0, inf): the k-th input moment
-    d = 8
-    rec = reconstruct(ModelId.SPIN0, d + 1, 60)
-    panels = [0, 1, 5, 20, 60, 140, 280, 420]
-    with ctx60.work():
-        m0 = mp.quad(lambda x: rho_eval(rec, x, ctx60), panels)
-        m1 = mp.quad(lambda x: x ** 2 * rho_eval(rec, x, ctx60), panels)
-        assert abs(m0 - mpf(7) / 360) < mpf("1e-30")
-        assert abs(m1 - mpf(31) / 2520) < mpf("1e-30")
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("moments, digits", [(9, 30), (50, 60), (200, 200)])
+def test_density_taylor_gives_the_moments(model, moments, digits, reconstruct):
+    # mu_k = int_0^inf x^{2k} rho(x) dx = sum_l g_l (2k+1+l)! 2^{2k+2+l}, with
+    # g_l = (-1)^l G_l 2^e / l!: an exact integer sum times 2^e
+    g = _density_taylor(reconstruct(model, moments, digits))
+    e = g[0][1]
+    mu = moments_from_coeffs(coefficients(model, moments), moments - 1).mu
+    for k, target in enumerate(mu):
+        total, r = 0, math.factorial(2 * k + 1)  # r = (2k+1+l)!/l!
+        for l, (G, _) in enumerate(g):
+            total += (-G if l % 2 else G) * r << 2 * k + 2 + l
+            r = r * (2 * k + 2 + l) // (l + 1)
+        got = total * Fraction(2) ** e
+        assert abs(got - target) <= Fraction(1, 10 ** digits) * target, k

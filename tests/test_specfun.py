@@ -329,7 +329,7 @@ def test_context_rejects_low_digits():
 
 
 def test_context_work_scopes_precision():
-    ctx = PrecisionContext(45, guard=15)
+    ctx = PrecisionContext(40)
     before = mp.dps
     with ctx.work():
         assert mp.dps == 60
