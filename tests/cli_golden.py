@@ -12,11 +12,12 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set of 67 entries takes 30-35 s on a 2-core x86-64 host; each
+The full set of 76 entries takes 30-35 s on a 2-core x86-64 host; each
 `table 6` entry takes 0.8-1 s of that, each 200-moment `extrapolate` entry
 0.8-1.2 s, each 300-digit SD and 1000-digit spin-1/2 `exact` entry about
-0.5 s, each `series` entry about 0.2 s, and each of the ten error runs well
-under 1 s. A change that alters the output on purpose rewrites the
+0.5 s, each 50-moment `extrapolate` entry at the sweep's betas about 0.3 s,
+each `series` entry about 0.2 s, and each of the ten error runs well under
+1 s. A change that alters the output on purpose rewrites the
 manifest and says so.
 pytest does not collect this file (its name does not start with test_);
 test_cli.py checks every entry.
@@ -45,6 +46,11 @@ COMMANDS = (
      "--beta", "1e-6,1,1e7,1e30"),
     ("extrapolate", "--model", "spin12", "--moments", "200", "--digits", "200",
      "--beta", "3,1e7,1e12,1e20"),
+    # the benchmark sweep's size and digits at five of its betas, as printed
+    # to six significant digits, for each model
+    *(("extrapolate", "--model", m, "--moments", "50", "--digits", "60",
+       "--beta", "0.0131237,1.31955,126.311,8.40597e+06,1.29965e+19")
+      for m in ("spin0", "spin12", "sd")),
     ("compare", "--moments", "50", "--pade", "9,10", "--delta", "25", "--beta", "0.1,10"),
     # compare's --truncation orders the partial sum; the extrapolant keeps K = 2d
     ("compare", "--moments", "5", "--truncation", "3", "--beta", "1"),
