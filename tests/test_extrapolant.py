@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import euler, exp, log, log10, mp, mpf, polyval
 from mpmath.libmp import mpf_mul, mpf_sum, to_rational
 
@@ -23,7 +25,7 @@ from heulag import (
     rho_eval,
     tail_sum,
 )
-from heulag.extrapolant import _delta_raw, _fp_kernel_values, _tail_coefficients
+from heulag.extrapolant import _beta_sum, _delta_raw, _fp_kernel_values, _tail_coefficients
 from heulag.momentrec import _density_taylor
 from conftest import printed_match, rel_err
 
@@ -158,13 +160,25 @@ def _bits(T) -> list[tuple]:
     return [t._mpf_ for t in T]
 
 
-@pytest.mark.parametrize("model", list(ModelId))
-@pytest.mark.parametrize("moments, digits", [(10, 30), (50, 60), (100, 100)])
-def test_integer_T_matches_the_mpf_reference(model, moments, digits, reconstruct):
+def _with_zeros(g):
+    """g with every third entry from l = 0 on, and the last, set to zero."""
+    d = len(g) - 1
+    return tuple((0 if l % 3 == 0 or l == d else G, e) for l, (G, e) in enumerate(g))
+
+
+@pytest.mark.parametrize("model, moments, digits, zeros", [
+    *((model, moments, digits, False) for model in ModelId
+      for moments, digits in [(10, 30), (50, 60), (100, 100)]),
+    (ModelId.SPIN0, 50, 60, True),
+])
+def test_integer_T_matches_the_mpf_reference(model, moments, digits, zeros, reconstruct):
     # the exact integer sums round to the mpf route's bits and lose as much,
-    # at workdps and at the raised precision of T_raised
+    # at workdps and at the raised precision of T_raised; a zero g_l takes
+    # no part in the sums or in the loss
     ctx = PrecisionContext(digits)
     g = _density_taylor(reconstruct(model, moments, digits))
+    if zeros:
+        g = _with_zeros(g)
     K = 2 * (moments - 1)
     with ctx.work():
         T, lost = _tail_coefficients(g, K)
@@ -198,7 +212,7 @@ def test_tail_coefficient_is_canonical_finite_part(k, reconstruct):
     assert rel_err(T[k], oracle) < mpf("1e-30")
 
 
-@pytest.mark.parametrize("beta", ["1", "1e7", "1e18"])
+@pytest.mark.parametrize("beta", ["1", "126.311", "8.40597e+06", "1e7", "1e18", "1e30"])
 def test_tail_keeps_digits_beyond_the_guard(beta, reconstruct):
     # at d = 199 the T_k sums cancel 19-20 digits, past the 20 guard digits
     # less 5: the sum must be redone higher, with T_raised or a rebuilt T
@@ -212,13 +226,42 @@ def test_tail_keeps_digits_beyond_the_guard(beta, reconstruct):
 
 
 @pytest.mark.parametrize("model", list(ModelId))
-@pytest.mark.parametrize("beta", ["1e-4", "1e-3"])
+@pytest.mark.parametrize("beta", ["1e-4", "1e-3", "126.311", "8.40597e+06", "1e30"])
 def test_tail_keeps_digits_where_the_beta_sum_cancels(model, beta, reconstruct):
-    # at d = 49 the beta sum alone cancels ~27 digits at 1e-4 and ~11 at 1e-3
+    # at d = 49 the beta sum alone cancels ~27 digits at 1e-4 and ~11 at 1e-3;
+    # at large beta it keeps only the first few terms
     short = tail_sum(Extrapolant.build(reconstruct(model, 50, 60), 98, PrecisionContext(60)), beta)
     long = tail_sum(Extrapolant.build(reconstruct(model, 50, 160), 98, PrecisionContext(160)),
                     beta)
     assert rel_err(short, long) < 10 ** mpf("-59.5")
+
+
+def _reference_beta_sum(T, beta, p: int) -> tuple[mpf, int]:
+    """(sum_k (-1)^k beta^{p-k} T_k, digits lost) in power form: every term
+    formed with its own power of beta and summed left to right, and the loss
+    read as mp.mag of the largest term less mp.mag of the sum."""
+    terms = [(-1) ** k * beta ** (p - k) * t for k, t in enumerate(T)]
+    total = sum(terms, mpf(0))
+    lost = max(map(mp.mag, terms)) - mp.mag(total) if total else 0
+    return total, math.ceil(max(0, lost) * math.log10(2))
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@settings(max_examples=50, deadline=None)
+@given(log10_beta=st.floats(min_value=-6, max_value=30))
+def test_beta_sum_agrees_with_the_power_form(model, log10_beta, reconstruct):
+    # within 8 units in the last place of the largest term at workdps, the
+    # unit that bounds both sums' rounding, and the same loss within a digit
+    ctx = PrecisionContext(60)
+    ext = Extrapolant.build(reconstruct(model, 50, 60), None, ctx)
+    p = model.tail_power_offset
+    with ctx.work():
+        beta = mpf(10) ** log10_beta
+        total, lost = _beta_sum(ext.T, beta, p)
+        ref, ref_lost = _reference_beta_sum(ext.T, beta, p)
+        top = max(mp.mag(beta ** (p - k) * t) for k, t in enumerate(ext.T))
+        assert abs(total - ref) <= 8 * mpf(2) ** (top - mp.prec)
+    assert abs(lost - ref_lost) <= 1
 
 
 @pytest.mark.parametrize("model", list(ModelId))
@@ -266,16 +309,48 @@ def test_kernel_cache_stays_bounded(reconstruct):
     assert info.misses > 1 and info.maxsize is not None and info.currsize <= info.maxsize
 
 
-@pytest.mark.parametrize("moments, digits", [(50, 60), (100, 100)])
-def test_exact_build_T_within_its_cancellation(moments, digits, reconstruct):
-    # every T_k within 10^(lost_T + 1) units in the last place of a build
-    # 100 digits higher
-    rec = reconstruct(ModelId.SPIN0, moments, digits)
+def _closed_form_T(g, K: int) -> list[mpf]:
+    """T_0..T_K at ambient precision from Q(x) = sum_l G_l 2^l C(x, l), with
+    (G_l, e) = g:
+
+        T_k = 2^(e-2k)/(2k)! [(ln 2 - gamma + H_2k) Q(2k) - Q'(2k)].
+
+    The terms l <= 2k of the convolution give the first part with Q'(2k)'s
+    terms l <= 2k, and the convergent orders l > 2k give the rest of -Q'(2k).
+    Q and L Q', L = lcm(1..d), are stepped in exact integers by forward
+    differences: Q's binomial coefficients are q_l = G_l 2^l, and Q''s are
+    q'_i = sum_{m>=1} (-1)^(m-1) q_{i+m}/m (d/dx = ln(1 + forward
+    difference)). Each T_k takes one rounding of ln 2 - gamma, 100 bits above
+    the ambient precision, and is rounded once at the end."""
+    d, e = len(g) - 1, g[0][1]
+    q = [G << l for l, (G, _) in enumerate(g)]
+    L = math.lcm(*range(1, d + 1))
+    dq = [sum((-1) ** (m - 1) * q[i + m] * (L // m) for m in range(1, d + 1 - i))
+          for i in range(d + 1)]
+    T, harmonic = [], Fraction(0)  # H_n
+    with mp.workprec(mp.prec + 100):
+        c = mp.ln2 - mp.euler
+        for n in range(2 * K + 1):
+            if n % 2 == 0:
+                rest = harmonic * q[0] - Fraction(dq[0], L)
+                v = (c * q[0] + mpf(rest.numerator) / rest.denominator) * mpf(2) ** (e - n)
+                T.append(v / factorial(n))
+            for row in (q, dq):  # row[i] = i-th forward difference at n + 1
+                for i in range(d):
+                    row[i] += row[i + 1]
+            harmonic += Fraction(1, n + 1)
+    return [+t for t in T]
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+@pytest.mark.parametrize("moments, digits", [(50, 60), (100, 100), (200, 200)])
+def test_exact_build_T_within_its_cancellation(model, moments, digits, reconstruct):
+    # every T_k within 10^(lost_T + 1) units in its last place of the closed
+    # form over Q, which cancels nothing
     ctx = PrecisionContext(digits)
-    ext = Extrapolant.build(rec, None, ctx)
-    ref = Extrapolant.build(rec, None, PrecisionContext(digits + 100))
+    ext = Extrapolant.build(reconstruct(model, moments, digits), None, ctx)
     with ctx.work():
-        for t, r in zip(ext.T, ref.T):
+        for t, r in zip(ext.T, _closed_form_T(ext.g, ext.K), strict=True):
             ulp = mpf(2) ** (mp.mag(t) - mp.prec)
             assert abs(t - r) <= 10 ** (ext.lost_T + 1) * ulp
 
