@@ -90,18 +90,17 @@ def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:
     each one exact integer sum of the rounded g and M mantissa products, taken
     by maps over parallel lists (a zero g_l takes no part) and rounded once.
     The loss is the largest gap between a product's and its sum's mp.mag."""
-    d = len(g) - 1
     prec, rnd = mp._prec_rounding
     gl = [mpf_div(from_man_exp((-1) ** l * G, e), from_int(factorial(l)), prec, rnd)
           for l, (G, e) in enumerate(g)][::-1]  # g_{d-i} pairs with M[2k+1+i]
     keep = [man != 0 for _, man, _, _ in gl]
     gm = [-man if sign else man for sign, man, _, _ in gl if man]
     ge = [exp for _, man, exp, _ in gl if man]
-    Mm, Me = zip(*_fp_kernel_values(d, 2 * K + 1, prec))
+    Mm, Me = zip(*_fp_kernel_values(len(g) - 1, 2 * K + 1, prec))
     T, lost_bits = [], 0
-    for j in range(1, 2 * K + 2, 2):  # j = 2k + 1
-        prods = list(map(mul, gm, compress(Mm[j:j + d + 1], keep)))
-        exps = list(map(add, ge, compress(Me[j:j + d + 1], keep)))
+    for j in range(1, 2 * K + 2, 2):  # j = 2k + 1, windows as long as g
+        prods = list(map(mul, gm, compress(Mm[j:j + len(g)], keep)))
+        exps = list(map(add, ge, compress(Me[j:j + len(g)], keep)))
         e0 = min(exps, default=0)
         t = from_man_exp(sum(map(lshift, prods, [e - e0 for e in exps])), e0, prec, rnd)
         T.append(mp.make_mpf(t))
@@ -115,13 +114,11 @@ def _beta_sum(T, beta, p: int) -> tuple[mpf, int]:
     """(sum_k (-1)^k beta^{p-k} T_k, digits lost) at ambient precision: beta^p
     times a Horner pass in -1/beta, 10 bits higher, from the last k whose size
     mag(T_k) - k log2(beta) is within prec + 10 bits of the top size. The loss
-    is mp.mag of the largest term (formed for the k within 3 bits of the top)
-    less that of the sum: at d = 49, 5 digits at beta = 0.01 and 27 at 1e-4."""
+    is the largest term's mp.mag (formed within 3 bits of the top) less the sum's."""
     beta = _to_beta(beta)
     prec, rnd = mp._prec_rounding
-    b, log2_beta = beta._mpf_, log2(beta.man) + beta.exp
-    size = [e + bc - k * log2_beta if man else -inf
-            for k, (_, man, e, bc) in enumerate(t._mpf_ for t in T)]
+    b, lb = beta._mpf_, log2(beta.man) + beta.exp
+    size = [e + bc - k * lb if m else -inf for k, (_, m, e, bc) in enumerate(t._mpf_ for t in T)]
     top = max(size)
     kstar = max(k for k, s in enumerate(size) if s >= top - prec - 10)
     x, acc = mpf_div(fnone, b, prec + 10, rnd), T[kstar]._mpf_

@@ -315,8 +315,9 @@ def _closed_form_T(g, K: int) -> list[mpf]:
 
         T_k = 2^(e-2k)/(2k)! [(ln 2 - gamma + H_2k) Q(2k) - Q'(2k)].
 
-    The terms l <= 2k of the convolution give the first part with Q'(2k)'s
-    terms l <= 2k, and the convergent orders l > 2k give the rest of -Q'(2k).
+    The orders l <= 2k of the convolution give (ln 2 - gamma + H_2k) Q(2k)
+    less the terms l <= 2k of Q'(2k); the convergent orders l > 2k give the
+    terms l > 2k of -Q'(2k).
     Q and L Q', L = lcm(1..d), are stepped in exact integers by forward
     differences: Q's binomial coefficients are q_l = G_l 2^l, and Q''s are
     q'_i = sum_{m>=1} (-1)^(m-1) q_{i+m}/m (d/dx = ln(1 + forward
