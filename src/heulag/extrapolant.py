@@ -30,7 +30,7 @@ from operator import add, lshift, mul
 
 from mpmath import mp, mpf, ln, pi, sqrt
 from mpmath.libmp import (fnone, fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
-                          mpf_euler, mpf_log, mpf_mul, mpf_pos, mpf_sub, round_nearest)
+                          mpf_euler, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, round_nearest)
 
 from .errors import DomainError, TruncationWarning
 from .models import ModelId
@@ -115,16 +115,16 @@ def _beta_sum(T, beta, p: int) -> tuple[mpf, int]:
     times a Horner pass in -1/beta, 10 bits higher, from the last k whose size
     mag(T_k) - k log2(beta) is within prec + 10 bits of the top size. The loss
     is the largest term's mp.mag (formed within 3 bits of the top) less the sum's."""
-    beta = _to_beta(beta)
-    prec, rnd = mp._prec_rounding
-    b, lb = beta._mpf_, log2(beta.man) + beta.exp
+    beta, (prec, rnd) = _to_beta(beta), mp._prec_rounding
+    # log2 of the mantissa's top 60 bits: a long gmpy2 mpz would overflow float()
+    b, lb = beta._mpf_, log2(int(beta.man << 60 >> beta.bc)) + beta.exp + beta.bc - 60
     size = [e + bc - k * lb if m else -inf for k, (_, m, e, bc) in enumerate(t._mpf_ for t in T)]
     top = max(size)
     kstar = max(k for k, s in enumerate(size) if s >= top - prec - 10)
     x, acc = mpf_div(fnone, b, prec + 10, rnd), T[kstar]._mpf_
     for t in reversed(T[:kstar]):
         acc = mpf_add(mpf_mul(acc, x, prec + 10, rnd), t._mpf_, prec + 10, rnd)
-    total = mp.make_mpf(mpf_mul(acc, b, prec, rnd) if p else mpf_pos(acc, prec, rnd))
+    total = mp.make_mpf(mpf_mul(acc, mpf_pow_int(b, p, prec + 10, rnd), prec, rnd))
     big = max(mp.mag(beta ** (p - k) * T[k]) for k, s in enumerate(size) if s >= top - 3)
     lost = big - mp.mag(total) if total else 0
     return total, ceil(max(0, lost) * log10(2))

@@ -264,6 +264,35 @@ def test_beta_sum_agrees_with_the_power_form(model, log10_beta, reconstruct):
     assert abs(lost - ref_lost) <= 1
 
 
+@pytest.mark.parametrize("p", [-1, 2])
+@pytest.mark.parametrize("beta", ["0.0131237", "1.31955", "8.40597e+06"])
+def test_beta_sum_takes_any_leading_power(p, beta, reconstruct):
+    # the models use p = 0 and 1; the sum's contract holds for every integer p
+    ctx = PrecisionContext(60)
+    ext = Extrapolant.build(reconstruct(ModelId.SPIN0, 50, 60), None, ctx)
+    with ctx.work():
+        b = mpf(beta)
+        total, lost = _beta_sum(ext.T, b, p)
+        ref, ref_lost = _reference_beta_sum(ext.T, b, p)
+        top = max(mp.mag(b ** (p - k) * t) for k, t in enumerate(ext.T))
+        assert abs(total - ref) <= 8 * mpf(2) ** (top - mp.prec)
+    assert abs(lost - ref_lost) <= 1
+
+
+def test_beta_sum_reads_no_long_mantissa_as_a_float(monkeypatch, reconstruct):
+    # with the gmpy2 backend a mantissa is an mpz, which math.log2 converts
+    # through float() and so overflows past 1023 bits; 0.01 at 320 digits
+    # has a 1063-bit mantissa
+    ctx = PrecisionContext(300)
+    ext = Extrapolant.build(reconstruct(ModelId.SPIN0, 10, 300), None, ctx)
+    with ctx.work():
+        beta = mpf("0.01")
+        assert beta.bc > 1023
+        expected = _beta_sum(ext.T, beta, 1)
+        monkeypatch.setattr("heulag.extrapolant.log2", lambda n: math.log2(float(n)))
+        assert _beta_sum(ext.T, beta, 1) == expected
+
+
 @pytest.mark.parametrize("model", list(ModelId))
 def test_fewer_digits_than_moments_keep_every_digit(model, reconstruct):
     # 100 moments at 30 digits against the same run at 90 digits
