@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import DegeneracyError, DomainError
 from .models import SeriesCoefficients
@@ -57,13 +57,13 @@ def _pade(series: SeriesCoefficients, N: int, M: int,
         raise DomainError(
             f"series has {series.count} coefficients, [N/M]=[{N}/{M}] needs {need}")
     L = N - M + 1
-    dps = ctx.workdps + _span_digits(series, need) + 10
-    with mp.workdps(dps):
+    extra = _span_digits(series, need) + 10
+    with ctx.work(extra):
         a = [_to_mpf(f) for f in series.a[:need]]
         alphas = _qd_row(a, L)[::-1]
 
     def at(beta) -> mpf:
-        with mp.workdps(dps):
+        with ctx.work(extra):
             beta = _to_beta(beta)
             t = mpf(1)
             for alpha in alphas:
@@ -120,8 +120,7 @@ def weniger_delta(series: SeriesCoefficients, n: int, beta,
     if series.count < n + 2:
         raise DomainError(
             f"series has {series.count} coefficients, delta_{n} needs {n + 2}")
-    dps = ctx.workdps + _span_digits(series, n + 2) + 10
-    with mp.workdps(dps):
+    with ctx.work(_span_digits(series, n + 2) + 10):
         beta = _to_beta(beta)
         xp = -beta  # (-beta)^(j+1)
         term = _to_mpf(series.a[0])  # t_j = a_j (-beta)^j, and omega_j = t_{j+1}

@@ -102,7 +102,7 @@ def _richardson_constant(eps_values: Sequence[Fraction], data: Sequence[mpf]) ->
     boosted far beyond any conceivable conditioning loss.
     """
     n = len(eps_values)
-    with mp.workdps(mp.dps + 200):
+    with mp.extradps(200):
         eps = [_to_mpf(e) for e in eps_values]
         cols = [[mpf(1)] * n]
         npairs = (n - 1) // 2
@@ -138,17 +138,16 @@ def fp_canonical_oracle(kernel: KernelDescriptor, m: int, ctx: PrecisionContext)
     jmax = ctx.digits // 4
     eps_values = [Fraction(1, 10 ** j) for j in range(2, jmax + 1)]
     # Quadrature precision covers the divergence magnitude eps_min^{-(m-1)}.
-    qdps = ctx.workdps + (m - 1) * (jmax + 1) + 10
-    with mp.workdps(qdps):
+    with ctx.work((m - 1) * (jmax + 1) + 10):
         decay = _to_mpf(kernel.decay)
-        cutoff = int(qdps * ln(mpf(10)) / decay) + 10
+        cutoff = int(mp.dps * ln(mpf(10)) / decay) + 10
         integrand = lambda x: kernel.func(x) / x ** m
         running = quad(integrand, [_to_mpf(eps_values[0]), 1, cutoff])
         tails = [running - _divergent_part(kernel.taylor, m, eps_values[0])]
         for prev, cur in zip(eps_values, eps_values[1:]):
             running += quad(integrand, [_to_mpf(cur), _to_mpf(prev)])
             tails.append(running - _divergent_part(kernel.taylor, m, cur))
-    with mp.workdps(ctx.workdps + 20):
+    with ctx.work(20):
         a0 = _richardson_constant(eps_values, tails)
         check = _richardson_constant(eps_values[:-1], tails[:-1])
         tol = mpf(10) ** (-(ctx.digits // 2)) * max(abs(a0), mpf(1))

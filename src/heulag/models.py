@@ -241,8 +241,7 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     the positive-weight sum cannot cancel; only the kernel near x = 1/2
     (<= 3 digits) and the sum over n nodes (log10 n, about 4) lose digits.
     """
-    qdps = ctx.digits + 10
-    with mp.workdps(qdps):
+    with ctx.work(10 - ctx.guard):
         beta = _to_beta(beta)
         rb = sqrt(beta)
         chi = _kernel(model)
@@ -252,7 +251,7 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
             integrand = lambda s: exp(-s) * chi(rb * s / 2) / (4 * scale * s)
         else:
             integrand = lambda t: exp(-t) * chi(rb * t) / (scale * t ** 3)
-        cutoff = int(qdps * ln(mpf(10))) + 10
+        cutoff = int(mp.dps * ln(mpf(10))) + 10
         v, err = quad(integrand, [0, 1, cutoff], error=True, maxdegree=8)
         v, err = v * scale, err * scale
         if err > abs(v) * mpf(10) ** (-ctx.digits):

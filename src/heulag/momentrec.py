@@ -181,7 +181,7 @@ def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCo
     if len(P) != d + 1 or any(len(row) != d + 1 for row in P):
         raise DomainError(f"P must be {d + 1}x{d + 1} to match the moment vector")
     nums, den = _exact_solve(mu.mu)
-    with mp.workdps(ctx.workdps + _magnitude_digits(P) + 10):
+    with ctx.work(_magnitude_digits(P) + 10):
         c = tuple(mp.fdiv(v, den) for v in nums)
     return ReconstructionCoefficients(model=mu.model, c=c, digits=ctx.digits)
 
@@ -216,8 +216,7 @@ def residual_norm_of(rec: ReconstructionCoefficients, mu: MomentVector,
         raise DomainError(
             f"moment vector of degree {mu.d} does not match reconstruction degree {rec.d}")
     exact = build_P_exact(rec.d)
-    dps = ctx.workdps + _magnitude_digits(exact) + 10
-    with mp.workdps(dps):
+    with ctx.work(_magnitude_digits(exact) + 10):
         return _residual(exact, [mpf(x) for x in rec.c], mu)
 
 

@@ -1,9 +1,11 @@
 """The working-precision context and the special functions the toolkit is
 built on.
 
-Everything numeric runs on mpmath. The underscore-prefixed helpers operate at
-whatever precision is ambient (``mp.dps``) and are shared by the other
-modules, which manage their own working precision.
+Everything numeric runs on mpmath under one precision plan. Apart from the
+CLI's display and cache parsing, every scope that sets the working precision
+is a PrecisionContext.work scope. Helpers, here and in the other modules, read
+the ambient precision (``mp.dps``) and may only raise it relatively
+(``mp.extradps``), never set it.
 """
 from __future__ import annotations
 
@@ -42,7 +44,8 @@ class PrecisionContext:
 
     @contextmanager
     def work(self, extra: int = 0):
-        """Ambient-precision scope at digits+guard (+extra) decimal digits."""
+        """Ambient-precision scope at digits+guard+extra decimal digits; extra
+        may be negative, as for the quadrature oracle (digits + 10)."""
         with mp.workdps(self.workdps + extra):
             yield
 

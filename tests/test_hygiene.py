@@ -1,9 +1,11 @@
 """Source hygiene: every module-level or local import in the package, the
 tests and the benchmark is used, and every module-level definition in the
 package is read somewhere else in it, a public one unless PUBLIC_API lists
-it. No linter ships with the toolchain, so these scans are the lint step.
-Names listed in a module's __all__ count as used imports (they are
-re-exports), and __future__ imports are exempt."""
+it. Nothing in the package sets mpmath's working precision outside
+specfun.PrecisionContext unless PRECISION_SETTERS lists it. No linter ships
+with the toolchain, so these scans are the lint step. Names listed in a
+module's __all__ count as used imports (they are re-exports), and
+__future__ imports are exempt."""
 import ast
 from pathlib import Path
 
@@ -30,6 +32,15 @@ PUBLIC_API = {
     "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",
     "models.strong_field_leading": "the strong-field asymptotics; to grow into the series "
                                    "oracle of ROADMAP item 6",
+}
+
+# Functions outside specfun.PrecisionContext that set mpmath's working
+# precision, each with its reason.
+PRECISION_SETTERS = {
+    "cli._agree_digits": "display only: 31 digits for a 21-digit agreement count, and "
+                         "mpmath's log10 takes no dps= keyword",
+    "cli.load_cache": "parses each cache file at that file's own digit length; "
+                      "bench/workloads.py reads it until ROADMAP item 2 deletes it",
 }
 
 
@@ -152,3 +163,66 @@ def test_scan_flags_an_unread_public_name():
 def test_public_names_are_read_or_listed():
     # an unread name off the list, or a listed name now read or gone, fails
     assert unread_publics(MODULES) == sorted(PUBLIC_API)
+
+
+def _is_mp_attr(node: ast.AST, names: tuple[str, ...]) -> bool:
+    """`mp.<name>` for a name in `names`."""
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "mp")
+
+
+def _sets_precision(node: ast.AST) -> bool:
+    """A call to mp.workdps or mp.workprec, or an assignment to mp.dps or mp.prec."""
+    if isinstance(node, ast.Call):
+        return _is_mp_attr(node.func, ("workdps", "workprec"))
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(_is_mp_attr(t, ("dps", "prec")) for target in targets for t in ast.walk(target))
+    return False
+
+
+def precision_setters(sources: dict[str, str]) -> list[str]:
+    """`scope (line n)` of each statement or call in `sources` that sets an
+    absolute working precision, outside specfun.PrecisionContext; the scope is
+    the module and its enclosing classes and functions. Relative raises
+    (mp.extradps, mp.extraprec) are not setters."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if _sets_precision(child):
+                found.append((scope, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module)
+    exempt = "specfun.PrecisionContext"
+    return [f"{scope} (line {line})" for scope, line in sorted(found)
+            if scope != exempt and not scope.startswith(exempt + ".")]
+
+
+def test_scan_flags_a_precision_setter():
+    sources = {
+        "specfun": "class PrecisionContext:\n"
+                   "    def work(self):\n"
+                   "        with mp.workdps(50): mp.dps = 50\n",
+        "a": "mp.dps = 50\n"
+             "def f():\n"
+             "    mp.prec += 10\n"
+             "    with mp.workprec(100): pass\n"
+             "    with mp.extradps(10), ctx.work(5): return mp.dps\n"
+             "class C:\n"
+             "    def g(self):\n"
+             "        def h(): mp.dps = self.prec = 3\n"
+             "        return mp.workdps(60)\n",
+    }
+    assert precision_setters(sources) == [
+        "a (line 1)", "a.C.g (line 9)", "a.C.g.h (line 8)", "a.f (line 3)", "a.f (line 4)"]
+
+
+def test_only_the_precision_context_sets_precision():
+    # a setter off the list, or a listed function that no longer sets one, fails
+    setters = precision_setters({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert [s for s in setters if s.partition(" ")[0] not in PRECISION_SETTERS] == []
+    assert {s.partition(" ")[0] for s in setters} == set(PRECISION_SETTERS)

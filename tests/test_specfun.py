@@ -334,3 +334,11 @@ def test_context_work_scopes_precision():
     with ctx.work():
         assert mp.dps == 60
     assert mp.dps == before
+    with ctx.work(-10):  # below the guard, as the quadrature oracle runs
+        assert mp.dps == 50
+    assert mp.dps == before
+    with pytest.raises(ZeroDivisionError):
+        with ctx.work(5):
+            assert mp.dps == 65
+            mpf(1) / 0
+    assert mp.dps == before
