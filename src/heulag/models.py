@@ -12,10 +12,13 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import count
 from math import factorial, log2
 
-from mpmath import mp, mpf, ceil, exp, ln, log10, quad, sqrt
+from mpmath import mp, mpf, ceil, ln, log10, quad, sqrt
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
+                          mpf_neg, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
@@ -177,54 +180,60 @@ def partial_sum(model: ModelId, beta, d: int, ctx: PrecisionContext) -> mpf:
 # Direct quadrature oracle on the proper-time representation.
 # ---------------------------------------------------------------------------
 
-def _kernel(model: ModelId) -> Callable[[mpf], mpf]:
-    """The subtracted kernel for x > 0 at ambient precision: chi(x) =
+def _kernel(model: ModelId, prec: int) -> Callable[[tuple], tuple]:
+    """The subtracted kernel on raw libmp values x > 0: chi(x) =
     sum_{k>=2} c_k x^{2k} (spins), w(x) = sum_{k>=2} (2k-1) c^{(1/2)}_k x^{2k-2}
-    (SD).
+    (SD), within a few units of 2^-prec relative, carried at prec + 10 bits.
 
     Below x = 1/2, well inside the pi radius of convergence and clear of the
-    hyperbolic form's cancellation near 0: a Horner sum in x^2 over the exact
-    c_k, converted once, here. |c_k| is about 2/pi^{2k}, so at x the sum
-    stops where the table's binary magnitudes put a term below 10^-(dps+5)
-    of the first; the table runs to that point at x = 1/2. From x = 1/2 on,
-    the hyperbolic form with one exponential.
+    hyperbolic form's cancellation near 0: a fixed-point Horner sum in x^2
+    over the exact c_k, scaled once, here, to prec + 20 bits. |c_k| is about
+    2/pi^{2k}, so at x the sum stops where the table's binary magnitudes and
+    an upper bound on log2 x^2 put a term below 2^-(prec + 20); the table
+    runs to that point at x = 1/2. The sum times the exact x^4 (spins) or
+    x^2 (SD) is rounded once. From x = 1/2 on, the hyperbolic form with one
+    exponential, at prec + 10 bits.
     """
-    bits = (mp.dps + 5) * log2(10)
-    cs, mags = [], []  # mags[j] = log2 |c_j|
+    fp, hp, rnd = prec + 20, prec + 10, round_nearest
+    cs, mags = [], []  # cs[j] = c_j 2^fp, mags[j] = log2 |c_j|
     for k in count(2):
         c = (2 * k - 1) * _ck(ModelId.SPIN_HALF, k) if model is ModelId.SELF_DUAL \
             else _ck(model, k)
-        cs.append(_to_mpf(c))
+        cs.append((c.numerator << fp) // c.denominator)
         mags.append(log2(abs(c.numerator)) - log2(c.denominator))
-        if mags[-1] - mags[0] - 2 * (len(mags) - 1) <= -bits:  # at x^2 = 1/4
+        if mags[-1] - 2 * (len(mags) - 1) < -fp:  # at x^2 = 1/4
             break
-    drop = [m - mags[0] for m in mags]
     lead = 1 if model is ModelId.SELF_DUAL else 2  # the series starts at x2**lead
 
-    def series(x: mpf) -> mpf:
-        x2 = x * x
-        lx = mp.mag(x2)  # an upper bound on log2 x2, so never too few terms
-        n = next(j for j, d in enumerate(drop) if d + j * lx <= -bits)
-        acc = cs[n - 1]
-        for c in reversed(cs[:n - 1]):
-            acc = acc * x2 + c
-        return acc * x2 ** lead
+    def series(man: int, exp: int, bc: int) -> tuple:
+        lx = 2 * (exp + bc)  # an upper bound on log2 x^2, so never too few terms
+        n = next(j for j, m in enumerate(mags) if m + j * lx < -fp)
+        x2, shift = man * man, 2 * exp + fp
+        x2 = x2 << shift if shift >= 0 else x2 >> -shift
+        acc = 0
+        for c in cs[n - 1::-1]:
+            acc = (acc * x2 >> fp) + c
+        return from_man_exp(acc * man ** (2 * lead), 2 * lead * exp - fp, hp, rnd)
 
-    half, third = mpf(1) / 2, mpf(1) / 3
+    add, sub, mul, div = (partial(f, prec=hp, rnd=rnd)
+                          for f in (mpf_add, mpf_sub, mpf_mul, mpf_div))
+    third, sixth = (div(fone, from_int(q)) for q in (3, 6))
     if model is ModelId.SPIN0:
-        def hyperbolic(x: mpf) -> mpf:  # x/sinh x = 2x h/(1 - h^2)
-            h = exp(-x)
-            return 2 * x * h / (1 - h * h) - 1 + x * x / 6
+        def hyperbolic(x: tuple) -> tuple:  # x/sinh x = 2x h/(1 - h^2)
+            h = mpf_exp(mpf_neg(x), hp, rnd)
+            v = div(mpf_shift(mul(x, h), 1), sub(fone, mul(h, h)))
+            return add(sub(v, fone), mul(mul(x, x), sixth))
     elif model is ModelId.SPIN_HALF:
-        def hyperbolic(x: mpf) -> mpf:  # x coth x = x(1 + e)/(1 - e)
-            e = exp(-2 * x)
-            return 1 + x * x / 3 - x * (1 + e) / (1 - e)
+        def hyperbolic(x: tuple) -> tuple:  # x coth x = x(1 + e)/(1 - e)
+            e = mpf_exp(mpf_neg(mpf_shift(x, 1)), hp, rnd)
+            return sub(add(fone, mul(mul(x, x), third)), div(mul(x, add(fone, e)), sub(fone, e)))
     else:
-        def hyperbolic(x: mpf) -> mpf:
-            e = exp(-2 * x)
-            return 4 * e / (1 - e) ** 2 - 1 / (x * x) + third
+        def hyperbolic(x: tuple) -> tuple:  # 1/sinh^2 x = 4e/(1 - e)^2
+            e = mpf_exp(mpf_neg(mpf_shift(x, 1)), hp, rnd)
+            d = sub(fone, e)
+            return add(sub(div(mpf_shift(e, 2), mul(d, d)), div(fone, mul(x, x))), third)
 
-    return lambda x: series(x) if x < half else hyperbolic(x)
+    return lambda x: series(*x[1:]) if x[2] + x[3] < 0 else hyperbolic(x)  # x < 1/2
 
 
 def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
@@ -232,7 +241,10 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
 
     Spins: integral of e^{-tau} chi(sqrt(beta) tau)/tau^3. SD: after
     sigma = 2 tau/sqrt(beta), (1/4) integral of e^{-sigma} w(sqrt(beta)
-    sigma/2)/sigma. Integrands are O(tau) at the origin.
+    sigma/2)/sigma. Integrands are O(tau) at the origin. One tanh-sinh pass
+    over [0, inf), at the degree mpmath sizes from the precision; the
+    integrand works on raw libmp values at prec + 10 bits and is rounded
+    once to prec.
 
     The target is relative: the integrand is divided by a_0 beta^p below
     beta = 1 and by 1 above (|f| >= 0.0035 there), so mpmath's absolute
@@ -243,16 +255,23 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     """
     with ctx.work(10 - ctx.guard):
         beta = _to_beta(beta)
-        rb = sqrt(beta)
-        chi = _kernel(model)
+        prec, rnd = mp.prec, round_nearest
+        wp = prec + 10
+        chi = _kernel(model, prec)
         p = model.series_prefactor_power
         scale = _to_mpf(coefficients(model, 1).a[0]) * beta ** p if beta < 1 else mpf(1)
-        if model is ModelId.SELF_DUAL:
-            integrand = lambda s: exp(-s) * chi(rb * s / 2) / (4 * scale * s)
-        else:
-            integrand = lambda t: exp(-t) * chi(rb * t) / (scale * t ** 3)
-        cutoff = int(mp.dps * ln(mpf(10))) + 10
-        v, err = quad(integrand, [0, 1, cutoff], error=True, maxdegree=8)
+        if model is ModelId.SELF_DUAL:  # e^-s w(r s)/(4 scale s), r = sqrt(beta)/2
+            r, den, m = (sqrt(beta) / 2)._mpf_, (4 * scale)._mpf_, 1
+        else:  # e^-t chi(r t)/(scale t^3), r = sqrt(beta)
+            r, den, m = sqrt(beta)._mpf_, scale._mpf_, 3
+
+        def integrand(t: mpf) -> mpf:
+            t = t._mpf_
+            num = mpf_mul(mpf_exp(mpf_neg(t), wp, rnd), chi(mpf_mul(r, t, wp, rnd)), wp, rnd)
+            return mp.make_mpf(mpf_div(num, mpf_mul(den, mpf_pow_int(t, m, wp, rnd), wp, rnd),
+                                       prec, rnd))
+
+        v, err = quad(integrand, [0, mp.inf], error=True)
         v, err = v * scale, err * scale
         if err > abs(v) * mpf(10) ** (-ctx.digits):
             raise OracleFailureError(

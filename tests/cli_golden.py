@@ -12,13 +12,13 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set of 76 entries takes 30-35 s on a 2-core x86-64 host; each
+The full set of 85 entries takes 23-28 s on a 2-core x86-64 host; each
 `table 6` entry takes 0.8-1 s of that, each 200-moment `extrapolate` entry
-0.8-1.2 s, each 300-digit SD and 1000-digit spin-1/2 `exact` entry about
-0.5 s, each 50-moment `extrapolate` entry at the sweep's betas about 0.3 s,
-each `series` entry about 0.2 s, and each of the ten error runs well under
-1 s. A change that alters the output on purpose rewrites the
-manifest and says so.
+0.8-1.2 s, each two-beta `exact --oracle` entry 0.4-0.7 s, each 300-digit
+SD and 1000-digit spin-1/2 `exact` entry about 0.5 s, each 50-moment
+`extrapolate` entry at the sweep's betas about 0.3 s, each `series` entry
+about 0.2 s, and each of the ten error runs well under 1 s. A change that
+alters the output on purpose rewrites the manifest and says so.
 pytest does not collect this file (its name does not start with test_);
 test_cli.py checks every entry.
 """
@@ -57,6 +57,11 @@ COMMANDS = (
     # one moment: every extrapolant cell reads ERR(DomainError)
     ("compare", "--moments", "1", "--beta", "1,10"),
     ("exact", "--beta", "0.01,1,100", "--oracle"),
+    # the quadrature oracle at one of the benchmark's heavy betas and at the
+    # last 60-digit beta where it returns, for each model
+    ("exact", "--beta", "1484.03,1e13", "--oracle"),
+    ("exact", "--model", "spin12", "--beta", "834.336,1e7", "--oracle"),
+    ("exact", "--model", "sd", "--beta", "1819.25,1e16", "--oracle"),
     # SD closed forms (paired zeta'(-1, q), zeta'(0, q)) and a spin one far
     # above 100 digits
     ("exact", "--model", "sd", "--digits", "300", "--beta", "1e-4,0.5,1e7,1e20"),

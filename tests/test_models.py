@@ -186,28 +186,35 @@ def test_quadrature_keeps_relative_digits_at_tiny_beta(model, beta, ctx60, ctx10
     assert rel_err(q, closed_form(model, beta, ctx100)) < mpf(10) ** -61
 
 
-# Per precision, the grid betas where the oracle must return: at 150 digits
-# the spins raise from beta = 1e7 on and SD from 1e8.
+# The oracle either agrees with closed_form to digits + 1 or raises
+# OracleFailureError; on this grid it must agree at every beta and precision.
 AGREE_OR_RAISE_GRID = ("1e-50", "1e-6", "1", "1e7", "1e12")
-MUST_RETURN = {30: {m: AGREE_OR_RAISE_GRID for m in ModelId},
-               150: {ModelId.SPIN0: AGREE_OR_RAISE_GRID[:3],
-                     ModelId.SPIN_HALF: AGREE_OR_RAISE_GRID[:3],
-                     ModelId.SELF_DUAL: AGREE_OR_RAISE_GRID[:4]}}
 
 
-@pytest.mark.parametrize("digits", [30, 150])
+def _assert_agrees(model, digits, betas):
+    ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 40)
+    for beta in betas:
+        q = direct_integral_oracle(model, beta, ctx)
+        assert rel_err(q, closed_form(model, beta, ref)) < mpf(10) ** -(digits + 1), beta
+
+
+@pytest.mark.parametrize("digits", [30, 60, 150])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_quadrature_agrees_or_raises(model, digits):
-    ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 40)
-    returned = set()
-    for beta in AGREE_OR_RAISE_GRID:
-        try:
-            q = direct_integral_oracle(model, beta, ctx)
-        except OracleFailureError:
-            continue
-        assert rel_err(q, closed_form(model, beta, ref)) < mpf(10) ** -(digits + 1), beta
-        returned.add(beta)
-    assert returned >= set(MUST_RETURN[digits][model])
+    _assert_agrees(model, digits, AGREE_OR_RAISE_GRID)
+
+
+@pytest.mark.parametrize("model, beta", [(ModelId.SPIN0, "1e13"), (ModelId.SPIN_HALF, "1e13"),
+                                         (ModelId.SELF_DUAL, "1e16")])
+def test_quadrature_returns_at_its_60_digit_edge(model, beta):
+    # the largest decade where each model still returns at 60 digits
+    _assert_agrees(model, 60, (beta,))
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_quadrature_returns_at_300_digits(model):
+    # needs the degree mpmath sizes from the precision (11 here), not a fixed 8
+    _assert_agrees(model, 300, ("1",))
 
 
 @pytest.mark.parametrize("model", list(ModelId))
@@ -242,16 +249,16 @@ def _reference_kernel(model, x):
     return 4 * e / (1 - e) ** 2 - 1 / (x * x) + mpf(1) / 3
 
 
-@pytest.mark.parametrize("digits", [60, 100])
+@pytest.mark.parametrize("digits", [60, 100, 300])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_kernel_matches_term_by_term_reference(model, digits):
     qdps = digits + 10  # the oracle's quadrature precision
     with mp.workdps(qdps):
-        chi = _kernel(model)
-    for text in ("1e-30", "1e-3", "0.49", "0.5", "0.51", "3", "50", "300"):
+        chi = _kernel(model, mp.prec)
+    for text in ("1e-200", "1e-30", "1e-3", "0.49", "0.4999", "0.5", "0.51", "3", "50", "300"):
         with mp.workdps(qdps):
             x = mpf(text)
-            v = chi(x)
+            v = mp.make_mpf(chi(x._mpf_))
         with mp.workdps(qdps + 20):
             ref = _reference_kernel(model, x)
         assert rel_err(v, ref) <= mpf(10) ** (3 - qdps), text
