@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
 
 from .errors import DegeneracyError, DomainError
 from .models import SeriesCoefficients
@@ -83,21 +84,27 @@ def _qd_row(a: list[mpf], L: int) -> list[mpf]:
     Rutishauser's qd table of c_j = (-1)^j a_j, column by column from
     q_1^(k) = c_{k+1}/c_k, e_0^(k) = 0 and the rhombus rules; row k holds
     -alpha = q_1^(k), e_1^(k), q_2^(k), ... of the series shifted by k.
-    DegeneracyError unless every a_j > 0 and every e < 0 (Stieltjes).
+    DegeneracyError unless every a_j > 0 and every e < 0 (Stieltjes), read
+    from the sign bit and a nonzero mantissa. The table runs on raw libmp
+    values with the same roundings as mpf arithmetic at the ambient precision.
     """
-    if not all(c > 0 for c in a):
+    prec, rnd = mp._prec_rounding
+    a = [c._mpf_ for c in a]
+    if not all(c[1] and not c[0] for c in a):
         raise DegeneracyError("not a Stieltjes series: a reduced coefficient is <= 0")
-    q = [-a[k + 1] / a[k] for k in range(len(a) - 1)]
-    e = [mpf(0)] * len(q)
+    q = [mpf_div(mpf_neg(a[k + 1]), a[k], prec, rnd) for k in range(len(a) - 1)]
+    e = [fzero] * len(q)
     row, m = [], 0
     while q:
         m += 1
-        e = [q[k + 1] - q[k] + e[k + 1] for k in range(len(q) - 1)]
-        if not all(v < 0 for v in e):
+        e = [mpf_add(mpf_sub(q[k + 1], q[k], prec, rnd), e[k + 1], prec, rnd)
+             for k in range(len(q) - 1)]
+        if not all(v[1] and v[0] for v in e):
             raise DegeneracyError(
                 f"not a Stieltjes series at working precision: qd column e_{m} has an entry >= 0")
-        row += [-v[L] for v in (q, e) if len(v) > L]
-        q = [q[k + 1] * e[k + 1] / e[k] for k in range(len(e) - 1)]
+        row += [mp.make_mpf(mpf_neg(v[L])) for v in (q, e) if len(v) > L]
+        q = [mpf_div(mpf_mul(q[k + 1], e[k + 1], prec, rnd), e[k], prec, rnd)
+             for k in range(len(e) - 1)]
     return row
 
 

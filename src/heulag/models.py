@@ -17,8 +17,8 @@ from itertools import count
 from math import factorial, log2
 
 from mpmath import mp, mpf, ceil, ln, log10, quad, sqrt
-from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul,
-                          mpf_neg, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_gt,
+                          mpf_mul, mpf_neg, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
@@ -243,15 +243,31 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     sigma = 2 tau/sqrt(beta), (1/4) integral of e^{-sigma} w(sqrt(beta)
     sigma/2)/sigma. Integrands are O(tau) at the origin. One tanh-sinh pass
     over [0, inf), at the degree mpmath sizes from the precision; the
-    integrand works on raw libmp values at prec + 10 bits and is rounded
-    once to prec.
+    integrand works on raw libmp values at wp = prec + 10 bits and is
+    rounded once to prec.
 
-    The target is relative: the integrand is divided by a_0 beta^p below
-    beta = 1 and by 1 above (|f| >= 0.0035 there), so mpmath's absolute
-    stopping test acts relatively, and the rescaled error estimate must be
-    <= |f| 10^-digits. digits + 10 suffice: all three kernels are >= 0, so
-    the positive-weight sum cannot cancel; only the kernel near x = 1/2
-    (<= 3 digits) and the sum over n nodes (log10 n, about 4) lose digits.
+    The target is relative: the integrand is divided by scale = a_0 beta^p
+    below beta = 1 and by 1 above (|f| >= 0.0035 there), so mpmath's
+    absolute stopping test acts relatively, and the rescaled error estimate
+    must be <= |f| 10^-digits. digits + 10 suffice: all three kernels are
+    >= 0, so the positive-weight sum cannot cancel; only the kernel near
+    x = 1/2 (<= 3 digits) and the sum over n nodes (log10 n, about 4) lose
+    digits. mpmath caps its estimate at 1 in the integrand's units, and above
+    beta = 1 the integrand is not rescaled, so an estimate >= 1 says nothing
+    about the digits: it raises too.
+
+    Nodes past a cutoff T are exact zeros, taken before any exponential.
+    x/sinh x <= 1, x coth x >= 1 and sinh x >= x give chi <= x^2/6 (spin0),
+    chi <= x^2/3 (spin1/2) and w <= 1/3 (SD), so the integrand is at most
+    C e^{-t}/t with C = beta/(6 scale), beta/(3 scale) or 1/(12 scale).
+    mpmath maps [-1, 1] to [0, inf) by t = 2/(1 + x) - 1, so the weight at a
+    node t > 1 is t sqrt(pi^2 + ln^2 t) and a weighted term is at most
+    sqrt(pi^2 + ln^2 t) C e^{-t}, falling in t. With T = (2 wp + 73) ln 2
+    + ln max(C, 1) each skipped term is below 2^-(2 wp + 69) while
+    ln T < 15 (wp up to about 2e6 bits), and the normalised result is above
+    0.0035 > 2^-9, so the n skipped terms move the exact sum by less than
+    n 2^-(2 wp + 60) of it. fdot skips the zeros, and the returned bits can
+    change only on a rounding tie at that depth.
     """
     with ctx.work(10 - ctx.guard):
         beta = _to_beta(beta)
@@ -262,18 +278,24 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
         scale = _to_mpf(coefficients(model, 1).a[0]) * beta ** p if beta < 1 else mpf(1)
         if model is ModelId.SELF_DUAL:  # e^-s w(r s)/(4 scale s), r = sqrt(beta)/2
             r, den, m = (sqrt(beta) / 2)._mpf_, (4 * scale)._mpf_, 1
+            bound = 1 / (12 * scale)
         else:  # e^-t chi(r t)/(scale t^3), r = sqrt(beta)
             r, den, m = sqrt(beta)._mpf_, scale._mpf_, 3
+            bound = beta / ((6 if model is ModelId.SPIN0 else 3) * scale)
+        cut = ((2 * wp + 73) * mp.ln2 + ln(max(bound, 1)))._mpf_
 
         def integrand(t: mpf) -> mpf:
             t = t._mpf_
+            if mpf_gt(t, cut):
+                return mp.zero
             num = mpf_mul(mpf_exp(mpf_neg(t), wp, rnd), chi(mpf_mul(r, t, wp, rnd)), wp, rnd)
             return mp.make_mpf(mpf_div(num, mpf_mul(den, mpf_pow_int(t, m, wp, rnd), wp, rnd),
                                        prec, rnd))
 
         v, err = quad(integrand, [0, mp.inf], error=True)
+        capped = err >= 1  # mpmath's largest estimate: no bound on the digits
         v, err = v * scale, err * scale
-        if err > abs(v) * mpf(10) ** (-ctx.digits):
+        if capped or err > abs(v) * mpf(10) ** (-ctx.digits):
             raise OracleFailureError(
                 f"quadrature error estimate {err} too large for {ctx.digits} digits")
     return ctx.round(v)

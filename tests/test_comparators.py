@@ -19,6 +19,7 @@ from heulag import (
 from heulag.comparators import _span_digits
 from heulag.specfun import _to_mpf
 from conftest import printed_match, rel_err
+import oracle_bits
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ def test_pade_degenerate_on_geometric_series(ctx60):
     # S-fraction
     geom = SeriesCoefficients(model=ModelId.SPIN0,
                               a=tuple(Fraction(1) for _ in range(10)))
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError, match="qd column e_1 has an entry >= 0"):
         pade_eval(geom, 4, 5, "0.3", ctx60)
 
 
@@ -113,8 +114,21 @@ def test_pade_degenerate_on_non_stieltjes_series(ctx60):
     # moments 1, 2, 1 violate a_0 a_2 > a_1^2: alpha_2 = a_2/a_1 - a_1/a_0 = -3/2
     s = SeriesCoefficients(model=ModelId.SPIN0,
                            a=(Fraction(1), Fraction(2), Fraction(1)))
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError, match="qd column e_1 has an entry >= 0"):
         pade_eval(s, 1, 1, "0.5", ctx60)
+
+
+@pytest.mark.parametrize("a1", [0, -2])
+def test_pade_degenerate_on_a_nonpositive_coefficient(a1, ctx60):
+    s = SeriesCoefficients(model=ModelId.SPIN0, a=(Fraction(1), Fraction(a1), Fraction(1)))
+    with pytest.raises(DegeneracyError, match="a reduced coefficient is <= 0"):
+        pade_eval(s, 1, 1, "0.5", ctx60)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_pade_qd_rows_are_frozen(model):
+    # the [49/50] S-fraction coefficients at 100 digits, bit for bit
+    assert oracle_bits.qd_bits(model) == oracle_bits.load()["qd"][model.value]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from mpmath import cosh, exp, mp, mpf, sinh, zeta
+from mpmath import cosh, exp, mp, mpf, quad, sinh, zeta
 
 from heulag import (
     DomainError,
@@ -18,8 +18,10 @@ from heulag import (
     partial_sum,
     strong_field_leading,
 )
+from heulag import models
 from heulag.models import _ck, _kernel
 import closed_form_references
+import oracle_bits
 from conftest import printed_match, rel_err
 
 
@@ -222,6 +224,77 @@ def test_quadrature_fails_typed_at_beta_1e30(model, ctx60):
     # the error estimate is far above 1e-60 here: a typed failure, not wrong digits
     with pytest.raises(OracleFailureError, match="too large for 60 digits"):
         direct_integral_oracle(model, "1e30", ctx60)
+
+
+# mpmath caps its error estimate at 1 in the integrand's units, and above
+# beta = 1 the integrand is not rescaled: once |f| >= 10^digits a capped
+# estimate passed the relative test, and the spins returned 18 correct digits
+# of 60 at beta = 1e60 and 25 of 30 at 1e40.
+@pytest.mark.parametrize("beta", ["1e40", "1e60", "1e100", "1e400"])
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("model", [ModelId.SPIN0, ModelId.SPIN_HALF])
+def test_quadrature_agrees_or_raises_where_the_estimate_is_capped(model, digits, beta):
+    try:
+        q = direct_integral_oracle(model, beta, PrecisionContext(digits))
+    except OracleFailureError as e:
+        assert f"too large for {digits} digits" in str(e)
+        return
+    ref = closed_form(model, beta, PrecisionContext(digits + 40))
+    assert rel_err(q, ref) < mpf(10) ** -(digits + 1)
+
+
+ORACLE_BITS = oracle_bits.load()
+
+
+@pytest.mark.parametrize("digits, beta", oracle_bits.CASES)
+@pytest.mark.parametrize("model", list(ModelId))
+def test_quadrature_bits_are_frozen(model, digits, beta):
+    # recorded from the oracle that evaluated every node, before the cutoff
+    want = ORACLE_BITS["oracle"][oracle_bits.key(model, digits, beta)]
+    assert oracle_bits.oracle_bits(model, digits, beta) == want
+
+
+def test_quadrature_skips_the_nodes_past_its_cutoff(monkeypatch, ctx60):
+    # at 60 digits about 35% of the 1201 nodes lie past the cutoff
+    values = []
+
+    def counting_quad(f, *args, **kwargs):
+        return quad(lambda t: values.append(f(t)) or values[-1], *args, **kwargs)
+
+    monkeypatch.setattr(models, "quad", counting_quad)
+    q = direct_integral_oracle(ModelId.SPIN0, "10", ctx60)
+    assert rel_err(q, closed_form(ModelId.SPIN0, "10", ctx60)) < mpf(10) ** (1 - ctx60.digits)
+    assert len(values) == 1201 and sum(v == 0 for v in values) > 400
+
+
+@pytest.mark.parametrize("model, bound", [(ModelId.SPIN0, lambda x: x * x / 6),
+                                          (ModelId.SPIN_HALF, lambda x: x * x / 3),
+                                          (ModelId.SELF_DUAL, lambda x: mpf(1) / 3)])
+def test_kernel_bounds_behind_the_cutoff(model, bound):
+    # x/sinh x <= 1, x coth x >= 1 and sinh x >= x: 0 <= kernel <= bound
+    with mp.workdps(80):
+        for e in range(-3, 7):
+            for m in ("1", "3.7"):
+                x = mpf(f"{m}e{e}")
+                k = _reference_kernel(model, x)
+                assert 0 <= k <= bound(x), x
+
+
+README_DECADES = (*(f"1e{e}" for e in (-50, -40, -30, -20, -10)), *(f"1e{e}" for e in range(-6, 31)))
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_normalised_result_is_above_the_cutoffs_floor(model):
+    # the cutoff assumes |f|/scale >= 0.0035 > 2^-9, scale = a_0 beta^p below
+    # beta = 1 and 1 above
+    ctx = PrecisionContext(30)
+    a0 = coefficients(model, 1).a[0]
+    with mp.workdps(60):
+        for beta in README_DECADES:
+            b = mpf(beta)
+            scale = mpf(a0.numerator) / a0.denominator * b ** model.series_prefactor_power \
+                if b < 1 else 1
+            assert abs(closed_form(model, beta, ctx)) / scale >= mpf("0.0035"), beta
 
 
 def _reference_kernel(model, x):
