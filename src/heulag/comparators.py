@@ -6,17 +6,24 @@ beta-power prefactor (beta^2 for spins, beta for SD). The a_j are Stieltjes
 moments, so the staircase Pade approximants are the convergents of an
 S-fraction a_0/(1 + alpha_1 beta/(1 + alpha_2 beta/(1 + ...))) with every
 alpha_k > 0 (Baker & Graves-Morris, Pade Approximants, ch. 5): qd once per
-approximant, then O(N + M) per beta and no pole at beta > 0. Delta is its
-explicit weighted sum over the partial sums, O(n) per beta with exact integer
-weights. The coefficients grow factorially, qd is unstable and the delta
-numerator cancels, so both run at a precision extended by the coefficient span.
+approximant, then O(N + M) per beta and no pole at beta > 0. qd is unstable,
+so its table runs in fixed-point integers straight from the exact
+coefficients, at the scale a running error bound (Higham, Accuracy and
+Stability of Numerical Algorithms, sec. 3.3) certifies for the working
+precision; the beta recurrence runs at a precision extended by the
+coefficient span. Delta is its explicit weighted sum over the partial sums,
+O(n) per beta with exact integer weights; its numerator cancels, so it too
+runs at the span-extended precision.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, gt, lshift, mul, neg, sub
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import from_man_exp
 
 from .errors import DegeneracyError, DomainError
 from .models import SeriesCoefficients
@@ -41,14 +48,14 @@ def pade_eval(series: SeriesCoefficients, N: int, M: int, beta,
     For N >= M - 1 (else DomainError) and L = N - M + 1 it is the head
     sum_{j<L} a_j (-beta)^j plus (-beta)^L a_L/t, where t = 1 + alpha_1 beta/
     (1 + ... alpha_{2M-1} beta) is evaluated bottom up and the alpha are those
-    of the shifted series a_{j+L}, row L of the qd table (_qd_row).
+    of the shifted series a_{j+L}, row L of the qd table (_fixed_qd_row).
     """
     return _pade(series, N, M, ctx)(beta)
 
 
 def _pade(series: SeriesCoefficients, N: int, M: int,
           ctx: PrecisionContext) -> Callable[[object], mpf]:
-    """pade_eval's beta -> [N/M] value, with a and the qd row built once."""
+    """pade_eval's beta -> [N/M] value, with the qd row built once."""
     if N < 0 or M < 0:
         raise DomainError(f"degrees must be >= 0, got N={N}, M={M}")
     if N < M - 1:
@@ -59,9 +66,12 @@ def _pade(series: SeriesCoefficients, N: int, M: int,
             f"series has {series.count} coefficients, [N/M]=[{N}/{M}] needs {need}")
     L = N - M + 1
     extra = _span_digits(series, need) + 10
+    with ctx.work():
+        bits = mp.prec
     with ctx.work(extra):
-        a = [_to_mpf(f) for f in series.a[:need]]
-        alphas = _qd_row(a, L)[::-1]
+        row, _, F = _fixed_qd_row(series.a[:need], L, bits, mp.prec)
+        alphas = [mp.make_mpf(from_man_exp(x, -F)) for x in reversed(row)]
+        a = [_to_mpf(f) for f in series.a[:L + 1]]
 
     def at(beta) -> mpf:
         with ctx.work(extra):
@@ -78,34 +88,78 @@ def _pade(series: SeriesCoefficients, N: int, M: int,
     return at
 
 
-def _qd_row(a: list[mpf], L: int) -> list[mpf]:
-    """S-fraction coefficients alpha_1.. of the series shifted by L.
+def _fixed_qd_row(a: Sequence[Fraction], L: int, bits: int,
+                  top: int) -> tuple[list[int], list[int], int]:
+    """S-fraction coefficients alpha_1.. of the series shifted by L, as
+    integers X_i with alpha_i = X_i 2^-F, each within bounds[i] 2^-F; returns
+    (X, bounds, F).
 
     Rutishauser's qd table of c_j = (-1)^j a_j, column by column from
     q_1^(k) = c_{k+1}/c_k, e_0^(k) = 0 and the rhombus rules; row k holds
     -alpha = q_1^(k), e_1^(k), q_2^(k), ... of the series shifted by k.
-    DegeneracyError unless every a_j > 0 and every e < 0 (Stieltjes), read
-    from the sign bit and a nonzero mantissa. The table runs on raw libmp
-    values with the same roundings as mpf arithmetic at the ambient precision.
+    DegeneracyError unless every a_j > 0 and every e < 0 (Stieltjes).
+
+    The table is fixed point at scale 2^F (_qd_pass), with a running error
+    bound beside each entry. F starts at bits + 2 per coefficient + 16. A pass
+    is kept when every e is certified negative and every alpha's bound, twice
+    over, is below 2^-bits relative; otherwise F's surplus over bits doubles,
+    up to top (the span rule's precision). At top the signs are read from the
+    computed entries, as a floating table at that precision reads them.
     """
-    prec, rnd = mp._prec_rounding
-    a = [c._mpf_ for c in a]
-    if not all(c[1] and not c[0] for c in a):
+    if not all(f > 0 for f in a):
         raise DegeneracyError("not a Stieltjes series: a reduced coefficient is <= 0")
-    q = [mpf_div(mpf_neg(a[k + 1]), a[k], prec, rnd) for k in range(len(a) - 1)]
-    e = [fzero] * len(q)
-    row, m = [], 0
+    F = min(bits + 2 * len(a) + 16, top)
+    while F < top:
+        row, bounds = _qd_pass(a, L, F, certify=True)
+        if row is not None and all(x >> bits > 2 * d for x, d in zip(row, bounds)):
+            return row, bounds, F
+        F = min(2 * F - bits, top)
+    return (*_qd_pass(a, L, top, certify=False), top)
+
+
+def _qd_pass(a: Sequence[Fraction], L: int, F: int,
+             certify: bool) -> tuple[list[int], list[int]] | tuple[None, None]:
+    """One pass of _fixed_qd_row's table at scale 2^F: row L and its bounds, or
+    (None, None) when certify is set and an e's sign is uncertain.
+
+    Each entry is an integer X = x 2^F beside an integer bound d with
+    |x 2^F - X| <= d to first order (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.3). Column 1 is one floor division of exact
+    integers (d = 1). The e-rule e = q[k+1] - q[k] + e[k+1] is exact, so the
+    bounds add. The q-rule q' = q[k+1] e[k+1] // e[k] rounds once, and adds
+    the inputs' relative bounds times |q'| plus one unit, rounded up:
+    d' = (d_q[k+1] |e[k+1]| + d_e[k+1] |q[k+1]| + d_e[k] |q'|) // |e[k]| + 2,
+    as every q and e < 0. An e is certified negative when -e > 2^16 d; then
+    each q-rule step's neglected second-order terms are below 2^-14 of its
+    bound, and the factor 2 of the alpha test covers them compounded over the
+    columns. Each column is a C-level map over Python ints.
+    """
+    num, den = [f.numerator for f in a], [f.denominator for f in a]
+    q = list(map(neg, map(floordiv, map(lshift, map(mul, num[1:], den), repeat(F)),
+                          map(mul, den[1:], num))))
+    dq = [1] * len(q)
+    e, de = [0] * len(q), [0] * len(q)
+    row, bounds, m = [], [], 0
     while q:
         m += 1
-        e = [mpf_add(mpf_sub(q[k + 1], q[k], prec, rnd), e[k + 1], prec, rnd)
-             for k in range(len(q) - 1)]
-        if not all(v[1] and v[0] for v in e):
+        e = list(map(add, map(sub, q[1:], q), e[1:]))
+        de = list(map(add, map(add, dq[1:], dq), de[1:]))
+        if not all(map(gt, map(neg, e), map(lshift, de, repeat(16)) if certify else repeat(0))):
+            if certify and not any(x >= 2 * d for x, d in zip(e, de)):
+                return None, None
             raise DegeneracyError(
                 f"not a Stieltjes series at working precision: qd column e_{m} has an entry >= 0")
-        row += [mp.make_mpf(mpf_neg(v[L])) for v in (q, e) if len(v) > L]
-        q = [mpf_div(mpf_mul(q[k + 1], e[k + 1], prec, rnd), e[k], prec, rnd)
-             for k in range(len(e) - 1)]
-    return row
+        for v, d in ((q, dq), (e, de)):
+            if len(v) > L:
+                row.append(-v[L])
+                bounds.append(d[L])
+        e0, e1, q1 = e[:-1], e[1:], q[1:]
+        qn = list(map(floordiv, map(mul, q1, e1), e0))
+        dq = list(map(add, map(floordiv, map(add, map(add, map(mul, dq[1:], e1),
+                                                       map(mul, de[1:], q1)),
+                                             map(mul, de, qn)), e0), repeat(2)))
+        q = qn
+    return row, bounds
 
 
 def weniger_delta(series: SeriesCoefficients, n: int, beta,

@@ -71,17 +71,21 @@ def _ck(model: ModelId, k: int) -> Fraction:
 def coeff(model: ModelId, k: int) -> Fraction:
     """Exact weak-field coefficient: a_k (spins, k >= 2) or the SD u_k (k >= 0).
 
-    Spins: a_k = (-1)^k (2k-3)! c_k with c_k from the Bernoulli formulas; the
-    function value is sum_k a_k (-beta)^k. SD: u_k = -(-1)^k B_{2k+4} /
-    ((2k+2)(2k+4)), entering as beta * sum_k u_k (-beta)^k.
+    Spins: a_k = (-1)^k (2k-3)! c_k with c_k from the Bernoulli formulas, that
+    is (-1)^k (2 - 4^k) B_{2k} / ((2k)(2k-1)(2k-2)) (spin0) or (-1)^k (-4^k)
+    B_{2k} / ((2k)(2k-1)(2k-2)) (spin1/2); the function value is
+    sum_k a_k (-beta)^k. SD: u_k = -(-1)^k B_{2k+4} / ((2k+2)(2k+4)), entering
+    as beta * sum_k u_k (-beta)^k. Each is one reduced Fraction of integers.
     """
     if model is ModelId.SELF_DUAL:
         if k < 0:
             raise DomainError(f"SD coefficient index must be >= 0, got {k}")
-        return -Fraction((-1) ** k) * _bernoulli_even(k + 2) / ((2 * k + 2) * (2 * k + 4))
+        b, num = _bernoulli_even(k + 2), (-1) ** (k + 1)
+        return Fraction(num * b.numerator, (2 * k + 2) * (2 * k + 4) * b.denominator)
     if k < 2:
         raise DomainError(f"spin coefficient index must be >= 2, got {k}")
-    return Fraction((-1) ** k) * factorial(2 * k - 3) * _ck(model, k)
+    b, num = _bernoulli_even(k), (-1) ** k * (2 - 4 ** k if model is ModelId.SPIN0 else -4 ** k)
+    return Fraction(num * b.numerator, 2 * k * (2 * k - 1) * (2 * k - 2) * b.denominator)
 
 
 @dataclass(frozen=True)

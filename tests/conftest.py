@@ -1,7 +1,8 @@
-"""Shared fixtures: precision contexts and memoized reconstructions.
+"""Shared fixtures: precision contexts, memoized reconstructions and
+memoized quadrature-oracle results.
 
-High-order moment solves are reused across tests; they are deterministic,
-so session-scope caching only trades time, not coverage.
+High-order moment solves and oracle calls are reused across tests; they are
+deterministic, so session-scope caching only trades time, not coverage.
 """
 import re
 from functools import lru_cache
@@ -10,13 +11,31 @@ import pytest
 from mpmath import mp, mpf
 
 import heulag
-from heulag import ModelId, PrecisionContext
+from heulag import ModelId, OracleFailureError, PrecisionContext
 
 
 @lru_cache(maxsize=None)
 def _reconstruct(model: ModelId, moments: int, digits: int):
     # heulag.reconstruct: the fixture below shadows the bare name
     return heulag.reconstruct(model, moments, PrecisionContext(digits))
+
+
+@lru_cache(maxsize=None)
+def _oracle_outcome(model: ModelId, beta: str, digits: int):
+    try:
+        return heulag.direct_integral_oracle(model, beta, PrecisionContext(digits)), None
+    except OracleFailureError as e:
+        return None, e.args
+
+
+def oracle(model: ModelId, beta: str, digits: int):
+    """direct_integral_oracle(model, beta, PrecisionContext(digits)), memoized
+    with its OracleFailureError: a repeated failing call raises it afresh.
+    Tests that patch or time the oracle call it directly."""
+    value, failure = _oracle_outcome(model, beta, digits)
+    if failure is not None:
+        raise OracleFailureError(*failure)
+    return value
 
 
 @pytest.fixture(scope="session")

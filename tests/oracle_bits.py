@@ -4,21 +4,32 @@ For each case the file data/oracle_bits.json holds the exact libmp value
 (sign, mantissa in hex, exponent) that `direct_integral_oracle` returns, or
 "raises" where it raises `OracleFailureError`, and the S-fraction
 coefficients alpha_1.. of the [49/50] Pade approximant at 100 digits for each
-model. A change that must keep these values bit-identical records them
-before it and checks against them after; regenerate with
+model, from _reference_qd_row: the floating qd table at the span rule's
+precision that pade_eval ran before its fixed-point table. A change that must
+keep these values bit-identical records them before it and checks against
+them after:
 
-    PYTHONPATH=src python tests/oracle_bits.py
+    PYTHONPATH=src python tests/oracle_bits.py          # regenerate the file
+    PYTHONPATH=src python tests/oracle_bits.py --check  # compare; exit 1 on a mismatch
 
-(about 25 s). pytest does not collect this file (its name does not start
-with test_); test_models.py and test_comparators.py check every entry.
+(about 25 s each). --check regenerates the data in memory and names the
+first key that differs from the file. pytest does not collect this file
+(its name does not start with test_); test_models.py and
+test_comparators.py check every entry.
 """
+import argparse
 import json
+import sys
 from pathlib import Path
 
-from heulag.comparators import _qd_row, _span_digits
-from heulag.errors import OracleFailureError
-from heulag.models import ModelId, coefficients, direct_integral_oracle
+from mpmath import mp
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
+
+from heulag.comparators import _span_digits
+from heulag.errors import DegeneracyError, OracleFailureError
+from heulag.models import ModelId, coefficients
 from heulag.specfun import PrecisionContext, _to_mpf
+from conftest import oracle
 
 PATH = Path(__file__).resolve().parent / "data" / "oracle_bits.json"
 # The benchmark's quadrature betas among powers of ten, at three precisions,
@@ -43,18 +54,54 @@ def _bits(v) -> list:
 def oracle_bits(model: ModelId, digits: int, beta: str):
     """[sign, hex mantissa, exponent] of the oracle's value, or "raises"."""
     try:
-        return _bits(direct_integral_oracle(model, beta, PrecisionContext(digits)))
+        return _bits(oracle(model, beta, digits))
     except OracleFailureError:
         return "raises"
 
 
-def qd_bits(model: ModelId) -> list:
-    """The alpha row of the [N/M] Pade approximant, as pade_eval builds it."""
-    N, M, digits = PADE
+def _reference_qd_row(a: list, L: int) -> list:
+    """S-fraction coefficients alpha_1.. of the series shifted by L, as mpf.
+
+    Rutishauser's qd table of c_j = (-1)^j a_j, column by column from
+    q_1^(k) = c_{k+1}/c_k, e_0^(k) = 0 and the rhombus rules; row k holds
+    -alpha = q_1^(k), e_1^(k), q_2^(k), ... of the series shifted by k.
+    DegeneracyError unless every a_j > 0 and every e < 0 (Stieltjes), read
+    from the sign bit and a nonzero mantissa. The table runs on raw libmp
+    values with the same roundings as mpf arithmetic at the ambient precision.
+    """
+    prec, rnd = mp._prec_rounding
+    a = [c._mpf_ for c in a]
+    if not all(c[1] and not c[0] for c in a):
+        raise DegeneracyError("not a Stieltjes series: a reduced coefficient is <= 0")
+    q = [mpf_div(mpf_neg(a[k + 1]), a[k], prec, rnd) for k in range(len(a) - 1)]
+    e = [fzero] * len(q)
+    row, m = [], 0
+    while q:
+        m += 1
+        e = [mpf_add(mpf_sub(q[k + 1], q[k], prec, rnd), e[k + 1], prec, rnd)
+             for k in range(len(q) - 1)]
+        if not all(v[1] and v[0] for v in e):
+            raise DegeneracyError(
+                f"not a Stieltjes series at working precision: qd column e_{m} has an entry >= 0")
+        row += [mp.make_mpf(mpf_neg(v[L])) for v in (q, e) if len(v) > L]
+        q = [mpf_div(mpf_mul(q[k + 1], e[k + 1], prec, rnd), e[k], prec, rnd)
+             for k in range(len(e) - 1)]
+    return row
+
+
+def reference_qd_row(series, N: int, M: int, ctx: PrecisionContext) -> list:
+    """The alpha row of the [N/M] Pade approximant from _reference_qd_row, at
+    ctx's digits + guard + the coefficients' decimal span + 10."""
     need, L = N + M + 1, N - M + 1
-    series = coefficients(model, need)
-    with PrecisionContext(digits).work(_span_digits(series, need) + 10):
-        return [_bits(v) for v in _qd_row([_to_mpf(f) for f in series.a], L)]
+    with ctx.work(_span_digits(series, need) + 10):
+        return _reference_qd_row([_to_mpf(f) for f in series.a[:need]], L)
+
+
+def qd_bits(model: ModelId) -> list:
+    """The frozen alpha row of the [N/M] Pade approximant."""
+    N, M, digits = PADE
+    series = coefficients(model, N + M + 1)
+    return [_bits(v) for v in reference_qd_row(series, N, M, PrecisionContext(digits))]
 
 
 def load() -> dict:
@@ -62,11 +109,36 @@ def load() -> dict:
     return json.loads(PATH.read_text(encoding="utf-8"))
 
 
-def main() -> None:
-    data = {"oracle": {key(m, d, b): oracle_bits(m, d, b) for m in ModelId for d, b in CASES},
+def generate() -> dict:
+    """The file's data, computed afresh."""
+    return {"oracle": {key(m, d, b): oracle_bits(m, d, b) for m in ModelId for d, b in CASES},
             "qd": {m.value: qd_bits(m) for m in ModelId}}
-    PATH.write_text(json.dumps(data, indent=0) + "\n", encoding="utf-8")
+
+
+def first_difference(got: dict, want: dict) -> str | None:
+    """The first "section key" whose value differs between two data sets, or
+    that only one of them has; None when they are equal."""
+    for section in ("oracle", "qd"):
+        g, w = got.get(section, {}), want.get(section, {})
+        for k in (*w, *(k for k in g if k not in w)):
+            if g.get(k) != w.get(k):
+                return f"{section} {k}"
+    return None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the file instead of rewriting it")
+    args = parser.parse_args()
+    data = generate()
+    if not args.check:
+        PATH.write_text(json.dumps(data, indent=0) + "\n", encoding="utf-8")
+        return 0
+    diff = first_difference(data, load())
+    print(f"differs first at: {diff}" if diff else "every entry matches")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -335,8 +335,9 @@ def test_compare_cell_error_annotated_run_continues(capsys):
 
 def test_compare_builds_each_pade_column_once(monkeypatch, capsys):
     qd_rows = []
-    qd_row = comparators._qd_row
-    monkeypatch.setattr(comparators, "_qd_row", lambda a, L: qd_rows.append(L) or qd_row(a, L))
+    qd_row = comparators._fixed_qd_row
+    monkeypatch.setattr(comparators, "_fixed_qd_row",
+                        lambda a, L, *precs: qd_rows.append(L) or qd_row(a, L, *precs))
     betas = ["0.1", "10", "1e3"]
     code, out, _ = run(["compare", "--model", "spin12", "--beta", ",".join(betas),
                         "--pade", "9,10", "--format", "csv"], capsys)

@@ -16,7 +16,7 @@ from heulag import (
     pade_eval,
     weniger_delta,
 )
-from heulag.comparators import _span_digits
+from heulag.comparators import _fixed_qd_row, _pade, _span_digits
 from heulag.specfun import _to_mpf
 from conftest import printed_match, rel_err
 import oracle_bits
@@ -127,8 +127,99 @@ def test_pade_degenerate_on_a_nonpositive_coefficient(a1, ctx60):
 
 @pytest.mark.parametrize("model", list(ModelId))
 def test_pade_qd_rows_are_frozen(model):
-    # the [49/50] S-fraction coefficients at 100 digits, bit for bit
+    # the reference table's [49/50] S-fraction coefficients at 100 digits, bit
+    # for bit
     assert oracle_bits.qd_bits(model) == oracle_bits.load()["qd"][model.value]
+
+
+def _fixed_row(series, N, M, ctx):
+    """pade_eval's fixed-point qd row: (X, bounds, F, bits) with alpha_i =
+    X_i 2^-F within bounds[i] 2^-F, certified to 2^-bits relative."""
+    need = N + M + 1
+    with ctx.work():
+        bits = mp.prec
+    with ctx.work(_span_digits(series, need) + 10):
+        return (*_fixed_qd_row(series.a[:need], N - M + 1, bits, mp.prec), bits)
+
+
+def _reference_pade(series, N, M, ctx):
+    """beta -> [N/M]: _pade's S-fraction recurrence over the reference qd row."""
+    L, extra = N - M + 1, _span_digits(series, N + M + 1) + 10
+    alphas = oracle_bits.reference_qd_row(series, N, M, ctx)[::-1]
+    with ctx.work(extra):
+        a = [_to_mpf(f) for f in series.a[:L + 1]]
+
+    def at(beta):
+        with ctx.work(extra):
+            beta = mpf(beta)
+            t = mpf(1)
+            for alpha in alphas:
+                t = 1 + alpha * beta / t
+            v = a[L] / t
+            for aj in reversed(a[:L]):
+                v = v * -beta + aj
+            v *= beta ** series.model.series_prefactor_power
+        return ctx.round(v)
+
+    return at
+
+
+def _within_bounds(X, bounds, F, alphas):
+    """Every |X_i 2^-F - alpha_i| <= bounds[i] 2^-F, in exact arithmetic, for
+    alphas given as libmp (sign, mantissa, exponent) values."""
+    return all(abs(Fraction(x, 2 ** F) - (-1) ** sign * man * Fraction(2) ** exp)
+               <= Fraction(d) / 2 ** F
+               for x, d, (sign, man, exp) in zip(X, bounds, alphas, strict=True))
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_fixed_qd_row_lies_within_its_bound_of_the_frozen_row(model):
+    N, M, digits = oracle_bits.PADE
+    X, bounds, F, bits = _fixed_row(coefficients(model, N + M + 1), N, M,
+                                    PrecisionContext(digits))
+    frozen = [(sign, int(man, 16), exp)
+              for sign, man, exp in oracle_bits.load()["qd"][model.value]]
+    assert _within_bounds(X, bounds, F, frozen)
+    assert all(2 * d < Fraction(x, 2 ** bits) for x, d in zip(X, bounds))
+
+
+def test_fixed_qd_row_raises_its_scale_on_nearly_equal_nodes(ctx60):
+    # a two-point Stieltjes measure at 1000 and 1000 (1 + 2^-20): alpha_2 is
+    # about 2^-32, so the first scale's bound misses the target and F rises
+    # below the span rule's precision
+    a = tuple(1000 ** j * (1 + (1 + Fraction(1, 2 ** 20)) ** j) for j in range(4))
+    s = SeriesCoefficients(model=ModelId.SPIN0, a=a)
+    X, bounds, F, bits = _fixed_row(s, 1, 2, ctx60)
+    assert F > bits + 2 * len(a) + 16
+    with ctx60.work(_span_digits(s, 4) + 10):
+        assert F < mp.prec
+    reference = [v._mpf_[:3] for v in oracle_bits.reference_qd_row(s, 1, 2, ctx60)]
+    assert _within_bounds(X, bounds, F, reference)
+    reference_pade = _reference_pade(s, 1, 2, ctx60)
+    for beta in ("1e-3", "1", "1e3"):
+        assert pade_eval(s, 1, 2, beta, ctx60) == reference_pade(beta)
+
+
+def test_pade_is_exact_on_a_two_point_measure_with_tiny_e():
+    # nodes 1 and 1 + 2^-550: e_1 is about 2^-1102, and at 400 digits the
+    # table's scale, its entries and their bounds run far past float range.
+    # [1/2] of a two-point Stieltjes series is the series' own rational sum.
+    ctx = PrecisionContext(400)
+    d = Fraction(1, 2 ** 550)
+    s = SeriesCoefficients(model=ModelId.SPIN0, a=tuple(1 + (1 + d) ** j for j in range(4)))
+    for beta in (Fraction(1, 1000), Fraction(1), Fraction(1000)):
+        exact = beta ** 2 * (1 / (1 + beta) + 1 / (1 + (1 + d) * beta))
+        with mp.workdps(450):
+            assert rel_err(pade_eval(s, 1, 2, beta, ctx), _to_mpf(exact)) < mpf(10) ** -399
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_pade_99_100_prints_as_the_reference_route(model):
+    ctx = PrecisionContext(200)
+    s = coefficients(model, 200)
+    approximant, reference = _pade(s, 99, 100, ctx), _reference_pade(s, 99, 100, ctx)
+    for beta in ("0.01", "10", "1e7"):
+        assert mp.nstr(approximant(beta), 200) == mp.nstr(reference(beta), 200), beta
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 rows, partial sums, the quadrature oracle, and strong-field behavior."""
 from fractions import Fraction
 from itertools import count
+from math import factorial
 
 import pytest
 from mpmath import cosh, exp, mp, mpf, quad, sinh, zeta
@@ -20,9 +21,10 @@ from heulag import (
 )
 from heulag import models
 from heulag.models import _ck, _kernel
+from heulag.specfun import _bernoulli_even
 import closed_form_references
 import oracle_bits
-from conftest import printed_match, rel_err
+from conftest import oracle, printed_match, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +48,23 @@ def test_coefficients_positive_and_factorially_growing():
         # growth ratio a_{k+1}/a_k ~ k^2 / pi^2 for large k: check it grows
         ratios = [s.a[k + 1] / s.a[k] for k in range(25, 35)]
         assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
+
+
+def _chained_coeff(model: ModelId, k: int) -> Fraction:
+    """The coefficient as a chain of Fraction products: (-1)^k (2k-3)! c_k
+    for the spins, -(-1)^k B_{2k+4}/((2k+2)(2k+4)) for SD."""
+    if model is ModelId.SELF_DUAL:
+        return -Fraction((-1) ** k) * _bernoulli_even(k + 2) / ((2 * k + 2) * (2 * k + 4))
+    return Fraction((-1) ** k) * factorial(2 * k - 3) * _ck(model, k)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_coeff_matches_the_chained_formula(model):
+    first = 0 if model is ModelId.SELF_DUAL else 2
+    for k in range(first, 301):
+        assert coeff(model, k) == _chained_coeff(model, k), k
+    assert coefficients(model, 299).a == tuple(
+        _chained_coeff(model, k + first) for k in range(299))
 
 
 def test_coeff_domain_errors():
@@ -194,9 +213,9 @@ AGREE_OR_RAISE_GRID = ("1e-50", "1e-6", "1", "1e7", "1e12")
 
 
 def _assert_agrees(model, digits, betas):
-    ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 40)
+    ref = PrecisionContext(digits + 40)
     for beta in betas:
-        q = direct_integral_oracle(model, beta, ctx)
+        q = oracle(model, beta, digits)
         assert rel_err(q, closed_form(model, beta, ref)) < mpf(10) ** -(digits + 1), beta
 
 
