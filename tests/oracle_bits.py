@@ -4,8 +4,8 @@ For each case the file data/oracle_bits.json holds the exact libmp value
 (sign, mantissa in hex, exponent) that `direct_integral_oracle` returns, or
 "raises" where it raises `OracleFailureError`, and the S-fraction
 coefficients alpha_1.. of the [49/50] Pade approximant at 100 digits for each
-model, from _reference_qd_row: the floating qd table at the span rule's
-precision that pade_eval ran before its fixed-point table. A change that must
+model, from _reference_qd_row: a floating qd table at the span rule's
+precision, the reference for pade_eval's fixed-point table. A change that must
 keep these values bit-identical records them before it and checks against
 them after:
 
