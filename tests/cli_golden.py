@@ -12,10 +12,11 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set of 86 entries takes 23-28 s on a 2-core x86-64 host; each
+The full set of 92 entries takes 26-33 s on a 2-core x86-64 host; each
 `table 6` entry takes 0.8-1 s of that, each 200-moment `extrapolate` entry
-0.8-1.2 s, each two-beta `exact --oracle` entry 0.4-0.7 s, each 300-digit
-SD and 1000-digit spin-1/2 `exact` entry about 0.5 s, each 50-moment
+0.8-1.2 s, each two-beta `exact --oracle` entry 0.4-0.7 s, each 1000-digit
+SD `exact` entry about 1 s, each 300-digit SD and spin-0 and 1000-digit
+spin-1/2 `exact` entry 0.3-0.6 s, each 50-moment
 `extrapolate` entry at the sweep's betas about 0.3 s, each `series` entry
 about 0.2 s, and each of the eleven error runs well under 1 s. A change that
 alters the output on purpose rewrites the manifest and says so.
@@ -66,6 +67,9 @@ COMMANDS = (
     # above 100 digits
     ("exact", "--model", "sd", "--digits", "300", "--beta", "1e-4,0.5,1e7,1e20"),
     ("exact", "--model", "spin12", "--digits", "1000", "--beta", "0.01,1e12"),
+    # the other models' high-precision closed forms, from weak to strong field
+    ("exact", "--digits", "300", "--beta", "1e-6,0.01,41.3273,1e30"),
+    ("exact", "--model", "sd", "--digits", "1000", "--beta", "1e-6,41.3273,1e30"),
     ("series", "--model", "sd", "--truncation", "20", "--beta", "0.01,0.1"),
 )
 FORMATS = ("markdown", "csv", "json")
