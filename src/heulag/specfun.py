@@ -15,11 +15,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from typing import ClassVar
 
 from mpmath import mp, mpf, ln
-from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .errors import DomainError, OracleFailureError
 
@@ -138,52 +137,61 @@ def _em_plan(a: mpf, s: int) -> tuple[int, int, int]:
     precision, for d/ds zeta(s, a) at s in {0, -1}.
 
     Correction j is of size B_2j/(2j)! F_j z^{1-s-2j} at z = a + N, with F_j
-    = |(s)_{2j-1}| less its vanishing factor. As |B_2j| <= 4 (2j)!/(2 pi)^2j,
-    it is at most 4 F_j z^{1-s}/(2 pi z)^2j (Johansson, arXiv:1309.2877). z is
-    put near dps/2 and J is the last j before that bound falls below
-    10^-(dps+5); OracleFailureError if the bound grows first. The extra digits
-    cover terms of size z^{1-s} cancelling to a result of size
-    max(a, 1)^{1-s}.
+    = |(s)_{2j-1}| less its vanishing factor, that is (2j-2+s)!. As |B_2j| <=
+    4 (2j)!/(2 pi)^2j, it is at most 4 F_j z^{1-s}/(2 pi z)^2j (Johansson,
+    arXiv:1309.2877). z is put near dps/2 and J is the last j before that
+    bound falls below 10^-(dps+5); OracleFailureError if the bound grows
+    first. The bound falls, then grows, so the first j where it is below the
+    floor or above its value at j - 1 is found by doubling and bisection, with
+    ln F_j from math.lgamma. The extra digits cover terms of size z^{1-s}
+    cancelling to a result of size max(a, 1)^{1-s}.
     """
     dps = mp.dps
     N = max(0, int(dps / 2 - a) + 1)
     lz, la = float(ln(a + N, prec=53)), float(ln(a, prec=53))
     head, step = math.log(4) + (1 - s) * lz, math.log(2 * math.pi) + lz
     floor = -(dps + 5) * math.log(10)
-    log_f, prev = 0.0, math.inf
-    for j in count(1):
-        for i in (2 * j - 3, 2 * j - 2):
-            f = abs(s + i) if i >= 0 else 1
-            log_f += math.log(f) if f else 0.0
-        bound = head + log_f - 2 * j * step
-        if bound < floor:
-            cancel = (1 - s) * (lz - max(0.0, la))
-            return N, j - 1, int(cancel / math.log(10)) + 3
-        if bound > prev:
-            raise OracleFailureError(f"Euler-Maclaurin terms for zeta'({s}, a) "
-                                     f"grow before they reach 1e-{dps + 5}")
-        prev = bound
+
+    def bound(j):
+        return head + (math.lgamma(2 * j - 1 + s) if 2 * j + s > 1 else 0.0) - 2 * j * step
+
+    def stops(j):
+        b = bound(j)
+        return b < floor or (j > 1 and b > bound(j - 1))
+
+    hi = 1
+    while not stops(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
+    if bound(hi) >= floor:
+        raise OracleFailureError(f"Euler-Maclaurin terms for zeta'({s}, a) "
+                                 f"grow before they reach 1e-{dps + 5}")
+    cancel = (1 - s) * (lz - max(0.0, la))
+    return N, hi - 1, int(cancel / math.log(10)) + 3
 
 
 _em_lock = threading.Lock()
 
 
 @lru_cache(maxsize=32)
-def _em_corrections(s: int, prec: int) -> list[tuple]:
-    """The Euler-Maclaurin correction coefficients of d/ds zeta(s, a) at prec
-    bits, as raw mpf tuples: entry j + s - 1 is B_2j / (2j (2j-1) (2-2j)^[s = -1])
-    for j >= 1 - s, B_2j's numerator rounded to prec bits and divided by the
-    rest, as mpf arithmetic at prec would do it.
+def _em_corrections(s: int, F: int, L: int) -> list[int]:
+    """The Euler-Maclaurin correction coefficients of d/ds zeta(s, a) as
+    tapered fixed-point integers: entry t is c_j = B_2j / (2j (2j-1)
+    (2-2j)^[s = -1]) at j = t + 1 - s, times 2^(F - t L), floored by one
+    integer division. _zeta_sderivs multiplies entry t by w^t <= 2^-tL, so
+    the t L bits left out would fall below 2^-F.
 
     Made empty; _zeta_sderivs fills it upward to the count it needs, so one
-    table serves every a at one working precision. Every libmp call takes
-    prec, not the ambient precision, and growth is serialized by _em_lock and
-    append-only: a reader that saw the old length still finds its entries,
-    every entry depends on (s, j, prec) alone, and the tables are safe to
-    read concurrently. A baselines pass of the benchmark fills 15-16
-    tables with 2155-2236 coefficients, about 0.8 MB. The bound of 32 tables
-    keeps them all with room for a second mix of precisions, and caps the
-    cache near 11 MB even if every table were a 1000-digit one.
+    table serves every a with the same (s, F, L). Growth is serialized by
+    _em_lock and append-only: a reader that saw the old length still finds
+    its entries, every entry depends on (s, t, F, L) alone, and the tables
+    are safe to read concurrently. A baselines pass of the benchmark fills
+    16-17 tables with 2220-2312 coefficients, about 0.3 MB. The bound of 32
+    tables keeps them all with room for a second mix of precisions, and caps
+    the cache near 5 MB even if every table were a 1000-digit one.
     """
     return []
 
@@ -193,51 +201,94 @@ def _zeta_sderivs(a: mpf, orders: tuple[int, ...]) -> tuple[mpf, ...]:
     Euler-Maclaurin pass at z = a + N.
 
     The orders share N, z, w = 1/z^2 and the product p = prod_{k<N} (a+k), at
-    the largest working precision any of them needs. The product
-    q = prod_{k<N} (a+k)^{k+1}, built from running suffix products, is built
-    only when s = -1 is asked for. So the power sum takes no logarithm per
-    term: it is -ln p at s = 0 and -(ln q + (a-1) ln p) at s = -1. The
-    corrections are (-1)^s B_2j (2j-2+s)!/(2j)! z^{1-s-2j} for j >= 1 - s, one
-    Horner sum in w over the table of _em_corrections. A value depends only on
-    s, a, the precision and whether s = 0 is asked for with s = -1: then it
-    runs at s = -1's higher working precision and lands within 1 ulp of the
-    single call, while s = -1 is the single call's value to the bit.
+    the largest working precision any of them needs. The product q =
+    prod_{k<N} (a+k)^{k+1}, built from running suffix products, is built only
+    when s = -1 is asked for. So the power sum takes no logarithm per term:
+    it is -ln p at s = 0 and -(ln q + (a-1) ln p) at s = -1. The corrections
+    are (-1)^s B_2j (2j-2+s)!/(2j)! z^{1-s-2j} for j >= 1 - s.
+
+    Everything runs at F bits: the working precision plus G = 2 bitlen(N + J)
+    + 16 guard bits, with J the correction count of s = -1 if it is asked
+    for, else of s = 0. p, q and the corrections are Python integers. p and
+    q are a mantissa cut to F bits after each product, and an exponent. Each
+    factor a + k with k >= 1 is at least 1 and is floored to F fraction bits;
+    a itself enters through its exact mantissa and exponent, so a tiny a
+    costs no more than a = 1. So p's relative error is below 3N 2^-F and q's
+    below 3 (N+1)^2 2^-F. The corrections are one Horner pass
+    h = ((h << L) + C_t) W >> F from t = J - 1 + s down to 0, with W =
+    floor(2^F w) and L = bitlen(floor(min(z, dps))^2) - 1, so that 2^L w <= 1: term
+    t is carried to the F - t L fraction bits that its w^t leaves, at the
+    scale of the table of _em_corrections. While the terms decrease, as J's
+    bound makes them, each step adds below 1.1 2^-F to h's absolute error,
+    below 2 J 2^-F in all. Against terms of size z^{1-s}, G leaves more than
+    16 bits above these errors, and the working precision's extra digits
+    cover the cancellation. p, q and h become mpf once each, for the
+    logarithms and the assembly.
+
+    A value depends only on s, a, the precision and whether s = 0 is asked
+    for with s = -1: then it runs at s = -1's working precision and F and
+    lands within 1 ulp of the single call, while s = -1 is the single call's
+    value to the bit.
     """
     a = mpf(a)
+    dps = mp.dps
     plans = [_em_plan(a, s) for s in orders]
     N = plans[0][0]  # max(0, int(dps/2 - a) + 1) for every s
     # the tables fill upward from j = 1 - s: grow the Bernoulli cache once,
     # to the largest count, not in doubling steps on the way up
     _bernoulli_even(max(J for _, J, _ in plans))
-    with mp.extradps(max(extra for _, _, extra in plans)):
+    # s = -1's J when it is asked for, so that its value does not read s = 0's
+    guard = 2 * (N + plans[orders.index(min(orders))][1]).bit_length() + 16
+    with mp.extradps(max(extra for _, _, extra in plans)), mp.extraprec(guard):
+        F = mp.prec
+        _, m, e, _ = a._mpf_
+        af = m << (e + F) if e + F >= 0 else m >> -(e + F)  # floor(a 2^F)
+        pm = qm = 1  # p = pm 2^pe, q = qm 2^qe
+        pe = qe = 0
+        with_q = -1 in orders
+        for k in range(N - 1, -1, -1):
+            if k:
+                pm, pe = pm * (af + (k << F)), pe - F  # prod_{i >= k} (a + i)
+            else:
+                pm, pe = pm * m, pe + e
+            cut = pm.bit_length() - F
+            if cut > 0:
+                pm, pe = pm >> cut, pe + cut
+            if with_q:
+                qm, qe = qm * pm, qe + pe  # prod_{i >= k} (a + i)^{i - k + 1}
+                cut = qm.bit_length() - F
+                if cut > 0:
+                    qm, qe = qm >> cut, qe + cut
         z = a + N
-        w = 1 / (z * z)
-        p = mpf(1)
-        q = mpf(1) if -1 in orders else None
-        for k in reversed(range(N)):
-            p *= a + k      # prod_{i >= k} (a + i)
-            if q is not None:
-                q *= p      # prod_{i >= k} (a + i)^{i - k + 1}
-        lp, lz = ln(p), ln(z)
-        prec, rnd = mp.prec, round_nearest
+        if N:
+            zm, ze = af + (N << F), -F
+        else:
+            zm, ze = m, e
+        W = (1 << (F - 2 * ze)) // (zm * zm) if 2 * ze <= F else 0
+        zi = dps if a >= dps else min(N + int(a), dps)  # floor(min(z, dps))
+        L = (zi * zi).bit_length() - 1
+        lp, lz = ln(mp.make_mpf(from_man_exp(pm, pe))), ln(z)
         values = []
         for s, (_, J, _) in zip(orders, plans):
-            c = _em_corrections(s, prec)
+            c = _em_corrections(s, F, L)
             if len(c) < J + s:
                 with _em_lock:
-                    for j in range(len(c) + 1 - s, J + 1):
+                    for t in range(len(c), J + s):
+                        j = t + 1 - s
                         b = _bernoulli_even(j)
                         d = 2 * j * (2 * j - 1) * (1 if s == 0 else 2 - 2 * j)
-                        c.append(mpf_div(from_int(b.numerator, prec, rnd),
-                                         from_int(b.denominator * d), prec, rnd))
-            h = fzero
-            for j in range(J, -s, -1):
-                h = mpf_mul(mpf_add(h, c[j + s - 1], prec, rnd), w._mpf_, prec, rnd)
-            h = mp.make_mpf(h)
+                        up = F - t * L
+                        c.append((b.numerator << max(up, 0))
+                                 // (b.denominator * d << max(-up, 0)))
+            h = 0
+            for t in range(J + s - 1, -1, -1):
+                h = ((h << L) + c[t]) * W >> F
+            h = mp.make_mpf(from_man_exp(h, -F))
             if s == 0:
                 v = -lp + (z - mpf(1) / 2) * lz - z + z * h
             else:
-                v = (-(ln(q) + (a - 1) * lp) + ((z - 1) * z / 2 + mpf(1) / 12) * lz
+                lq = ln(mp.make_mpf(from_man_exp(qm, qe)))
+                v = (-(lq + (a - 1) * lp) + ((z - 1) * z / 2 + mpf(1) / 12) * lz
                      - z * z / 4 + mpf(1) / 12 + h)
             values.append(v)
     return tuple(+v for v in values)

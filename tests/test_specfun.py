@@ -1,15 +1,19 @@
 """Scalar layer: Bernoulli numbers, the s-derivative of Hurwitz zeta,
 digamma at integers, precision-context behavior."""
+import math
+import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, zeta
+from mpmath import ln, mp, mpf, sqrt, zeta
 
-from heulag import DomainError, PrecisionContext
+from heulag import DomainError, ModelId, OracleFailureError, PrecisionContext
 from heulag import specfun
 from heulag.finitepart import _zeta_bernoulli
+from heulag.models import closed_form
 from heulag.specfun import (
     _bernoulli_even,
     _digamma_int,
@@ -18,6 +22,7 @@ from heulag.specfun import (
     _hurwitz_zeta,
     _zeta_sderivs,
 )
+import closed_form_references
 import zeta_sderiv_references
 from conftest import rel_err
 
@@ -316,6 +321,100 @@ def test_paired_zeta_sderivs_match_single_calls(digits):
             single = _hurwitz_zeta(-1, a), _hurwitz_zeta(0, a)
             assert pair[0]._mpf_ == single[0]._mpf_, text
             assert abs(pair[1] - single[1]) <= _ulp(single[1]), text
+
+
+def _reference_em_plan(a: mpf, s: int) -> tuple[int, int, int]:
+    """_em_plan as a loop over j that adds ln F_j one factor at a time and
+    stops at the first bound below the floor, or raises at the first that
+    grows."""
+    dps = mp.dps
+    N = max(0, int(dps / 2 - a) + 1)
+    lz, la = float(ln(a + N, prec=53)), float(ln(a, prec=53))
+    head, step = math.log(4) + (1 - s) * lz, math.log(2 * math.pi) + lz
+    floor = -(dps + 5) * math.log(10)
+    log_f, prev = 0.0, math.inf
+    for j in count(1):
+        for i in (2 * j - 3, 2 * j - 2):
+            f = abs(s + i) if i >= 0 else 1
+            log_f += math.log(f) if f else 0.0
+        bound = head + log_f - 2 * j * step
+        if bound < floor:
+            cancel = (1 - s) * (lz - max(0.0, la))
+            return N, j - 1, int(cancel / math.log(10)) + 3
+        if bound > prev:
+            raise OracleFailureError("the bound grows first")
+        prev = bound
+
+
+def _plan_or_raises(plan, a: mpf, s: int):
+    try:
+        return plan(a, s)
+    except OracleFailureError:
+        return "raises"
+
+
+def test_em_plan_matches_the_reference_loop():
+    # a log-uniform in [1e-16, 3000] at the working precisions the closed
+    # forms run at, and at a few tiny ones where the bound grows before it
+    # reaches the floor and both raise
+    rng = random.Random(26)
+    raised = 0
+    for dps in (2, 4, 6, 8, 50, 70, 120, 170, 320, 1020, 1520):
+        with mp.workdps(dps):
+            for _ in range(300):
+                a = mpf(10) ** rng.uniform(-16, math.log10(3000))
+                for s in (0, -1):
+                    want = _plan_or_raises(_reference_em_plan, a, s)
+                    assert _plan_or_raises(_em_plan, a, s) == want, (dps, a, s)
+                    raised += want == "raises"
+    assert raised > 100
+
+
+@pytest.mark.parametrize("k", [16, 300, 3000, 30000])
+def test_zeta_sderiv_at_tiny_arguments(k):
+    # a enters the product exactly, so a = 10^-k keeps every digit however
+    # far below the fixed point's 2^-F it lies
+    ctx = PrecisionContext(60)
+    a = _argument(f"1e-{k}", ctx)
+    ref = _mpmath(zeta, ctx, -1, a, 1)
+    assert rel_err(_zeta_sderiv(-1, a, ctx), ref) < mpf("1e-59")
+
+
+@pytest.mark.parametrize("beta", ["1e300", "1e3000"])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_closed_form_at_huge_beta(model, beta):
+    # q = 1/(2 sqrt(beta)) and 1/sqrt(beta) down to 1e-1500
+    got = closed_form(model, beta, PrecisionContext(60))
+    ref = closed_form_references.mpmath_closed_form(model.value, beta, 70)
+    with mp.workdps(70):
+        assert rel_err(got, ref) < mpf("1e-59")
+
+
+# 12 betas from 1e-6 to 1e30 with long decimal mantissas, as the benchmark
+# draws them
+ULP_BETAS = ("1e-6", "3.71153e-5", "0.000802941", "0.0131237", "0.27183", "1.31955",
+             "41.3273", "834.336", "126311", "8.40597e+9", "1.29965e+19", "1e30")
+
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+def test_zeta_sderivs_within_an_ulp_at_closed_form_arguments(digits):
+    # nu = (1 + sqrt b)/(2 sqrt b), 1/(2 sqrt b) and 1/sqrt b as the closed
+    # forms pass them: full-precision mantissas. Every order of every call
+    # lies within 1 ulp of the same call 60 digits higher.
+    ctx, high = PrecisionContext(digits), PrecisionContext(digits + 60)
+    for text in ULP_BETAS:
+        with ctx.work():
+            rb = sqrt(mpf(text))
+            args = ((1 + rb) / (2 * rb), 1 / (2 * rb), 1 / rb)
+        for a in args:
+            for orders in ((-1,), (0,), (-1, 0)):
+                with ctx.work():
+                    got = _zeta_sderivs(a, orders)
+                with high.work():
+                    want = _zeta_sderivs(a, orders)
+                with ctx.work():
+                    for s, g, w in zip(orders, got, want):
+                        assert abs(g - w) <= _ulp(g), (text, a, orders, s)
 
 
 # ---------------------------------------------------------------------------
