@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,15 +163,12 @@ def _em_plan(a: mpf, s: int) -> tuple[int, int, int]:
     hi = 1
     while not stops(hi):
         hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
-    if bound(hi) >= floor:
+    j = hi // 2 + 1 + bisect_left(range(hi // 2 + 1, hi), True, key=stops)
+    if bound(j) >= floor:
         raise OracleFailureError(f"Euler-Maclaurin terms for zeta'({s}, a) "
                                  f"grow before they reach 1e-{dps + 5}")
     cancel = (1 - s) * (lz - max(0.0, la))
-    return N, hi - 1, int(cancel / math.log(10)) + 3
+    return N, j - 1, int(cancel / math.log(10)) + 3
 
 
 _em_lock = threading.Lock()
@@ -247,23 +245,16 @@ def _zeta_sderivs(a: mpf, orders: tuple[int, ...]) -> tuple[mpf, ...]:
         pe = qe = 0
         with_q = -1 in orders
         for k in range(N - 1, -1, -1):
-            if k:
-                pm, pe = pm * (af + (k << F)), pe - F  # prod_{i >= k} (a + i)
-            else:
-                pm, pe = pm * m, pe + e
-            cut = pm.bit_length() - F
-            if cut > 0:
-                pm, pe = pm >> cut, pe + cut
+            # prod_{i >= k} (a + i), then prod_{i >= k} (a + i)^{i - k + 1}
+            pm, pe = (pm * (af + (k << F)), pe - F) if k else (pm * m, pe + e)
+            cut = max(pm.bit_length() - F, 0)
+            pm, pe = pm >> cut, pe + cut
             if with_q:
-                qm, qe = qm * pm, qe + pe  # prod_{i >= k} (a + i)^{i - k + 1}
-                cut = qm.bit_length() - F
-                if cut > 0:
-                    qm, qe = qm >> cut, qe + cut
+                qm, qe = qm * pm, qe + pe
+                cut = max(qm.bit_length() - F, 0)
+                qm, qe = qm >> cut, qe + cut
         z = a + N
-        if N:
-            zm, ze = af + (N << F), -F
-        else:
-            zm, ze = m, e
+        zm, ze = (af + (N << F), -F) if N else (m, e)
         W = (1 << (F - 2 * ze)) // (zm * zm) if 2 * ze <= F else 0
         zi = dps if a >= dps else min(N + int(a), dps)  # floor(min(z, dps))
         L = (zi * zi).bit_length() - 1
