@@ -214,9 +214,9 @@ def _zeta_sderivs(a: mpf, orders: tuple[int, ...]) -> tuple[mpf, ...]:
     costs no more than a = 1. So p's relative error is below 3N 2^-F and q's
     below 3 (N+1)^2 2^-F. The corrections are one Horner pass
     h = ((h << L) + C_t) W >> F from t = J - 1 + s down to 0, with W =
-    floor(2^F w) and L = bitlen(floor(min(z, dps))^2) - 1, so that 2^L w <= 1: term
-    t is carried to the F - t L fraction bits that its w^t leaves, at the
-    scale of the table of _em_corrections. While the terms decrease, as J's
+    floor(2^F w) and L = bitlen(floor(min(z, dps))^2) - 1, so that
+    2^L w <= 1: term t is carried to the F - t L fraction bits that its w^t
+    leaves, at the scale of the table of _em_corrections. While the terms decrease, as J's
     bound makes them, each step adds below 1.1 2^-F to h's absolute error,
     below 2 J 2^-F in all. Against terms of size z^{1-s}, G leaves more than
     16 bits above these errors, and the working precision's extra digits
