@@ -263,7 +263,7 @@ class _Extrap:
     first beta, so a run with no beta builds nothing, and a build that
     raises runs and raises again at every beta. The digits need not cover
     the moments: the solve is exact and rounds c with P's span on top, and
-    the tail rebuilds T when its sums cancel."""
+    the tail raises T's precision, once or per beta, when its sums cancel."""
 
     moments: int
     truncation: int | None = None

@@ -10,10 +10,10 @@ approximant, then O(N + M) per beta and no pole at beta > 0. qd is unstable,
 so its table runs in fixed-point integers straight from the exact
 coefficients, at the scale a running error bound (Higham, Accuracy and
 Stability of Numerical Algorithms, sec. 3.3) certifies for the working
-precision; the beta recurrence runs at a precision extended by the
-coefficient span. Delta is its explicit weighted sum over the partial sums,
-O(n) per beta with exact integer weights; its numerator cancels, so it too
-runs at the span-extended precision.
+precision; the beta recurrence adds only positive terms, so it runs at the
+working precision. Delta is its explicit weighted sum over the partial sums,
+O(n) per beta with exact integer weights; its numerator cancels, so it runs
+at a precision extended by the coefficient span.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from itertools import repeat
 from operator import add, floordiv, gt, lshift, mul, neg, sub
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
 
 from .errors import DegeneracyError, DomainError
 from .models import SeriesCoefficients
@@ -65,16 +64,15 @@ def _pade(series: SeriesCoefficients, N: int, M: int,
         raise DomainError(
             f"series has {series.count} coefficients, [N/M]=[{N}/{M}] needs {need}")
     L = N - M + 1
-    extra = _span_digits(series, need) + 10
+    with ctx.work(_span_digits(series, need) + 10):
+        top = mp.prec
     with ctx.work():
-        bits = mp.prec
-    with ctx.work(extra):
-        row, _, F = _fixed_qd_row(series.a[:need], L, bits, mp.prec)
-        alphas = [mp.make_mpf(from_man_exp(x, -F)) for x in reversed(row)]
+        row, _, F = _fixed_qd_row(series.a[:need], L, mp.prec, top)
+        alphas = [mpf((x, -F)) for x in reversed(row)]
         a = [_to_mpf(f) for f in series.a[:L + 1]]
 
     def at(beta) -> mpf:
-        with ctx.work(extra):
+        with ctx.work():
             beta = _to_beta(beta)
             t = mpf(1)
             for alpha in alphas:

@@ -15,15 +15,15 @@ polynomial rho_eval reads for Delta. M depends only on d, K and the
 precision, so a small bounded cache keeps it across builds. No T_k depends
 on beta, so an Extrapolant builds them once and evaluate(beta) runs the
 final sum, one Horner pass over the terms that reach the working precision,
-and Delta. The convolution cancels more digits as d grows, and at small
-beta the final sum does too; when together they reach into the guard
-digits, the sum is redone higher (tail_sum).
+and Delta. The convolution cancels more digits as d grows, so build holds T
+higher once that reaches into the guard digits; at small beta the final sum
+cancels too, and past what T's precision leaves, tail_sum rebuilds T higher.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 from math import ceil, factorial, inf, log2, log10
 from operator import add, lshift, mul
@@ -130,11 +130,17 @@ def _beta_sum(T, beta, p: int) -> tuple[mpf, int]:
     return total, ceil(max(0, lost) * log10(2))
 
 
+def _T_extra(lost_T: int, ctx: PrecisionContext) -> int:
+    """Digits above workdps at which T is held: lost_T + 5 past guard - 5, else 0."""
+    return lost_T + 5 if lost_T > ctx.guard - 5 else 0
+
+
 @dataclass(frozen=True)
 class Extrapolant:
     """The beta-free half of one reconstruction's extrapolant: its model, the
-    exact g of _density_taylor(rec), and T_0..T_K at ctx.workdps with lost_T,
-    the digits their sums cancelled. Nothing after build reads rec."""
+    exact g of _density_taylor(rec), and T_0..T_K with lost_T, the digits
+    their sums cancelled at ctx.workdps; T is held _T_extra(lost_T) digits
+    higher. Nothing after build reads rec."""
 
     model: ModelId
     K: int
@@ -157,13 +163,10 @@ class Extrapolant:
         g = _density_taylor(rec)
         with ctx.work():
             T, lost = _tail_coefficients(g, K)
+        if extra := _T_extra(lost, ctx):
+            with ctx.work(extra):
+                T = _tail_coefficients(g, K)[0]
         return cls(rec.model, K, ctx, g, T, lost)
-
-    @cached_property
-    def T_raised(self) -> tuple[mpf, ...]:
-        """T at workdps + lost_T + 5, built once on first use."""
-        with self.ctx.work(self.lost_T + 5):
-            return _tail_coefficients(self.g, self.K)[0]
 
     def evaluate(self, beta) -> ExtrapolationResult:
         """Tail plus pole correction at one beta."""
@@ -178,18 +181,15 @@ class Extrapolant:
 
 
 def tail_sum(ext: Extrapolant, beta) -> mpf:
-    """Inverse-power tail sum_{k=0}^{K} (-1)^k beta^{p-k} T_k of a built T.
-    When T's sums and the beta sum together cancel more than guard - 5
-    digits, the sum is redone that many digits (+5) higher: with T_raised if
-    the beta sum lost nothing, else with T rebuilt there for this beta."""
-    p = ext.model.tail_power_offset
-    with ext.ctx.work():
+    """Inverse-power tail sum_{k=0}^{K} (-1)^k beta^{p-k} T_k at T's precision;
+    when T's and the beta sum's losses exceed that precision's guard less 5
+    digits, T is rebuilt that many digits (+5) above workdps for this beta."""
+    p, extra = ext.model.tail_power_offset, _T_extra(ext.lost_T, ext.ctx)
+    with ext.ctx.work(extra):
         total, lost = _beta_sum(ext.T, beta, p)
-        lost += ext.lost_T
-        if lost > ext.ctx.guard - 5:
-            with ext.ctx.work(lost + 5):
-                T = ext.T_raised if lost == ext.lost_T else _tail_coefficients(ext.g, ext.K)[0]
-                total, _ = _beta_sum(T, beta, p)
+    if (lost := lost + ext.lost_T) > ext.ctx.guard + extra - 5:
+        with ext.ctx.work(lost + 5):
+            total, _ = _beta_sum(_tail_coefficients(ext.g, ext.K)[0], beta, p)
     return ext.ctx.round(total)
 
 

@@ -141,17 +141,17 @@ def _closed_form(model: ModelId, beta: mpf) -> mpf:
             - 3 / (4 * beta))
 
 
-def closed_form(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
-    """Exact f_s(beta) or f_SD(beta) for beta > 0.
-
-    Below beta = 1 the closed forms cancel about 2 log10(1/beta) digits: terms
-    of size ln(beta) (spins) or ln(beta)/beta (SD) leave a value of size
-    beta^2 or beta. The working precision is raised by that much.
-    """
+def _weak_field_extra(beta, ctx: PrecisionContext) -> int:
+    """Digits (+5) closed_form and finite_part_assembly cancel below beta = 1:
+    terms of size ln(beta) (spins) or ln(beta)/beta (SD) leave beta^2 or beta."""
     with ctx.work():
         b = _to_beta(beta)
-        extra = int(ceil(-2 * log10(b))) + 5 if b < 1 else 0
-    with ctx.work(extra=extra):
+        return int(ceil(-2 * log10(b))) + 5 if b < 1 else 0
+
+
+def closed_form(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
+    """Exact f_s(beta) or f_SD(beta) for beta > 0, _weak_field_extra digits higher."""
+    with ctx.work(_weak_field_extra(beta, ctx)):
         v = _closed_form(model, _to_beta(beta))
     return ctx.round(v)
 
@@ -333,14 +333,15 @@ def strong_field_leading(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
 # ---------------------------------------------------------------------------
 
 def finite_part_assembly(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
-    """f reassembled from finite-part integrals; an independent route.
+    """f reassembled from finite-part integrals; an independent route, at
+    closed_form's precision + guard, each part with its own guard above that.
 
     Spin0:  sqrt(b) fp_csch - fp_exp(1,3) + (b/6) fp_exp(1,1)
     SpinHalf: fp_exp(1,3) + (b/3) fp_exp(1,1) - sqrt(b) fp_coth
     SD:     fp_sinh2 - (1/4) fp_exp(2/sqrt(b),3) + (1/12) fp_exp(2/sqrt(b),1)
     """
-    inner = PrecisionContext(ctx.workdps)
-    with ctx.work(extra=inner.guard):
+    inner = PrecisionContext(ctx.workdps + _weak_field_extra(beta, ctx))
+    with inner.work():
         beta = _to_beta(beta)
         rb = sqrt(beta)
         if model is ModelId.SPIN0:

@@ -213,13 +213,17 @@ def test_pade_is_exact_on_a_two_point_measure_with_tiny_e():
             assert rel_err(pade_eval(s, 1, 2, beta, ctx), _to_mpf(exact)) < mpf(10) ** -399
 
 
+@pytest.mark.parametrize("N, M, digits", [(49, 50, 100), (99, 100, 200), (50, 50, 60),
+                                           (30, 20, 60)])
 @pytest.mark.parametrize("model", list(ModelId))
-def test_pade_99_100_prints_as_the_reference_route(model):
-    ctx = PrecisionContext(200)
-    s = coefficients(model, 200)
-    approximant, reference = _pade(s, 99, 100, ctx), _reference_pade(s, 99, 100, ctx)
-    for beta in ("0.01", "10", "1e7"):
-        assert mp.nstr(approximant(beta), 200) == mp.nstr(reference(beta), 200), beta
+def test_pade_prints_as_the_reference_route(model, N, M, digits):
+    # the beta recurrence runs at the working precision, the reference's at
+    # the coefficient span; [50/50] and [30/20] have heads (L > 0)
+    ctx = PrecisionContext(digits)
+    s = coefficients(model, N + M + 1)
+    approximant, reference = _pade(s, N, M, ctx), _reference_pade(s, N, M, ctx)
+    for beta in ("0.01", "10", "1e7", "1e20"):
+        assert mp.nstr(approximant(beta), digits) == mp.nstr(reference(beta), digits), beta
 
 
 # ---------------------------------------------------------------------------

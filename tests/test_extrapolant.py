@@ -25,7 +25,9 @@ from heulag import (
     rho_eval,
     tail_sum,
 )
-from heulag.extrapolant import _beta_sum, _delta_raw, _fp_kernel_values, _tail_coefficients
+from heulag import extrapolant
+from heulag.extrapolant import (_T_extra, _beta_sum, _delta_raw, _fp_kernel_values,
+                                _tail_coefficients)
 from heulag.momentrec import _density_taylor
 from conftest import printed_match, rel_err
 
@@ -173,7 +175,7 @@ def _with_zeros(g):
 ])
 def test_integer_T_matches_the_mpf_reference(model, moments, digits, zeros, reconstruct):
     # the exact integer sums round to the mpf route's bits and lose as much,
-    # at workdps and at the raised precision of T_raised; a zero g_l takes
+    # at workdps and at the raised precision T is held at; a zero g_l takes
     # no part in the sums or in the loss
     ctx = PrecisionContext(digits)
     g = _density_taylor(reconstruct(model, moments, digits))
@@ -215,7 +217,7 @@ def test_tail_coefficient_is_canonical_finite_part(k, reconstruct):
 @pytest.mark.parametrize("beta", ["1", "126.311", "8.40597e+06", "1e7", "1e18", "1e30"])
 def test_tail_keeps_digits_beyond_the_guard(beta, reconstruct):
     # at d = 199 the T_k sums cancel 19-20 digits, past the 20 guard digits
-    # less 5: the sum must be redone higher, with T_raised or a rebuilt T
+    # less 5: the sum must run higher, with T held there or rebuilt
     rec = reconstruct(ModelId.SPIN0, 200, 200)
     ext = Extrapolant.build(rec, None, PrecisionContext(200))
     assert ext.lost_T > ext.ctx.guard - 5
@@ -308,14 +310,32 @@ def test_fewer_digits_than_moments_keep_every_digit(model, reconstruct):
 @pytest.mark.parametrize("moments, digits", [(50, 60), (200, 200)], ids=["d49", "d199"])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_one_build_evaluates_like_fresh_calls(model, moments, digits, reconstruct):
-    # d = 199 takes the raised-precision paths, T_raised among them; reuse
-    # carries no state
+    # d = 199 takes the raised-precision paths, the held T's and a per-beta
+    # rebuild's; reuse carries no state
     rec, ctx = reconstruct(model, moments, digits), PrecisionContext(digits)
     ext = Extrapolant.build(rec, None, ctx)
     for beta in ("1e-4", "0.01", "1", "1e7", "1e20"):
         assert ext.evaluate(beta) == extrapolate(model, rec, beta, None, ctx)
-    # the raised T is built only where T's own loss needs it
-    assert ("T_raised" in vars(ext)) == (moments == 200)
+    # T is held higher only where its own loss needs it
+    assert (_T_extra(ext.lost_T, ctx) > 0) == (moments == 200)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_held_T_serves_betas_whose_sum_loses_at_most_the_guard(model, reconstruct, monkeypatch):
+    # at d = 199 build holds T lost_T + 5 digits higher; a beta sum that
+    # loses at most guard digits there leaves the digits asked for, so no
+    # beta rebuilds T
+    rec, ctx = reconstruct(model, 200, 200), PrecisionContext(200)
+    builds = []
+    monkeypatch.setattr(extrapolant, "_tail_coefficients",
+                        lambda *a: builds.append(a) or _tail_coefficients(*a))
+    ext = Extrapolant.build(rec, None, ctx)
+    assert len(builds) == 2
+    for beta in ("0.01", "0.1", "1"):
+        with ctx.work(_T_extra(ext.lost_T, ctx)):
+            assert _beta_sum(ext.T, mpf(beta), model.tail_power_offset)[1] <= ctx.guard
+        ext.evaluate(beta)
+    assert len(builds) == 2
 
 
 def test_one_shot_calls_share_the_kernel_table(reconstruct):

@@ -11,6 +11,7 @@ from heulag import (
     KernelDescriptor,
     ModelId,
     OracleFailureError,
+    PrecisionContext,
     closed_form,
     exp_kernel,
     finite_part_assembly,
@@ -18,6 +19,7 @@ from heulag import (
     fp_exp_over_xm,
 )
 from heulag.finitepart import _zeta_bernoulli
+from conftest import rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +116,13 @@ def test_zeta_bernoulli_against_mpmath(s, digits):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model", list(ModelId))
-@pytest.mark.parametrize("beta", ["0.01", "1", "100", "1e6"])
+@pytest.mark.parametrize("beta", ["1e-30", "1e-20", "1e-10", "0.01", "1", "100", "1e6"])
 def test_assembly_equals_closed_form(model, beta, ctx60):
+    # every digit, also at weak field, where the finite parts cancel about
+    # 2 log10(1/beta) of them
     a = finite_part_assembly(model, beta, ctx60)
-    c = closed_form(model, beta, ctx60)
-    with mp.workdps(80):
-        assert abs(a - c) < mpf(10) ** (-(ctx60.digits - 10)) * max(1, abs(c))
+    c = closed_form(model, beta, PrecisionContext(80))
+    assert rel_err(a, c) < mpf(10) ** -ctx60.digits
 
 
 def test_assembly_beta_to_zero_leading_coefficient(ctx60):
