@@ -12,13 +12,13 @@ import enum
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from itertools import count
 from math import factorial, log2
 
 from mpmath import mp, mpf, ceil, ln, log10, quad, sqrt
-from mpmath.libmp import (fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_gt,
-                          mpf_mul, mpf_neg, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (from_man_exp, mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_neg, mpf_pow_int,
+                          mpf_shift, round_nearest)
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
@@ -196,7 +196,13 @@ def _kernel(model: ModelId, prec: int) -> Callable[[tuple], tuple]:
     an upper bound on log2 x^2 put a term below 2^-(prec + 20); the table
     runs to that point at x = 1/2. The sum times the exact x^4 (spins) or
     x^2 (SD) is rounded once. From x = 1/2 on, the hyperbolic form with one
-    exponential, at prec + 10 bits.
+    exponential at prec + 10 bits, on fixed-point integers with F = prec + 22
+    fraction bits: x and the exponential are floored to that grid, the
+    quotient is one floor division, the Taylor terms taken off are added on
+    the grid and the sum is rounded once. The kernel is about 2^-10 at
+    x = 1/2 and grows, so the grid's few units of 2^-F stay below
+    2^-(prec + 10) of it. Where the exponential floors to 0 on the grid it is
+    not evaluated.
     """
     fp, hp, rnd = prec + 20, prec + 10, round_nearest
     cs, mags = [], []  # cs[j] = c_j 2^fp, mags[j] = log2 |c_j|
@@ -219,25 +225,44 @@ def _kernel(model: ModelId, prec: int) -> Callable[[tuple], tuple]:
             acc = (acc * x2 >> fp) + c
         return from_man_exp(acc * man ** (2 * lead), 2 * lead * exp - fp, hp, rnd)
 
-    add, sub, mul, div = (partial(f, prec=hp, rnd=rnd)
-                          for f in (mpf_add, mpf_sub, mpf_mul, mpf_div))
-    third, sixth = (div(fone, from_int(q)) for q in (3, 6))
+    F = hp + 12  # fraction bits: the kernel is about 2^-10 at x = 1/2 and grows
+    one, third = 1 << F, (1 << F) // 3
+
+    def fixed(v: tuple) -> int:  # floor(v 2^F) of a raw value v > 0
+        shift = v[2] + F
+        return v[1] << shift if shift >= 0 else v[1] >> -shift
+
+    vanish = 7 * (F + 2) // 10 + 1  # > (F + 2) ln 2: e^-y < 2^-(F + 2) for y >= vanish
+
+    def fixed_exp(y: tuple) -> int:  # floor(e^-y 2^F), without an exponential where it is 0
+        return 0 if fixed(y) >> F >= vanish else fixed(mpf_exp(mpf_neg(y), hp, rnd))
+
     if model is ModelId.SPIN0:
         def hyperbolic(x: tuple) -> tuple:  # x/sinh x = 2x h/(1 - h^2)
-            h = mpf_exp(mpf_neg(x), hp, rnd)
-            v = div(mpf_shift(mul(x, h), 1), sub(fone, mul(h, h)))
-            return add(sub(v, fone), mul(mul(x, x), sixth))
+            X, H = fixed(x), fixed_exp(x)
+            v = (X * H << (F + 1)) // (one * one - H * H) - one + (X * X // 6 >> F)
+            return from_man_exp(v, -F, hp, rnd)
     elif model is ModelId.SPIN_HALF:
         def hyperbolic(x: tuple) -> tuple:  # x coth x = x(1 + e)/(1 - e)
-            e = mpf_exp(mpf_neg(mpf_shift(x, 1)), hp, rnd)
-            return sub(add(fone, mul(mul(x, x), third)), div(mul(x, add(fone, e)), sub(fone, e)))
+            X, E = fixed(x), fixed_exp(mpf_shift(x, 1))
+            v = one + (X * X // 3 >> F) - X * (one + E) // (one - E)
+            return from_man_exp(v, -F, hp, rnd)
     else:
         def hyperbolic(x: tuple) -> tuple:  # 1/sinh^2 x = 4e/(1 - e)^2
-            e = mpf_exp(mpf_neg(mpf_shift(x, 1)), hp, rnd)
-            d = sub(fone, e)
-            return add(sub(div(mpf_shift(e, 2), mul(d, d)), div(fone, mul(x, x))), third)
+            X, E = fixed(x), fixed_exp(mpf_shift(x, 1))
+            x2, d2 = X * X, (one - E) ** 2
+            v = (4 * E * x2 - (d2 << F) << (2 * F)) // (d2 * x2) + third
+            return from_man_exp(v, -F, hp, rnd)
 
     return lambda x: series(*x[1:]) if x[2] + x[3] < 0 else hyperbolic(x)  # x < 1/2
+
+
+@lru_cache(maxsize=4)
+def _node_factors(wp: int, m: int) -> dict[tuple, tuple]:
+    """e^-t/t^m at wp bits, keyed by the raw libmp node t: the integrand's
+    half that depends on neither beta nor the model's kernel, shared by every
+    oracle call at one precision. The oracle fills it lazily."""
+    return {}
 
 
 def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
@@ -248,7 +273,11 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     sigma/2)/sigma. Integrands are O(tau) at the origin. One tanh-sinh pass
     over [0, inf), at the degree mpmath sizes from the precision; the
     integrand works on raw libmp values at wp = prec + 10 bits and is
-    rounded once to prec.
+    rounded once to prec. Its factor e^{-t}/t^m (m = 3 spins, 1 SD) depends
+    only on the node and wp: _node_factors holds it per (wp, m), formed at
+    wp + 10 bits and rounded once to wp, so at a precision seen before a
+    node costs the kernel at r t, one product and one quotient by
+    den = scale (4 scale for SD).
 
     The target is relative: the integrand is divided by scale = a_0 beta^p
     below beta = 1 and by 1 above (|f| >= 0.0035 there), so mpmath's
@@ -288,13 +317,18 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
             bound = beta / ((6 if model is ModelId.SPIN0 else 3) * scale)
         cut = ((2 * wp + 73) * mp.ln2 + ln(max(bound, 1)))._mpf_
 
+        factors = _node_factors(wp, m)
+
         def integrand(t: mpf) -> mpf:
             t = t._mpf_
             if mpf_gt(t, cut):
                 return mp.zero
-            num = mpf_mul(mpf_exp(mpf_neg(t), wp, rnd), chi(mpf_mul(r, t, wp, rnd)), wp, rnd)
-            return mp.make_mpf(mpf_div(num, mpf_mul(den, mpf_pow_int(t, m, wp, rnd), wp, rnd),
-                                       prec, rnd))
+            f = factors.get(t)
+            if f is None:
+                f = factors[t] = mpf_div(mpf_exp(mpf_neg(t), wp + 10, rnd),
+                                         mpf_pow_int(t, m, wp + 10, rnd), wp, rnd)
+            num = mpf_mul(f, chi(mpf_mul(r, t, wp, rnd)), wp, rnd)
+            return mp.make_mpf(mpf_div(num, den, prec, rnd))
 
         v, err = quad(integrand, [0, mp.inf], error=True)
         capped = err >= 1  # mpmath's largest estimate: no bound on the digits

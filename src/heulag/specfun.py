@@ -81,18 +81,28 @@ def _to_beta(x, name: str = "beta") -> mpf:
 
 _bern_lock = threading.Lock()
 _bern_even: list[Fraction] = []  # _bern_even[k-1] = B_{2k}
+_tangent_edge: list[int] = []  # the triangle's last column after each pass
 
 
-def _tangent_numbers(n: int) -> list[int]:
-    """First n tangent numbers T_1..T_n by the integer triangle recurrence."""
-    t = [0] * (n + 1)
-    t[1] = 1
+def _extend_tangents(edge: list[int], n: int) -> list[int]:
+    """Tangent numbers T_{m+1}..T_n by the integer triangle recurrence, where
+    m = len(edge) and edge[k-1] is column m of the triangle after pass k (the
+    initial values (j-1)! are pass 1). Pass k updates column j >= k from
+    column j - 1 of the same pass, so columns m+1..n need only the edge:
+    O(n^2 - m^2) updates. The edge is replaced by column n's passes."""
+    m = len(edge)
+    t = [edge[0] if m else 0] + [math.factorial(j - 1) for j in range(m + 1, n + 1)]
+    new_edge, tang = [t[-1]], []
     for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+        if k <= m:
+            t[0] = edge[k - 1]
+        for i in range(max(k - m, 1), len(t)):  # t[i] is column m + i
+            t[i] = (i + m - k) * t[i - 1] + (i + m - k + 2) * t[i]
+        new_edge.append(t[-1])
+        if k > m:
+            tang.append(t[k - m])
+    edge[:] = new_edge
+    return tang if m else [1, *tang]
 
 
 def _bernoulli_even(k: int) -> Fraction:
@@ -102,14 +112,15 @@ def _bernoulli_even(k: int) -> Fraction:
     if k < 1:  # a negative index would read the cache from its end
         raise DomainError(f"B_2k needs k >= 1, got {k}")
     with _bern_lock:
-        if k > len(_bern_even):
-            n = max(k, 2 * len(_bern_even) + 8)
-            tang = _tangent_numbers(n)
+        n = len(_bern_even)
+        if k > n:
+            if len(_tangent_edge) != n:  # the cache was replaced: start the triangle over
+                _tangent_edge.clear()
+            tang = _extend_tangents(_tangent_edge, k)[-(k - n):]
             # append only: a reader that saw the old length still finds its entry
             _bern_even.extend(
-                Fraction((-1) ** (j) * tang[j] * (2 * (j + 1)),
-                         4 ** (j + 1) * (4 ** (j + 1) - 1))
-                for j in range(len(_bern_even), n))
+                Fraction((-1) ** j * t * (2 * (j + 1)), 4 ** (j + 1) * (4 ** (j + 1) - 1))
+                for j, t in enumerate(tang, n))
     return _bern_even[k - 1]
 
 

@@ -12,8 +12,8 @@ them after:
     PYTHONPATH=src python tests/oracle_bits.py          # regenerate the file
     PYTHONPATH=src python tests/oracle_bits.py --check  # compare; exit 1 on a mismatch
 
-(about 25 s each). --check regenerates the data in memory and names the
-first key that differs from the file. pytest does not collect this file
+(about 9 s each). --check regenerates the data in memory, names every key
+that differs from the file and counts them. pytest does not collect this file
 (its name does not start with test_); test_models.py and
 test_comparators.py check every entry.
 """
@@ -115,15 +115,15 @@ def generate() -> dict:
             "qd": {m.value: qd_bits(m) for m in ModelId}}
 
 
-def first_difference(got: dict, want: dict) -> str | None:
-    """The first "section key" whose value differs between two data sets, or
-    that only one of them has; None when they are equal."""
+def differences(got: dict, want: dict) -> list[str]:
+    """Every "section key" whose value differs between two data sets, or that
+    only one of them has, in the file's order; empty when they are equal."""
+    out = []
     for section in ("oracle", "qd"):
         g, w = got.get(section, {}), want.get(section, {})
-        for k in (*w, *(k for k in g if k not in w)):
-            if g.get(k) != w.get(k):
-                return f"{section} {k}"
-    return None
+        out += [f"{section} {k}" for k in (*w, *(k for k in g if k not in w))
+                if g.get(k) != w.get(k)]
+    return out
 
 
 def main() -> int:
@@ -135,9 +135,11 @@ def main() -> int:
     if not args.check:
         PATH.write_text(json.dumps(data, indent=0) + "\n", encoding="utf-8")
         return 0
-    diff = first_difference(data, load())
-    print(f"differs first at: {diff}" if diff else "every entry matches")
-    return 1 if diff else 0
+    diffs = differences(data, load())
+    for diff in diffs:
+        print(f"differs: {diff}")
+    print(f"{len(diffs)} entries differ" if diffs else "every entry matches")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from heulag import (
     strong_field_leading,
 )
 from heulag import models
-from heulag.models import _ck, _kernel
+from heulag.models import _ck, _kernel, _node_factors
 from heulag.specfun import _bernoulli_even
 import closed_form_references
 import oracle_bits
@@ -273,6 +273,31 @@ def test_quadrature_bits_are_frozen(model, digits, beta):
     assert oracle_bits.oracle_bits(model, digits, beta) == want
 
 
+def test_oracle_bits_names_every_difference():
+    want = {"oracle": {"a": "raises", "b": [0, "0x1", 0], "c": [0, "0x3", 1]},
+            "qd": {"sd": [[0, "0x1", 0]]}}
+    got = {"oracle": {"a": [0, "0x1", 0], "b": [0, "0x1", 0], "d": "raises"}, "qd": {"sd": []}}
+    assert oracle_bits.differences(want, want) == []
+    assert oracle_bits.differences(got, want) == ["oracle a", "oracle c", "oracle d", "qd sd"]
+
+
+def test_node_factors_stay_bounded():
+    # one table per (precision, power of t), evicted least recently used
+    for digits in (30, 60, 100, 150, 300):
+        for model in (ModelId.SPIN0, ModelId.SELF_DUAL):
+            direct_integral_oracle(model, "10", PrecisionContext(digits))
+    info = _node_factors.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+
+
+def test_node_factors_give_the_same_bits_cold_and_interleaved(ctx60, ctx100):
+    first = direct_integral_oracle(ModelId.SPIN_HALF, "3", ctx60)._mpf_
+    _node_factors.cache_clear()
+    assert direct_integral_oracle(ModelId.SPIN_HALF, "3", ctx60)._mpf_ == first
+    direct_integral_oracle(ModelId.SPIN_HALF, "3", ctx100)
+    assert direct_integral_oracle(ModelId.SPIN_HALF, "3", ctx60)._mpf_ == first
+
+
 def test_quadrature_skips_the_nodes_past_its_cutoff(monkeypatch, ctx60):
     # at 60 digits about 35% of the 1201 nodes lie past the cutoff
     values = []
@@ -341,13 +366,15 @@ def _reference_kernel(model, x):
     return 4 * e / (1 - e) ** 2 - 1 / (x * x) + mpf(1) / 3
 
 
-@pytest.mark.parametrize("digits", [60, 100, 300])
+@pytest.mark.parametrize("digits", [60, 100, 300, 1000])
 @pytest.mark.parametrize("model", list(ModelId))
 def test_kernel_matches_term_by_term_reference(model, digits):
+    # 1e17 is of the order of the largest x that beta = 1e30 reaches before the cutoff
     qdps = digits + 10  # the oracle's quadrature precision
     with mp.workdps(qdps):
         chi = _kernel(model, mp.prec)
-    for text in ("1e-200", "1e-30", "1e-3", "0.49", "0.4999", "0.5", "0.51", "3", "50", "300"):
+    for text in ("1e-200", "1e-30", "1e-3", "0.49", "0.4999", "0.5", "0.5000001", "0.51", "3",
+                 "50", "300", "1e6", "1e17"):
         with mp.workdps(qdps):
             x = mpf(text)
             v = mp.make_mpf(chi(x._mpf_))

@@ -86,6 +86,35 @@ def test_bernoulli_cache_grows_append_only(monkeypatch):
                                                           Fraction(1, 42)]
 
 
+def _tangent_triangle(n: int) -> list[int]:
+    """T_1..T_n from the whole integer triangle in one build: the reference
+    for the cache's column-by-column growth."""
+    t = [0] * (n + 1)
+    t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def test_bernoulli_cache_grown_in_steps_matches_the_whole_triangle(monkeypatch):
+    # growth extends the triangle column by column from its stored edge
+    want = [Fraction((-1) ** j * t * (2 * j + 2), 4 ** (j + 1) * (4 ** (j + 1) - 1))
+            for j, t in enumerate(_tangent_triangle(800))]
+    edges = []
+    for steps in ((800,), (1, 2, 5, 37, 38, 200, 799, 800)):
+        monkeypatch.setattr(specfun, "_bern_even", [])
+        monkeypatch.setattr(specfun, "_tangent_edge", [])
+        for k in steps:
+            _bernoulli_even(k)
+            assert len(specfun._bern_even) == len(specfun._tangent_edge) == k
+        assert specfun._bern_even == want
+        edges.append(specfun._tangent_edge)
+    assert edges[0] == edges[1]
+
+
 def test_bernoulli_rejects_odd_or_negative():
     # _bernoulli_even(k) is B_2k, so odd n has no k; k = 0 and k < 0 (n = 0,
     # n < 0) are refused, also once the cache is filled
