@@ -38,7 +38,7 @@ from .models import (
     partial_sum,
 )
 from .momentrec import GENERATOR_VERSION, ReconstructionCoefficients, reconstruct
-from .specfun import PrecisionContext, _to_beta
+from .specfun import PrecisionContext, _lock, _to_beta
 
 PRINT_DIGITS = 21  # table/report cells carry this many significant digits
 
@@ -55,7 +55,7 @@ def _fmt(v, digits: int = PRINT_DIGITS) -> str:
 
 def _agree_digits(value: mpf, exact: mpf) -> int:
     """Number of agreeing leading significant digits (capped at PRINT_DIGITS)."""
-    with mp.workdps(PRINT_DIGITS + 10):
+    with _lock, mp.workdps(PRINT_DIGITS + 10):
         if exact == 0:
             return PRINT_DIGITS if value == 0 else 0
         rel = abs(value - exact) / abs(exact)
@@ -175,7 +175,7 @@ def load_cache(path: str) -> tuple[ReconstructionCoefficients, mpf]:
         raise CacheMismatchError("coefficient count", d + 1, len(body))
     model = _cache_field("model", ModelId, header["model"], "/".join(m.value for m in ModelId))
     digits = _cache_field("digits", int, header["digits"], "an integer")
-    with mp.workdps(max(map(len, body)) + 10):
+    with _lock, mp.workdps(max(map(len, body)) + 10):
         c = tuple(_cache_field("coefficients", mpf, v, "a decimal number") for v in body)
         stored = _cache_field("residual_norm", mpf, header["residual_norm"], "a decimal number")
     return ReconstructionCoefficients(model, c, digits), stored

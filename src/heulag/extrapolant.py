@@ -184,7 +184,7 @@ def tail_sum(ext: Extrapolant, beta) -> mpf:
     """Inverse-power tail sum_{k=0}^{K} (-1)^k beta^{p-k} T_k at T's precision;
     when T's and the beta sum's losses exceed that precision's guard less 5
     digits, T is rebuilt that many digits (+5) above workdps for this beta."""
-    p, extra = ext.model.tail_power_offset, _T_extra(ext.lost_T, ext.ctx)
+    p, extra = ext.model.series_prefactor_power - 1, _T_extra(ext.lost_T, ext.ctx)
     with ext.ctx.work(extra):
         total, lost = _beta_sum(ext.T, beta, p)
     if (lost := lost + ext.lost_T) > ext.ctx.guard + extra - 5:
@@ -205,13 +205,14 @@ def _delta_raw(ext: Extrapolant, beta: mpf) -> mpf:
     rb = sqrt(beta)
     re, im = rho_eval(ext.g, 1 / rb, ext.ctx)
     raw = (pi * rb / 2) * re + (rb * ln(beta) / 2) * im
-    return beta ** ext.model.tail_power_offset * raw
+    return beta ** (ext.model.series_prefactor_power - 1) * raw
 
 
 def extrapolate(model: ModelId, rec: ReconstructionCoefficients, beta,
                 K: int | None, ctx: PrecisionContext) -> ExtrapolationResult:
     """Tail plus pole correction at one beta: Extrapolant.build (K=None means
     2d), then evaluate. For many betas, build once and evaluate each."""
+    model = ModelId(model)
     if rec.model is not model:
         raise DomainError(
             f"reconstruction is for {rec.model.value}, requested {model.value}")

@@ -45,15 +45,15 @@ class ModelId(enum.Enum):
     SPIN_HALF = "spin12"
     SELF_DUAL = "sd"
 
+    @classmethod
+    def _missing_(cls, value):
+        """ModelId(value) of a value that names no model: a DomainError."""
+        raise DomainError(f"unknown model {value!r}, expected spin0, spin12 or sd")
+
     @property
     def series_prefactor_power(self) -> int:
         """Power of beta multiplying the reduced series: 2 for spins, 1 for SD."""
         return 1 if self is ModelId.SELF_DUAL else 2
-
-    @property
-    def tail_power_offset(self) -> int:
-        """Leading beta power p of the inverse-power extrapolant expansion."""
-        return 0 if self is ModelId.SELF_DUAL else 1
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,10 @@ def coeff(model: ModelId, k: int) -> Fraction:
     sum_k a_k (-beta)^k. SD: u_k = -(-1)^k B_{2k+4} / ((2k+2)(2k+4)), entering
     as beta * sum_k u_k (-beta)^k. Each is one reduced Fraction of integers.
     """
+    return _coeff(ModelId(model), k)
+
+
+def _coeff(model: ModelId, k: int) -> Fraction:
     if model is ModelId.SELF_DUAL:
         if k < 0:
             raise DomainError(f"SD coefficient index must be >= 0, got {k}")
@@ -107,13 +111,11 @@ class SeriesCoefficients:
 
 def coefficients(model: ModelId, count: int) -> SeriesCoefficients:
     """First `count` reduced-series coefficients of the model."""
+    model = ModelId(model)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    if model is ModelId.SELF_DUAL:
-        a = tuple(coeff(model, j) for j in range(count))
-    else:
-        a = tuple(coeff(model, j + 2) for j in range(count))
-    return SeriesCoefficients(model=model, a=a)
+    first = 0 if model is ModelId.SELF_DUAL else 2
+    return SeriesCoefficients(model, tuple(_coeff(model, k) for k in range(first, first + count)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,7 @@ def _weak_field_extra(beta, ctx: PrecisionContext) -> int:
 
 def closed_form(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     """Exact f_s(beta) or f_SD(beta) for beta > 0, _weak_field_extra digits higher."""
+    model = ModelId(model)
     with ctx.work(_weak_field_extra(beta, ctx)):
         v = _closed_form(model, _to_beta(beta))
     return ctx.round(v)
@@ -176,7 +179,7 @@ def partial_sum(model: ModelId, beta, d: int, ctx: PrecisionContext) -> mpf:
         acc = mpf(0)
         for a in reversed(series.a):
             acc = acc * x + _to_mpf(a)
-        v = beta ** model.series_prefactor_power * acc
+        v = beta ** series.model.series_prefactor_power * acc
     return ctx.round(v)
 
 
@@ -302,6 +305,7 @@ def direct_integral_oracle(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     n 2^-(2 wp + 60) of it. fdot skips the zeros, and the returned bits can
     change only on a rounding tie at that depth.
     """
+    model = ModelId(model)
     with ctx.work(10 - ctx.guard):
         beta = _to_beta(beta)
         prec, rnd = mp.prec, round_nearest
@@ -350,6 +354,7 @@ def strong_field_leading(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     beta ln(beta)/6 + beta (ln(2)/3 + 4 zeta'(-1) - 1/3); both leave
     O(sqrt(beta)). SD: ln(beta)/24 + zeta'(-1), leaving O(1/sqrt(beta)).
     """
+    model = ModelId(model)
     with ctx.work():
         beta = _to_beta(beta)
         lb, z1 = ln(beta), _hurwitz_zeta(-1, 1)
@@ -374,6 +379,7 @@ def finite_part_assembly(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     SpinHalf: fp_exp(1,3) + (b/3) fp_exp(1,1) - sqrt(b) fp_coth
     SD:     fp_sinh2 - (1/4) fp_exp(2/sqrt(b),3) + (1/12) fp_exp(2/sqrt(b),1)
     """
+    model = ModelId(model)
     inner = PrecisionContext(ctx.workdps + _weak_field_extra(beta, ctx))
     with inner.work():
         beta = _to_beta(beta)

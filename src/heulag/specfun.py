@@ -6,6 +6,12 @@ CLI's display and cache parsing, every scope that sets the working precision
 is a PrecisionContext.work scope. Helpers, here and in the other modules, read
 the ambient precision (``mp.dps``) and may only raise it relatively
 (``mp.extradps``), never set it.
+
+mpmath's precision is one value for the whole process, so every scope that
+sets it holds _lock, the package's one lock, throughout: threads are
+serialized per scope, and caches filled only inside scopes need no more. The
+Bernoulli cache also grows outside them and takes _lock itself; the lock is
+reentrant, as scopes nest. Between scopes no rounded mpf arithmetic is done.
 """
 from __future__ import annotations
 
@@ -25,6 +31,8 @@ from .errors import DomainError, OracleFailureError
 
 __all__ = ["PrecisionContext"]
 
+_lock = threading.RLock()
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -35,6 +43,8 @@ class PrecisionContext:
     guard: ClassVar[int] = 20
 
     def __post_init__(self):
+        if isinstance(self.digits, bool) or not isinstance(self.digits, int):
+            raise DomainError(f"digits must be an int, got {self.digits!r}")
         if self.digits < 30:
             raise DomainError(f"digits must be >= 30, got {self.digits}")
 
@@ -46,12 +56,12 @@ class PrecisionContext:
     def work(self, extra: int = 0):
         """Ambient-precision scope at digits+guard+extra decimal digits; extra
         may be negative, as for the quadrature oracle (digits + 10)."""
-        with mp.workdps(self.workdps + extra):
+        with _lock, mp.workdps(self.workdps + extra):
             yield
 
     def round(self, value):
         """Round a value to the context's nominal precision."""
-        with mp.workdps(self.digits):
+        with _lock, mp.workdps(self.digits):
             return +value
 
 
@@ -79,7 +89,6 @@ def _to_beta(x, name: str = "beta") -> mpf:
 # Bernoulli numbers: exact rationals via the tangent-number triangle.
 # ---------------------------------------------------------------------------
 
-_bern_lock = threading.Lock()
 _bern_even: list[Fraction] = []  # _bern_even[k-1] = B_{2k}
 _tangent_edge: list[int] = []  # the triangle's last column after each pass
 
@@ -106,22 +115,19 @@ def _extend_tangents(edge: list[int], n: int) -> list[int]:
 
 
 def _bernoulli_even(k: int) -> Fraction:
-    """Exact B_{2k} for k >= 1, cached; growth serialized, reads lock-free afterwards."""
-    if 0 < k <= len(_bern_even):
-        return _bern_even[k - 1]
+    """Exact B_{2k} for k >= 1, cached under _lock."""
     if k < 1:  # a negative index would read the cache from its end
         raise DomainError(f"B_2k needs k >= 1, got {k}")
-    with _bern_lock:
+    with _lock:
         n = len(_bern_even)
         if k > n:
             if len(_tangent_edge) != n:  # the cache was replaced: start the triangle over
                 _tangent_edge.clear()
             tang = _extend_tangents(_tangent_edge, k)[-(k - n):]
-            # append only: a reader that saw the old length still finds its entry
             _bern_even.extend(
                 Fraction((-1) ** j * t * (2 * (j + 1)), 4 ** (j + 1) * (4 ** (j + 1) - 1))
                 for j, t in enumerate(tang, n))
-    return _bern_even[k - 1]
+        return _bern_even[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +188,6 @@ def _em_plan(a: mpf, s: int) -> tuple[int, int, int]:
     return N, j - 1, int(cancel / math.log(10)) + 3
 
 
-_em_lock = threading.Lock()
-
-
 @lru_cache(maxsize=32)
 def _em_corrections(s: int, F: int, L: int) -> list[int]:
     """The Euler-Maclaurin correction coefficients of d/ds zeta(s, a) as
@@ -193,11 +196,10 @@ def _em_corrections(s: int, F: int, L: int) -> list[int]:
     integer division. _zeta_sderivs multiplies entry t by w^t <= 2^-tL, so
     the t L bits left out would fall below 2^-F.
 
-    Made empty; _zeta_sderivs fills it upward to the count it needs, so one
-    table serves every a with the same (s, F, L). Growth is serialized by
-    _em_lock and append-only: a reader that saw the old length still finds
-    its entries, every entry depends on (s, t, F, L) alone, and the tables
-    are safe to read concurrently. A baselines pass of the benchmark fills
+    Made empty; _zeta_sderivs fills it upward to the count it needs, inside
+    a precision scope and so under _lock, and every entry depends on
+    (s, t, F, L) alone: one table serves every a with the same (s, F, L),
+    whatever calls came before. A baselines pass of the benchmark fills
     16-17 tables with 2220-2312 coefficients, about 0.3 MB. The bound of 32
     tables keeps them all with room for a second mix of precisions, and caps
     the cache near 5 MB even if every table were a 1000-digit one.
@@ -273,15 +275,12 @@ def _zeta_sderivs(a: mpf, orders: tuple[int, ...]) -> tuple[mpf, ...]:
         values = []
         for s, (_, J, _) in zip(orders, plans):
             c = _em_corrections(s, F, L)
-            if len(c) < J + s:
-                with _em_lock:
-                    for t in range(len(c), J + s):
-                        j = t + 1 - s
-                        b = _bernoulli_even(j)
-                        d = 2 * j * (2 * j - 1) * (1 if s == 0 else 2 - 2 * j)
-                        up = F - t * L
-                        c.append((b.numerator << max(up, 0))
-                                 // (b.denominator * d << max(-up, 0)))
+            for t in range(len(c), J + s):
+                j = t + 1 - s
+                b = _bernoulli_even(j)
+                d = 2 * j * (2 * j - 1) * (1 if s == 0 else 2 - 2 * j)
+                up = F - t * L
+                c.append((b.numerator << max(up, 0)) // (b.denominator * d << max(-up, 0)))
             h = 0
             for t in range(J + s - 1, -1, -1):
                 h = ((h << L) + c[t]) * W >> F

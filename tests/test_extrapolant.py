@@ -256,7 +256,7 @@ def test_beta_sum_agrees_with_the_power_form(model, log10_beta, reconstruct):
     # unit that bounds both sums' rounding, and the same loss within a digit
     ctx = PrecisionContext(60)
     ext = Extrapolant.build(reconstruct(model, 50, 60), None, ctx)
-    p = model.tail_power_offset
+    p = model.series_prefactor_power - 1
     with ctx.work():
         beta = mpf(10) ** log10_beta
         total, lost = _beta_sum(ext.T, beta, p)
@@ -333,7 +333,7 @@ def test_held_T_serves_betas_whose_sum_loses_at_most_the_guard(model, reconstruc
     assert len(builds) == 2
     for beta in ("0.01", "0.1", "1"):
         with ctx.work(_T_extra(ext.lost_T, ctx)):
-            assert _beta_sum(ext.T, mpf(beta), model.tail_power_offset)[1] <= ctx.guard
+            assert _beta_sum(ext.T, mpf(beta), model.series_prefactor_power - 1)[1] <= ctx.guard
         ext.evaluate(beta)
     assert len(builds) == 2
 

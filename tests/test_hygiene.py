@@ -2,10 +2,12 @@
 tests and the benchmark is used, and every module-level definition in the
 package is read somewhere else in it, a public one unless PUBLIC_API lists
 it. Nothing in the package sets mpmath's working precision outside
-specfun.PrecisionContext unless PRECISION_SETTERS lists it. No linter ships
-with the toolchain, so these scans are the lint step. Names listed in a
-module's __all__ count as used imports (they are re-exports), and
-__future__ imports are exempt."""
+specfun.PrecisionContext unless PRECISION_SETTERS lists it, each setter is an
+item of a `with` that holds specfun._lock before it, and that lock is the
+only threading object the package makes. No linter ships with the
+toolchain, so these scans are the lint step. Names listed in a module's
+__all__ count as used imports (they are re-exports), and __future__ imports
+are exempt."""
 import ast
 from pathlib import Path
 
@@ -29,6 +31,8 @@ PUBLIC_API = {
                                "README use; the CLI builds an Extrapolant per reconstruction",
     "finitepart.exp_kernel": "the kernel fp_canonical_oracle checks the closed formulas on",
     "finitepart.fp_canonical_oracle": "the canonical epsilon-cutoff finite-part oracle",
+    "models.coeff": "one exact coefficient for callers; coefficients converts the model once "
+                    "and runs the same formula through _coeff",
     "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",
     "models.strong_field_leading": "the strong-field asymptotics; to grow into the series "
                                    "oracle of ROADMAP item 6",
@@ -226,3 +230,81 @@ def test_only_the_precision_context_sets_precision():
     setters = precision_setters({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE})
     assert [s for s in setters if s.partition(" ")[0] not in PRECISION_SETTERS] == []
     assert {s.partition(" ")[0] for s in setters} == set(PRECISION_SETTERS)
+
+
+def _is_lock(node: ast.AST) -> bool:
+    """`_lock` or `<module>._lock`."""
+    return ((isinstance(node, ast.Name) and node.id == "_lock")
+            or (isinstance(node, ast.Attribute) and node.attr == "_lock"))
+
+
+def unlocked_precision_setters(sources: dict[str, str]) -> list[str]:
+    """`module (line n)` of each statement or call in `sources` that sets an
+    absolute working precision, unless it is an item of a `with` statement
+    whose earlier item is `_lock`: entered first, the lock is held while the
+    precision is set and restored."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        locked = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.With):
+                exprs = [item.context_expr for item in node.items]
+                locked.update(e for i, e in enumerate(exprs) if any(map(_is_lock, exprs[:i])))
+        found += [(module, n.lineno) for n in ast.walk(tree)
+                  if _sets_precision(n) and n not in locked]
+    return [f"{module} (line {line})" for module, line in sorted(found)]
+
+
+def test_scan_flags_a_precision_setter_without_the_lock():
+    sources = {
+        "a": "with _lock, mp.workdps(50): pass\n"
+             "with specfun._lock, x, mp.workprec(90): pass\n"
+             "with mp.workdps(50), _lock: pass\n"
+             "with _lock:\n"
+             "    with mp.workdps(50): mp.dps = 50\n"
+             "def f(): return mp.workdps(60)\n",
+    }
+    assert unlocked_precision_setters(sources) == [
+        "a (line 3)", "a (line 5)", "a (line 5)", "a (line 6)"]
+
+
+def test_precision_is_set_only_under_the_lock():
+    assert unlocked_precision_setters(MODULES) == []
+
+
+def threading_calls(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each call in `sources` to a `threading` attribute or
+    to a name imported from `threading`."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "threading"
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in imported:
+                found.append((module, imported[f.id]))
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id == "threading"):
+                found.append((module, f.attr))
+    return sorted(found)
+
+
+def test_scan_finds_each_threading_call():
+    sources = {
+        "a": "import threading\n"
+             "from threading import Lock as L\n"
+             "_a = threading.RLock()\n"
+             "def f(): return L(), threading.Semaphore(2), lock()\n",
+        "b": "lock = object()\n",
+    }
+    assert threading_calls(sources) == [("a", "Lock"), ("a", "RLock"), ("a", "Semaphore")]
+
+
+def test_the_package_makes_one_lock():
+    # specfun._lock serializes every precision scope and guards every shared cache
+    assert threading_calls(MODULES) == [("specfun", "RLock")]

@@ -16,7 +16,10 @@ from heulag import (
     coeff,
     coefficients,
     direct_integral_oracle,
+    extrapolate,
+    finite_part_assembly,
     partial_sum,
+    reconstruct,
     strong_field_leading,
 )
 from heulag import models
@@ -72,6 +75,30 @@ def test_coeff_domain_errors():
         coeff(ModelId.SPIN0, 1)  # spins start at k = 2
     with pytest.raises(DomainError):
         coeff(ModelId.SELF_DUAL, -1)
+
+
+_CTX30 = PrecisionContext(30)
+_BY_MODEL = {
+    "coeff": lambda m: coeff(m, 3),
+    "coefficients": lambda m: coefficients(m, 3),
+    "closed_form": lambda m: closed_form(m, "2", _CTX30),
+    "partial_sum": lambda m: partial_sum(m, "0.1", 3, _CTX30),
+    "direct_integral_oracle": lambda m: direct_integral_oracle(m, "2", _CTX30),
+    "strong_field_leading": lambda m: strong_field_leading(m, "2", _CTX30),
+    "finite_part_assembly": lambda m: finite_part_assembly(m, "2", _CTX30),
+    "reconstruct": lambda m: reconstruct(m, 3, _CTX30),
+    "extrapolate": lambda m: extrapolate(m, reconstruct(ModelId.SPIN0, 3, _CTX30), "2", None,
+                                         _CTX30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BY_MODEL))
+def test_model_given_by_its_value(name):
+    # a model's value names that model, and any other value is a DomainError
+    call = _BY_MODEL[name]
+    assert call("spin0") == call(ModelId.SPIN0)
+    with pytest.raises(DomainError):
+        call("spin1")
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ for _name in ("append", "extend", "__iadd__", "insert", "clear", "pop", "remove"
 
 
 def test_bernoulli_cache_grows_append_only(monkeypatch):
-    # readers index the cache without the lock, so growth must never shorten it
+    # growth extends the cache; it never rebuilds or shortens it
     _bernoulli_even(3)
     cache = _LengthLog(specfun._bern_even[:3])
     monkeypatch.setattr(specfun, "_bern_even", cache)
@@ -451,8 +451,10 @@ def test_zeta_sderivs_within_an_ulp_at_closed_form_arguments(digits):
 # ---------------------------------------------------------------------------
 
 def test_context_rejects_low_digits():
-    with pytest.raises(DomainError):
-        PrecisionContext(29)
+    # and digits that are not an int, or are a bool
+    for bad in (29, "60", 60.5, 60.0, True, None):
+        with pytest.raises(DomainError):
+            PrecisionContext(bad)
     PrecisionContext(30)  # boundary accepted
 
 
