@@ -104,6 +104,9 @@ class SeriesCoefficients:
     model: ModelId
     a: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "model", ModelId(self.model))
+
     @property
     def count(self) -> int:
         return len(self.a)
@@ -217,10 +220,12 @@ def _kernel(model: ModelId, prec: int) -> Callable[[tuple], tuple]:
         if mags[-1] - 2 * (len(mags) - 1) < -fp:  # at x^2 = 1/4
             break
     lead = 1 if model is ModelId.SELF_DUAL else 2  # the series starts at x2**lead
+    terms = {}  # the term count per lx, found at its first node
 
     def series(man: int, exp: int, bc: int) -> tuple:
         lx = 2 * (exp + bc)  # an upper bound on log2 x^2, so never too few terms
-        n = next(j for j, m in enumerate(mags) if m + j * lx < -fp)
+        if (n := terms.get(lx)) is None:
+            n = terms[lx] = next(j for j, m in enumerate(mags) if m + j * lx < -fp)
         x2, shift = man * man, 2 * exp + fp
         x2 = x2 << shift if shift >= 0 else x2 >> -shift
         acc = 0

@@ -78,6 +78,9 @@ class ReconstructionCoefficients:
     c: tuple[mpf, ...]
     digits: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "model", ModelId(self.model))
+
     @property
     def d(self) -> int:
         return len(self.c) - 1
@@ -230,24 +233,69 @@ def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], .
     return tuple((G, e) for G in _taylor_shift([man << (exp - e) for man, exp in parts]))
 
 
+_RHO_GUARD = 40  # bits above the working precision at which the pole read starts
+
+
+def _cut_horner(a: list[int], U: int, ex: int, P: int) -> tuple[int, int, int]:
+    """Horner's rule for sum_k a[k] u^(K-k), u = U 2^ex, over the integers a
+    (highest power first), the accumulator cut to P bits after each step:
+    (S, E, x) with the exact sum within E 2^x of S 2^x. A cut drops less than
+    one unit of its last kept bit; the bound E, in those units and rounded
+    up, is multiplied at each step by |U| rounded up to 32 bits. With P
+    above every exact partial sum's length nothing is cut and E = 0."""
+    k = max(abs(U).bit_length() - 32, 0)
+    Uhi = -(-abs(U) >> k)
+    S, E, x = 0, 0, 0
+    for c in a:
+        q = x + ex
+        W = (S * U << q) + c if q > 0 else S * U + (c << -q)
+        r = max(W.bit_length() - P, 0)
+        S, x = W >> r, min(q, 0) + r
+        sh = q + k - x
+        E = (E * Uhi << sh if sh >= 0 else -(-E * Uhi >> -sh)) + (r > 0)
+    return S, E, x
+
+
+def _rounded_sum(a: list[int], U: int, ex: int, m: int, mx: int, scale: mpf) -> mpf:
+    """mp.fdiv(m 2^mx s, scale) at the working precision for s = sum_k a[k] u^(K-k)
+    (see _cut_horner), to the bit of the exact s's: a cut pass is accepted
+    when s - E and s + E round alike, which, rounding being monotone, pins
+    the exact s's rounding. Otherwise the next pass keeps the working bits
+    plus _RHO_GUARD plus the bits this pass lost, at least one more than P."""
+    P = mp.prec + _RHO_GUARD
+    while True:
+        S, E, x = _cut_horner(a, U, ex, P)
+        den = mp.ldexp(scale, -x - mx)
+        lo, hi = mp.fdiv(m * (S - E), den), mp.fdiv(m * (S + E), den)
+        if lo == hi:
+            return lo
+        P = max(P + 1, mp.prec + _RHO_GUARD + P - S.bit_length() + E.bit_length())
+
+
 def rho_eval(g: tuple[tuple[int, int], ...], y, ctx: PrecisionContext) -> tuple[mpf, mpf]:
     """The density on the pole axis, rho(iy) = iy e^{-iy/2} sum_l g_l (iy)^l, as
     (Re, Im) rounded to ctx.digits, from _density_taylor's exact g. With the
-    integers a_l = d! g_l 2^{-e}, sum_l a_l (iy)^l = E + iO: exact Horner sums
-    in -y^2 over even and odd l, each divided once by d! 2^{-e} at the working
-    precision. Then iy e^{-iy/2} = y sin(y/2) + i y cos(y/2) multiplies E + iO."""
+    integers a_l = d! g_l 2^{-e}, sum_l a_l (iy)^l = E + iO: Horner sums in
+    u = -y^2 over even and odd l, each cut to the working precision plus
+    _RHO_GUARD bits after every product beside a bound on the error the cuts
+    make, then divided once by d! 2^{-e} at the working precision. The sum is
+    accepted when both ends of its bound give the same quotient, so E and O
+    are the exact sums' quotients to the bit (_rounded_sum). Then
+    iy e^{-iy/2} = y sin(y/2) + i y cos(y/2) multiplies E + iO."""
     d, e = len(g) - 1, g[0][1]
     with ctx.work():
         y = _to_mpf(y)
         if not mp.isfinite(y):
             raise DomainError(f"rho_eval needs a finite y, got {y}")
-        t, f = mp.fneg(mp.fmul(y, y, exact=True), exact=True), 1  # f = d!/l!
-        s = [mpf(0), mpf(0)]  # E and -O/y: a_l = (-1)^l G_l f
+        sign, Y, ey, _ = y._mpf_
+        Y = -Y if sign else Y
+        a, f = [], 1  # (-1)^l a_l = G_l f, f = d!/l!, for l = d..0
         for l in range(d, -1, -1):
-            s[l % 2] = mp.fadd(mp.fmul(s[l % 2], t, exact=True), g[l][0] * f, exact=True)
+            a.append(g[l][0] * f)
             f *= l
         scale = mp.ldexp(factorial(d), -e)
-        E, O = mp.fdiv(s[0], scale), mp.fdiv(mp.fmul(-y, s[1], exact=True), scale)
+        E = _rounded_sum(a[d % 2::2], -Y * Y, 2 * ey, 1, 0, scale)
+        O = _rounded_sum(a[1 - d % 2::2], -Y * Y, 2 * ey, -Y, ey, scale)
         cos, sin = mp.cos_sin(y / 2)
         A, B = y * sin, y * cos
         re = mp.fsub(mp.fmul(A, E, exact=True), mp.fmul(B, O, exact=True))

@@ -12,9 +12,10 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set of 92 entries takes 26-33 s on a 2-core x86-64 host; each
-`table 6` entry takes 0.8-1 s of that, each 200-moment `extrapolate` entry
-0.8-1.2 s, each two-beta `exact --oracle` entry 0.4-0.7 s, each 1000-digit
+The full set of 98 entries takes 30-36 s on a 2-core x86-64 host; each
+`table 6` entry takes 0.6-0.9 s of that, each 200-moment `extrapolate` entry
+0.6-0.9 s, each 120-moment 300-digit SD `extrapolate` entry about 0.35 s,
+each two-beta `exact --oracle` entry 0.4-0.7 s, each 1000-digit
 SD `exact` entry about 1 s, each 300-digit SD and spin-0 and 1000-digit
 spin-1/2 `exact` entry 0.3-0.6 s, each 50-moment
 `extrapolate` entry at the sweep's betas about 0.3 s, each `series` entry
@@ -47,6 +48,11 @@ COMMANDS = (
      "--beta", "1e-6,1,1e7,1e30"),
     ("extrapolate", "--model", "spin12", "--moments", "200", "--digits", "200",
      "--beta", "3,1e7,1e12,1e20"),
+    # Delta's rounded Horner pass: spin0 at 200 moments on both sides of beta = 1,
+    # and SD at 300 digits with a long-mantissa beta
+    ("extrapolate", "--moments", "200", "--digits", "200", "--beta", "0.3,3,1e7,1e20"),
+    ("extrapolate", "--model", "sd", "--moments", "120", "--digits", "300",
+     "--beta", "0.01,1,41.3273,1e12"),
     # the benchmark sweep's size and digits at five of its betas, as printed
     # to six significant digits, for each model
     *(("extrapolate", "--model", m, "--moments", "50", "--digits", "60",

@@ -3,8 +3,9 @@ tests and the benchmark is used, and every module-level definition in the
 package is read somewhere else in it, a public one unless PUBLIC_API lists
 it. Nothing in the package sets mpmath's working precision outside
 specfun.PrecisionContext unless PRECISION_SETTERS lists it, each setter is an
-item of a `with` that holds specfun._lock before it, and that lock is the
-only threading object the package makes. No linter ships with the
+item of a `with` that holds specfun._lock before it, that lock is the
+only threading object the package makes, and no call in a loop body of
+the package does exact mpf arithmetic. No linter ships with the
 toolchain, so these scans are the lint step. Names listed in a module's
 __all__ count as used imports (they are re-exports), and __future__ imports
 are exempt."""
@@ -308,3 +309,38 @@ def test_scan_finds_each_threading_call():
 def test_the_package_makes_one_lock():
     # specfun._lock serializes every precision scope and guards every shared cache
     assert threading_calls(MODULES) == [("specfun", "RLock")]
+
+
+def exact_calls_in_loops(sources: dict[str, str]) -> list[str]:
+    """`module (line n)` of each call with the keyword `exact=True` inside the
+    body of a `for` or `while` loop: exact mpf arithmetic fed back through a
+    loop grows its mantissas at every pass."""
+    found = set()
+    for module, text in sources.items():
+        for loop in ast.walk(ast.parse(text)):
+            if isinstance(loop, (ast.For, ast.While)):
+                found.update(
+                    (module, n.lineno) for stmt in loop.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Call) and any(
+                        k.arg == "exact" and isinstance(k.value, ast.Constant)
+                        and k.value.value is True for k in n.keywords))
+    return [f"{module} (line {line})" for module, line in sorted(found)]
+
+
+def test_scan_flags_exact_arithmetic_in_a_loop():
+    sources = {
+        "a": "s = mp.fadd(x, y, exact=True)\n"
+             "for l in range(9):\n"
+             "    s = mp.fadd(mp.fmul(s, t, exact=True), l, exact=True)\n"
+             "    u = mp.fmul(s, t, exact=False)\n"
+             "while s:\n"
+             "    if s:\n"
+             "        s = f(mp.fneg(s, exact=True))\n"
+             "    else:\n"
+             "        s = 0\n",
+    }
+    assert exact_calls_in_loops(sources) == ["a (line 3)", "a (line 7)"]
+
+
+def test_no_exact_mpf_arithmetic_in_loops():
+    assert exact_calls_in_loops(MODULES) == []

@@ -12,6 +12,8 @@ from heulag import (
     ModelId,
     OracleFailureError,
     PrecisionContext,
+    ReconstructionCoefficients,
+    SeriesCoefficients,
     closed_form,
     coeff,
     coefficients,
@@ -19,8 +21,10 @@ from heulag import (
     extrapolate,
     finite_part_assembly,
     partial_sum,
+    pade_eval,
     reconstruct,
     strong_field_leading,
+    weniger_delta,
 )
 from heulag import models
 from heulag.models import _ck, _kernel, _node_factors
@@ -89,6 +93,12 @@ _BY_MODEL = {
     "reconstruct": lambda m: reconstruct(m, 3, _CTX30),
     "extrapolate": lambda m: extrapolate(m, reconstruct(ModelId.SPIN0, 3, _CTX30), "2", None,
                                          _CTX30),
+    "SeriesCoefficients": lambda m: (
+        pade_eval(SeriesCoefficients(m, coefficients(ModelId.SPIN0, 10).a), 4, 5, "1", _CTX30),
+        weniger_delta(SeriesCoefficients(m, coefficients(ModelId.SPIN0, 10).a), 5, "1", _CTX30)),
+    "ReconstructionCoefficients": lambda m: extrapolate(
+        ModelId.SPIN0, ReconstructionCoefficients(m, reconstruct(ModelId.SPIN0, 3, _CTX30).c, 30),
+        "2", None, _CTX30),
 }
 
 

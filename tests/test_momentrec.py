@@ -1,6 +1,7 @@
 """Moment layer: exact moment vectors, the P matrix, the linear solve and its
 backward residual, and evaluation of the reconstructed density."""
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from heulag import (
 )
 from heulag import extrapolant, momentrec
 from heulag.momentrec import _density_taylor, _magnitude_digits
+from heulag.specfun import _to_mpf
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +251,92 @@ def test_rho_matches_the_laguerre_recurrence_higher_up(model, moments, digits, r
         with mp.workdps(ctx.workdps + 60):
             rho = mp.mpc(*rho_eval(g, z.imag, ctx))
             assert abs(rho - ref) <= mpf(10) ** -digits * abs(ref), z
+
+
+def _reference_rho_eval(g, y, ctx: PrecisionContext):
+    """rho_eval as two exact Horner passes in -y^2, whose integers grow by
+    bitlen(y^2) at every step, each sum divided once at the working
+    precision."""
+    d, e = len(g) - 1, g[0][1]
+    with ctx.work():
+        y = _to_mpf(y)
+        t, f = mp.fneg(mp.fmul(y, y, exact=True), exact=True), 1  # f = d!/l!
+        s = [mpf(0), mpf(0)]  # E and -O/y: a_l = (-1)^l G_l f
+        for l in range(d, -1, -1):
+            s[l % 2] = mp.fadd(mp.fmul(s[l % 2], t, exact=True), g[l][0] * f, exact=True)
+            f *= l
+        scale = mp.ldexp(math.factorial(d), -e)
+        E, O = mp.fdiv(s[0], scale), mp.fdiv(mp.fmul(-y, s[1], exact=True), scale)
+        cos, sin = mp.cos_sin(y / 2)
+        A, B = y * sin, y * cos
+        re = mp.fsub(mp.fmul(A, E, exact=True), mp.fmul(B, O, exact=True))
+        im = mp.fadd(mp.fmul(A, O, exact=True), mp.fmul(B, E, exact=True))
+    return ctx.round(re), ctx.round(im)
+
+
+def _bits(pair):
+    return tuple(v._mpf_ for v in pair)
+
+
+def _pole_ys(ctx: PrecisionContext):
+    """y = 1/sqrt(beta) from weak to strong field, y = 0, a negative y, and
+    y = 2^20 (beta = 2^-40), whose binary exponent is positive."""
+    with ctx.work():
+        ys = [1 / mp.sqrt(mpf(b))
+              for b in ("1e-30", "1e-6", "1e-4", "0.01", "0.3", "1", "4", "1e7", "1e30")]
+        return [*ys, mpf(0), -ys[4], mpf(2) ** 20]
+
+
+@pytest.mark.parametrize("d", [0, 1, 9, 49, 199])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_rho_is_the_exact_passes_to_the_bit(model, d, reconstruct):
+    for digits in (30, 60, 200):
+        ctx = PrecisionContext(digits)
+        g = _density_taylor(reconstruct(model, d + 1, digits))
+        for y in _pole_ys(ctx):
+            assert _bits(rho_eval(g, y, ctx)) == _bits(_reference_rho_eval(g, y, ctx)), \
+                (digits, y)
+
+
+def test_cut_horner_bounds_its_error():
+    # the exact sum lies within E 2^x of S 2^x, and with P above every
+    # partial sum's length nothing is cut: E = 0
+    rng = random.Random(30)
+    for _ in range(2000):
+        a = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 400))
+             for _ in range(rng.randint(0, 30))]
+        U, ex = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 300)), rng.randint(-400, 60)
+        for P in (rng.randint(1, 300), 10 ** 5):
+            S, E, x = momentrec._cut_horner(a, U, ex, P)
+            s = Fraction(0)
+            for c in a:
+                s = s * U * Fraction(2) ** ex + c
+            assert abs(s - S * Fraction(2) ** x) <= E * Fraction(2) ** x
+            assert E == 0 or P < 10 ** 5
+
+
+def test_rho_accepts_its_first_pass_and_grows_when_it_must(reconstruct, monkeypatch):
+    # at strong field each parity's first cut pass rounds alike; with no
+    # guard bits it cannot, and the cut width grows until it does
+    ctx = PrecisionContext(60)
+    g = _density_taylor(reconstruct(ModelId.SPIN0, 50, 60))
+    with ctx.work():
+        y, wp = 1 / mp.sqrt(mpf("1e7")), mp.prec
+    want = _bits(_reference_rho_eval(g, y, ctx))
+    widths, cut = [], momentrec._cut_horner
+
+    def counted(a, U, ex, P):
+        widths.append(P)
+        return cut(a, U, ex, P)
+
+    monkeypatch.setattr(momentrec, "_cut_horner", counted)
+    assert _bits(rho_eval(g, y, ctx)) == want
+    assert widths == [wp + 40, wp + 40]
+    widths.clear()
+    monkeypatch.setattr(momentrec, "_RHO_GUARD", 0)
+    assert _bits(rho_eval(g, y, ctx)) == want
+    assert len(widths) > 2 and widths.count(wp) == 2 and widths[0] == wp
+    assert all(b > a for a, b in zip(widths, widths[1:]) if b != wp)
 
 
 def test_density_readers_cache_nothing_on_the_record(ctx60):
