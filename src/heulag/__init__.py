@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     HeulagError,
     OracleFailureError,
-    TruncationWarning,
 )
 from .extrapolant import Extrapolant, ExtrapolationResult, extrapolate, tail_sum
 from .finitepart import (
@@ -67,7 +66,6 @@ __all__ = [
     "PrecisionContext",
     "ReconstructionCoefficients",
     "SeriesCoefficients",
-    "TruncationWarning",
     "build_P_exact",
     "closed_form",
     "coeff",

@@ -20,12 +20,13 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 from dataclasses import dataclass
-from functools import cache
+from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Sequence
 
-from mpmath import log10, mp, mpf, nstr
+from mpmath import mpf, nstr
+from mpmath.libmp import to_rational
 
 from .comparators import _pade, weniger_delta
 from .errors import CacheMismatchError, DomainError, HeulagError
@@ -38,7 +39,7 @@ from .models import (
     partial_sum,
 )
 from .momentrec import GENERATOR_VERSION, ReconstructionCoefficients, reconstruct
-from .specfun import PrecisionContext, _lock, _to_beta
+from .specfun import PrecisionContext, _to_beta
 
 PRINT_DIGITS = 21  # table/report cells carry this many significant digits
 
@@ -54,15 +55,12 @@ def _fmt(v, digits: int = PRINT_DIGITS) -> str:
 
 
 def _agree_digits(value: mpf, exact: mpf) -> int:
-    """Number of agreeing leading significant digits (capped at PRINT_DIGITS)."""
-    with _lock, mp.workdps(PRINT_DIGITS + 10):
-        if exact == 0:
-            return PRINT_DIGITS if value == 0 else 0
-        rel = abs(value - exact) / abs(exact)
-        if rel == 0:
-            return PRINT_DIGITS
-        n = int(-log10(rel))
-        return max(0, min(PRINT_DIGITS, n))
+    """Number of agreeing leading significant digits: the largest n <=
+    PRINT_DIGITS with |value - exact| 10^n <= |exact|, else 0, on the two
+    values' exact rationals."""
+    v, e = (Fraction(*to_rational(x._mpf_)) for x in (value, exact))
+    err, scale = abs(v - e), abs(e)
+    return next((n for n in range(PRINT_DIGITS, 0, -1) if err * 10 ** n <= scale), 0)
 
 
 def _bracket(value_str: str, agree: int) -> str:
@@ -175,9 +173,9 @@ def load_cache(path: str) -> tuple[ReconstructionCoefficients, mpf]:
         raise CacheMismatchError("coefficient count", d + 1, len(body))
     model = _cache_field("model", ModelId, header["model"], "/".join(m.value for m in ModelId))
     digits = _cache_field("digits", int, header["digits"], "an integer")
-    with _lock, mp.workdps(max(map(len, body)) + 10):
-        c = tuple(_cache_field("coefficients", mpf, v, "a decimal number") for v in body)
-        stored = _cache_field("residual_norm", mpf, header["residual_norm"], "a decimal number")
+    parse = partial(mpf, dps=max(map(len, body)) + 10)  # at the longest value's digits
+    c = tuple(_cache_field("coefficients", parse, v, "a decimal number") for v in body)
+    stored = _cache_field("residual_norm", parse, header["residual_norm"], "a decimal number")
     return ReconstructionCoefficients(model, c, digits), stored
 
 
@@ -511,16 +509,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():  # a warning is one stderr line, like an error
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        try:
-            args.model = ModelId(args.model)
-            args.betas = _parse_betas(args.beta)
-            args.pade = _parse_pade(args.pade)
-            return args.run(args, sys.stdout)
-        except (HeulagError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+    try:
+        args.model = ModelId(args.model)
+        args.betas = _parse_betas(args.beta)
+        args.pade = _parse_pade(args.pade)
+        return args.run(args, sys.stdout)
+    except (HeulagError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

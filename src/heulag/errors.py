@@ -1,4 +1,4 @@
-"""Exception and warning hierarchy shared across the package."""
+"""Exception hierarchy shared across the package."""
 
 
 class HeulagError(Exception):
@@ -33,7 +33,3 @@ class CacheMismatchError(HeulagError):
         super().__init__(
             f"cache mismatch on '{field}': expected {expected!r}, found {found!r}"
         )
-
-
-class TruncationWarning(UserWarning):
-    """Truncation order beyond the range that can improve the result."""

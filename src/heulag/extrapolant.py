@@ -21,7 +21,6 @@ cancels too, and past what T's precision leaves, tail_sum rebuilds T higher.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -32,7 +31,7 @@ from mpmath import mp, mpf, ln, pi, sqrt
 from mpmath.libmp import (fnone, fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
                           mpf_euler, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, round_nearest)
 
-from .errors import DomainError, TruncationWarning
+from .errors import DomainError
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, _density_taylor, rho_eval
 from .specfun import PrecisionContext, _to_beta
@@ -150,16 +149,12 @@ class Extrapolant:
     lost_T: int
 
     @classmethod
-    def build(cls, rec: ReconstructionCoefficients, K: int | None, ctx: PrecisionContext,
-              stacklevel: int = 2) -> "Extrapolant":
-        """K=None means 2d (all useful terms); stacklevel is TruncationWarning's."""
+    def build(cls, rec: ReconstructionCoefficients, K: int | None,
+              ctx: PrecisionContext) -> "Extrapolant":
+        """The tail truncated after T_K, K >= 1; K=None means 2d."""
         K = 2 * rec.d if K is None else K
         if K < 1:
             raise DomainError(f"truncation K must be >= 1, got {K}")
-        if K > 2 * rec.d:
-            warnings.warn(
-                f"truncation K={K} beyond 2d={2 * rec.d}; extra terms cannot improve the result",
-                TruncationWarning, stacklevel=stacklevel)
         g = _density_taylor(rec)
         with ctx.work():
             T, lost = _tail_coefficients(g, K)
@@ -216,4 +211,4 @@ def extrapolate(model: ModelId, rec: ReconstructionCoefficients, beta,
     if rec.model is not model:
         raise DomainError(
             f"reconstruction is for {rec.model.value}, requested {model.value}")
-    return Extrapolant.build(rec, K, ctx, stacklevel=3).evaluate(beta)
+    return Extrapolant.build(rec, K, ctx).evaluate(beta)

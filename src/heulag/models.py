@@ -60,14 +60,6 @@ class ModelId(enum.Enum):
 # Exact weak-field coefficients.
 # ---------------------------------------------------------------------------
 
-def _ck(model: ModelId, k: int) -> Fraction:
-    """c_k of the hyperbolic-kernel Taylor series, exact."""
-    b2k = _bernoulli_even(k)
-    if model is ModelId.SPIN0:
-        return Fraction(2 - 2 ** (2 * k)) * b2k / factorial(2 * k)
-    return -Fraction(2 ** (2 * k)) * b2k / factorial(2 * k)
-
-
 def coeff(model: ModelId, k: int) -> Fraction:
     """Exact weak-field coefficient: a_k (spins, k >= 2) or the SD u_k (k >= 0).
 
@@ -197,7 +189,8 @@ def _kernel(model: ModelId, prec: int) -> Callable[[tuple], tuple]:
 
     Below x = 1/2, well inside the pi radius of convergence and clear of the
     hyperbolic form's cancellation near 0: a fixed-point Horner sum in x^2
-    over the exact c_k, scaled once, here, to prec + 20 bits. |c_k| is about
+    over the exact c_k = (-1)^k a_k/(2k-3)! of _coeff (spin-1/2's a_k for
+    SD), scaled once, here, to prec + 20 bits. |c_k| is about
     2/pi^{2k}, so at x the sum stops where the table's binary magnitudes and
     an upper bound on log2 x^2 put a term below 2^-(prec + 20); the table
     runs to that point at x = 1/2. The sum times the exact x^4 (spins) or
@@ -211,10 +204,12 @@ def _kernel(model: ModelId, prec: int) -> Callable[[tuple], tuple]:
     not evaluated.
     """
     fp, hp, rnd = prec + 20, prec + 10, round_nearest
+    spin = ModelId.SPIN_HALF if model is ModelId.SELF_DUAL else model
     cs, mags = [], []  # cs[j] = c_j 2^fp, mags[j] = log2 |c_j|
     for k in count(2):
-        c = (2 * k - 1) * _ck(ModelId.SPIN_HALF, k) if model is ModelId.SELF_DUAL \
-            else _ck(model, k)
+        c = (-1) ** k * _coeff(spin, k) / factorial(2 * k - 3)
+        if model is ModelId.SELF_DUAL:
+            c *= 2 * k - 1
         cs.append((c.numerator << fp) // c.denominator)
         mags.append(log2(abs(c.numerator)) - log2(c.denominator))
         if mags[-1] - 2 * (len(mags) - 1) < -fp:  # at x^2 = 1/4

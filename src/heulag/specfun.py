@@ -1,17 +1,17 @@
 """The working-precision context and the special functions the toolkit is
 built on.
 
-Everything numeric runs on mpmath under one precision plan. Apart from the
-CLI's display and cache parsing, every scope that sets the working precision
-is a PrecisionContext.work scope. Helpers, here and in the other modules, read
-the ambient precision (``mp.dps``) and may only raise it relatively
-(``mp.extradps``), never set it.
+Everything numeric runs on mpmath under one precision plan. The only scope
+that sets the working precision is PrecisionContext.work. Helpers, here and
+in the other modules, read the ambient precision (``mp.dps``) and may only
+raise it relatively (``mp.extradps``), never set it.
 
-mpmath's precision is one value for the whole process, so every scope that
-sets it holds _lock, the package's one lock, throughout: threads are
-serialized per scope, and caches filled only inside scopes need no more. The
-Bernoulli cache also grows outside them and takes _lock itself; the lock is
-reentrant, as scopes nest. Between scopes no rounded mpf arithmetic is done.
+mpmath's precision is one value for the whole process, so a work scope holds
+_lock, the package's one lock, throughout: threads are serialized per scope,
+and caches filled only inside scopes need no more. The Bernoulli cache also
+grows outside them and takes _lock itself; the lock is reentrant, as scopes
+nest. Between scopes a value that is kept is exact or rounded at a
+precision its call names (``dps=``), as PrecisionContext.round does.
 """
 from __future__ import annotations
 
@@ -60,9 +60,9 @@ class PrecisionContext:
             yield
 
     def round(self, value):
-        """Round a value to the context's nominal precision."""
-        with _lock, mp.workdps(self.digits):
-            return +value
+        """Round a value, real or complex, to the context's nominal precision;
+        the ambient precision is neither read nor set."""
+        return mp.fmul(value, 1, dps=self.digits)
 
 
 def _to_mpf(x) -> mpf:

@@ -13,7 +13,7 @@ from mpmath.libmp import mpf_pos, round_nearest
 
 import heulag
 from heulag import CacheMismatchError, ModelId, comparators, extrapolant
-from heulag.cli import _fmt, load_cache, main, write_cache
+from heulag.cli import _agree_digits, _fmt, load_cache, main, write_cache
 import cli_golden
 
 def run(argv, capsys):
@@ -265,11 +265,9 @@ def test_extrapolate_in_memory_without_cache(capsys):
             < mpf("1e-38") * max(1, abs(mpf(row["value"])))
 
 
-def test_truncation_warning_is_one_stderr_line():
+def test_truncation_beyond_2d_runs_quietly():
     r = _run_child(["extrapolate", "--moments", "20", "--truncation", "45", "--beta", "1,1e7"])
-    assert r.returncode == 0
-    assert r.stderr == ("warning: truncation K=45 beyond 2d=38; "
-                        "extra terms cannot improve the result\n")
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 def test_truncation_below_one_exits_2_naming_the_truncation(capsys):
@@ -312,6 +310,17 @@ def test_compare_markdown_brackets_agreeing_prefix(capsys):
                         "--digits", "60", "--delta", "25"], capsys)
     assert code == 0
     assert "[" in out and "]" in out
+
+
+def test_agree_digits_reads_the_exact_difference():
+    # |value - exact| 10^n <= |exact| decided on the exact values: a 31-digit
+    # log10 of the relative error reads 5 for both
+    with mp.workdps(80):
+        above, below = (1 + mpf(10) ** -5 * (1 + s * mpf(10) ** -40) for s in (1, -1))
+    one = mpf(1)
+    assert (_agree_digits(above, one), _agree_digits(below, one)) == (4, 5)
+    assert [_agree_digits(mpf(v), mpf(e)) for v, e in ((2, 2), (0, 0), (1, 0), (-3, 1))] \
+        == [21, 21, 0, 0]
 
 
 def test_compare_cell_error_annotated_run_continues(capsys):

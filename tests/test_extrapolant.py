@@ -1,6 +1,7 @@
 """Extrapolant layer: finite-part kernel values, tail construction, the pole
 correction, and end-to-end accuracy against the closed forms."""
 import math
+import warnings
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,7 +17,6 @@ from heulag import (
     KernelDescriptor,
     ModelId,
     PrecisionContext,
-    TruncationWarning,
     closed_form,
     exp_kernel,
     extrapolate,
@@ -478,14 +478,12 @@ def test_default_truncation_is_2d(ctx100, reconstruct):
     assert r.K == 2 * rec.d
 
 
-def test_truncation_warning_beyond_2d(ctx60, reconstruct):
+def test_truncation_beyond_2d_is_a_plain_truncation(ctx60, reconstruct):
     rec = reconstruct(ModelId.SPIN0, 20, 60)
-    with pytest.warns(TruncationWarning) as caught:
-        extrapolate(ModelId.SPIN0, rec, "1", 2 * rec.d + 5, ctx60)
-    with pytest.warns(TruncationWarning) as caught_build:
-        Extrapolant.build(rec, 2 * rec.d + 5, ctx60)
-    # both point at this file, the caller's code, not at the library's
-    assert [w.filename for w in (*caught, *caught_build)] == [__file__] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = extrapolate(ModelId.SPIN0, rec, "1", 2 * rec.d + 5, ctx60)
+    assert r.K == 2 * rec.d + 5
 
 
 def test_model_mismatch_rejected(ctx60, reconstruct):

@@ -2,11 +2,12 @@
 tests and the benchmark is used, and every module-level definition in the
 package is read somewhere else in it, a public one unless PUBLIC_API lists
 it. Nothing in the package sets mpmath's working precision outside
-specfun.PrecisionContext unless PRECISION_SETTERS lists it, each setter is an
-item of a `with` that holds specfun._lock before it, that lock is the
-only threading object the package makes, and no call in a loop body of
-the package does exact mpf arithmetic. No linter ships with the
-toolchain, so these scans are the lint step. Names listed in a module's
+specfun.PrecisionContext.work, each setter is an item of a `with` that holds
+specfun._lock before it, that lock is the only threading object the package
+makes and only specfun names it, no module of the package imports
+`warnings` (a call returns digits or raises a HeulagError), and no call in
+a loop body of the package does exact mpf arithmetic. No linter ships with
+the toolchain, so these scans are the lint step. Names listed in a module's
 __all__ count as used imports (they are re-exports), and __future__ imports
 are exempt."""
 import ast
@@ -20,6 +21,7 @@ FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob
 # The package's modules as the definition scans see them: __init__.py only
 # re-exports, and a re-export is not a read.
 MODULES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
+SOURCES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
 
 # Public names that nothing in the package reads, each with its reason.
 PUBLIC_API = {
@@ -37,15 +39,6 @@ PUBLIC_API = {
     "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",
     "models.strong_field_leading": "the strong-field asymptotics; to grow into the series "
                                    "oracle of ROADMAP item 6",
-}
-
-# Functions outside specfun.PrecisionContext that set mpmath's working
-# precision, each with its reason.
-PRECISION_SETTERS = {
-    "cli._agree_digits": "display only: 31 digits for a 21-digit agreement count, and "
-                         "mpmath's log10 takes no dps= keyword",
-    "cli.load_cache": "parses each cache file at that file's own digit length; "
-                      "bench/workloads.py reads it until ROADMAP item 2 deletes it",
 }
 
 
@@ -186,24 +179,29 @@ def _sets_precision(node: ast.AST) -> bool:
     return False
 
 
-def precision_setters(sources: dict[str, str]) -> list[str]:
-    """`scope (line n)` of each statement or call in `sources` that sets an
-    absolute working precision, outside specfun.PrecisionContext; the scope is
-    the module and its enclosing classes and functions. Relative raises
-    (mp.extradps, mp.extraprec) are not setters."""
+def _scoped(sources: dict[str, str], matches) -> list[tuple[str, int]]:
+    """(scope, line) of each node in `sources` that `matches`, sorted; the
+    scope is the module and its enclosing classes and functions."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if _sets_precision(child):
+            if matches(child):
                 found.append((scope, child.lineno))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
     for module, text in sources.items():
         visit(ast.parse(text), module)
-    exempt = "specfun.PrecisionContext"
-    return [f"{scope} (line {line})" for scope, line in sorted(found)
+    return sorted(found)
+
+
+def precision_setters(sources: dict[str, str]) -> list[str]:
+    """`scope (line n)` of each statement or call in `sources` that sets an
+    absolute working precision, outside specfun.PrecisionContext.work.
+    Relative raises (mp.extradps, mp.extraprec) are not setters."""
+    exempt = "specfun.PrecisionContext.work"
+    return [f"{scope} (line {line})" for scope, line in _scoped(sources, _sets_precision)
             if scope != exempt and not scope.startswith(exempt + ".")]
 
 
@@ -211,7 +209,9 @@ def test_scan_flags_a_precision_setter():
     sources = {
         "specfun": "class PrecisionContext:\n"
                    "    def work(self):\n"
-                   "        with mp.workdps(50): mp.dps = 50\n",
+                   "        with mp.workdps(50): mp.dps = 50\n"
+                   "    def round(self, v):\n"
+                   "        with mp.workdps(30): return +v\n",
         "a": "mp.dps = 50\n"
              "def f():\n"
              "    mp.prec += 10\n"
@@ -223,14 +223,13 @@ def test_scan_flags_a_precision_setter():
              "        return mp.workdps(60)\n",
     }
     assert precision_setters(sources) == [
-        "a (line 1)", "a.C.g (line 9)", "a.C.g.h (line 8)", "a.f (line 3)", "a.f (line 4)"]
+        "a (line 1)", "a.C.g (line 9)", "a.C.g.h (line 8)", "a.f (line 3)", "a.f (line 4)",
+        "specfun.PrecisionContext.round (line 5)"]
 
 
 def test_only_the_precision_context_sets_precision():
-    # a setter off the list, or a listed function that no longer sets one, fails
-    setters = precision_setters({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE})
-    assert [s for s in setters if s.partition(" ")[0] not in PRECISION_SETTERS] == []
-    assert {s.partition(" ")[0] for s in setters} == set(PRECISION_SETTERS)
+    # code outside a work scope names its precision per call (dps=) or is exact
+    assert precision_setters(SOURCES) == []
 
 
 def _is_lock(node: ast.AST) -> bool:
@@ -309,6 +308,69 @@ def test_scan_finds_each_threading_call():
 def test_the_package_makes_one_lock():
     # specfun._lock serializes every precision scope and guards every shared cache
     assert threading_calls(MODULES) == [("specfun", "RLock")]
+
+
+def lock_names(sources: dict[str, str]) -> list[str]:
+    """`scope (line n)` of each name, attribute or import of `_lock` in `sources`."""
+    def names_lock(node: ast.AST) -> bool:
+        return _is_lock(node) or (isinstance(node, ast.alias) and node.name == "_lock")
+
+    return [f"{scope} (line {line})" for scope, line in _scoped(sources, names_lock)]
+
+
+def test_scan_finds_each_name_of_the_lock():
+    sources = {
+        "specfun": "_lock = RLock()\n"
+                   "def f():\n"
+                   "    with _lock: pass\n",
+        "a": "from .specfun import _lock\n"
+             "import specfun\n"
+             "def g():\n"
+             "    with specfun._lock: pass\n"
+             "lock = _locked = 1\n",
+    }
+    assert lock_names(sources) == [
+        "a (line 1)", "a.g (line 4)", "specfun (line 1)", "specfun.f (line 3)"]
+
+
+def test_only_specfun_names_the_lock():
+    # the lock is made once and taken by the precision scope and the
+    # Bernoulli cache alone
+    assert {s.partition(" ")[0] for s in lock_names(SOURCES)} == {
+        "specfun", "specfun.PrecisionContext.work", "specfun._bernoulli_even"}
+
+
+def warnings_imports(sources: dict[str, str]) -> list[str]:
+    """`scope (line n)` of each import of the `warnings` module or a name
+    from it in `sources`; a relative import names another module."""
+    def imports_warnings(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            return False
+        return any(n.partition(".")[0] == "warnings" for n in names)
+
+    return [f"{scope} (line {line})" for scope, line in _scoped(sources, imports_warnings)]
+
+
+def test_scan_flags_a_warnings_import():
+    sources = {
+        "a": "import warnings\n"
+             "import os, warnings as w\n"
+             "from warnings import warn\n",
+        "b": "from .warnings import x\n"
+             "import warningsx\n"
+             "def f():\n"
+             "    import warnings\n",
+    }
+    assert warnings_imports(sources) == ["a (line 1)", "a (line 2)", "a (line 3)", "b.f (line 4)"]
+
+
+def test_the_package_imports_no_warnings():
+    # a public function returns digits or raises a HeulagError
+    assert warnings_imports(SOURCES) == []
 
 
 def exact_calls_in_loops(sources: dict[str, str]) -> list[str]:

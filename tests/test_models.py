@@ -27,7 +27,7 @@ from heulag import (
     weniger_delta,
 )
 from heulag import models
-from heulag.models import _ck, _kernel, _node_factors
+from heulag.models import _kernel, _node_factors
 from heulag.specfun import _bernoulli_even
 import closed_form_references
 import oracle_bits
@@ -55,6 +55,15 @@ def test_coefficients_positive_and_factorially_growing():
         # growth ratio a_{k+1}/a_k ~ k^2 / pi^2 for large k: check it grows
         ratios = [s.a[k + 1] / s.a[k] for k in range(25, 35)]
         assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
+
+
+def _ck(model: ModelId, k: int) -> Fraction:
+    """c_k of the hyperbolic-kernel Taylor series from the Bernoulli formulas:
+    (2 - 4^k) B_2k/(2k)! (spin0), -4^k B_2k/(2k)! (spin1/2)."""
+    b2k = _bernoulli_even(k)
+    if model is ModelId.SPIN0:
+        return Fraction(2 - 2 ** (2 * k)) * b2k / factorial(2 * k)
+    return -Fraction(2 ** (2 * k)) * b2k / factorial(2 * k)
 
 
 def _chained_coeff(model: ModelId, k: int) -> Fraction:

@@ -1,12 +1,13 @@
 """Concurrent callers: threads that run at different precisions get the bits
-a single thread gets, and leave mpmath's working precision as they found it."""
+a single thread gets, and leave mpmath's working precision as they found it;
+code that sets no precision does not wait for a thread that does."""
 import sys
 import threading
 
-from mpmath import mp
+from mpmath import mp, mpc
 
 from heulag import Extrapolant, ModelId, PrecisionContext, closed_form, direct_integral_oracle
-from heulag import models, specfun
+from heulag import cli, models, specfun
 
 
 def _interleaved(jobs, monkeypatch):
@@ -65,3 +66,34 @@ def test_extrapolant_and_oracle_threads_get_the_single_thread_bits(monkeypatch, 
     want = [call() for call in calls]
     got, errors, dps = _interleaved([(calls[0], 40), (calls[1], 6)], monkeypatch)
     assert ([_wrong(r, w) for r, w in zip(got, want)], errors, dps) == ([0, 0], [], mp.dps)
+
+
+def test_rounding_and_agreement_do_not_wait_for_a_scope():
+    # neither sets a precision, so neither takes the lock that another
+    # thread's precision scope holds
+    ctx = PrecisionContext(60)
+    with mp.workdps(100):
+        x, z = +mp.pi, mpc(mp.e, -mp.pi)
+    calls = [lambda: ctx.round(x)._mpf_, lambda: ctx.round(z)._mpc_,
+             lambda: cli._agree_digits(x, ctx.round(x))]
+    want = [call() for call in calls]
+    held, release, got = threading.Event(), threading.Event(), []
+
+    def hold():
+        with specfun._lock:
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold)
+    worker = threading.Thread(target=lambda: got.extend(call() for call in calls))
+    holder.start()
+    assert held.wait(60)
+    try:
+        worker.start()
+        worker.join(timeout=5)
+        waited = worker.is_alive()
+    finally:
+        release.set()
+        holder.join(60)
+        worker.join(60)
+    assert (waited, got) == (False, want)
