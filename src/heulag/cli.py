@@ -3,8 +3,9 @@ and desk-scale table reproduction.
 
 Each reference table is data: its model, beta columns, digit floor and
 method rows (partial sums, extrapolation, delta, Pade). One grid layout
-builds every table but table 5's per-beta decomposition, and every method
-cell goes through the evaluator that `compare` uses.
+builds every table but table 5's per-beta decomposition. `compare` takes
+its columns from the same method specs, and every method cell of a table
+or of `compare` goes through one evaluator (_cells).
 
 All numeric output is serialized as decimal strings (JSON numbers are never
 used for high-precision values), and beta rows appear in input order. Every
@@ -192,7 +193,7 @@ def _moments(args: argparse.Namespace) -> int:
     return args.moments
 
 
-def cmd_exact(args: argparse.Namespace, out) -> int:
+def cmd_exact(args: argparse.Namespace, out) -> None:
     ctx = PrecisionContext(args.digits)
     columns = ["beta", "exact"] + (["oracle"] if args.oracle else [])
     rows = []
@@ -202,10 +203,9 @@ def cmd_exact(args: argparse.Namespace, out) -> int:
             row["oracle"] = _fmt(direct_integral_oracle(args.model, b, ctx), args.digits)
         rows.append(row)
     out.write(_emit("exact", args.fmt, args.model, args.digits, columns, rows))
-    return 0
 
 
-def cmd_series(args: argparse.Namespace, out) -> int:
+def cmd_series(args: argparse.Namespace, out) -> None:
     if args.truncation is None:
         raise DomainError("series requires --truncation (the partial-sum order d)")
     ctx = PrecisionContext(args.digits)
@@ -215,10 +215,9 @@ def cmd_series(args: argparse.Namespace, out) -> int:
             for b in args.betas]
     out.write(_emit("series", args.fmt, args.model, args.digits,
                     ["beta", "d", "partial_sum"], rows))
-    return 0
 
 
-def cmd_extrapolate(args: argparse.Namespace, out) -> int:
+def cmd_extrapolate(args: argparse.Namespace, out) -> None:
     result = _Extrap(_moments(args), args.truncation).results(args.model, args.digits)
     columns = ["beta", "value", "tail", "delta", "K"]
     rows = []
@@ -232,7 +231,6 @@ def cmd_extrapolate(args: argparse.Namespace, out) -> int:
             "K": str(r.K),
         })
     out.write(_emit("extrapolate", args.fmt, args.model, args.digits, columns, rows))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +239,19 @@ def cmd_extrapolate(args: argparse.Namespace, out) -> int:
 
 Method = tuple[str, Callable[[str], mpf]]  # (row or column label, value at a beta)
 
-_PARTIAL_ORDERS = list(range(1, 11)) + [20, 50]
-
 
 @dataclass(frozen=True)
 class _Partials:
-    """The partial sums of orders _PARTIAL_ORDERS, labelled by the order."""
+    """The partial sums of the given orders, labelled by the order after
+    `prefix`."""
+
+    orders: tuple[int, ...] = (*range(1, 11), 20, 50)
+    prefix: str = ""
 
     def methods(self, model: ModelId, digits: int) -> list[Method]:
         ctx = PrecisionContext(digits)
-        return [(str(d), lambda b, d=d: partial_sum(model, b, d, ctx))
-                for d in _PARTIAL_ORDERS]
+        return [(f"{self.prefix}{d}", lambda b, d=d: partial_sum(model, b, d, ctx))
+                for d in self.orders]
 
 
 @dataclass(frozen=True)
@@ -309,52 +309,53 @@ class _Pade:
         return [(f"pade_{self.n}_{self.m}", lambda b: approximant()(b))]
 
 
-def _cell(method: Callable[[str], mpf], beta: str, exact: mpf, fmt: str) -> tuple[str, str]:
-    """(text, agreeing digits) of one method at one beta. Markdown brackets
-    the digits that agree with `exact`; a HeulagError becomes ERR(<name>)
-    with no agreement, and the rest of the grid still runs."""
-    try:
-        v = method(beta)
-    except HeulagError as e:
-        return f"ERR({type(e).__name__})", ""
-    agree = _agree_digits(v, exact)
-    text = _fmt(v)
-    return (_bracket(text, agree) if fmt == "markdown" else text), str(agree)
+_Spec = _Partials | _Extrap | _Delta | _Pade
 
 
-def _compare_columns(args: argparse.Namespace) -> list[Method]:
-    """Ordered methods of the comparison grid, run at the requested digits."""
-    model, digits = args.model, args.digits
+def _cells(specs: Sequence[_Spec], model: ModelId, digits: int, betas: Sequence[str],
+           fmt: str) -> tuple[list[mpf], list[tuple[str, list[tuple[str, str]]]]]:
+    """The closed form at each beta, and each method's label with its (text,
+    agreeing digits) at each beta. Markdown brackets the digits that agree
+    with the closed form; a HeulagError becomes ERR(<name>) with no
+    agreement, and the rest of the grid still runs."""
     ctx = PrecisionContext(digits)
-    cols: list[Method] = []
+    exacts = [closed_form(model, b, ctx) for b in betas]
+
+    def cell(method: Callable[[str], mpf], beta: str, exact: mpf) -> tuple[str, str]:
+        try:
+            v = method(beta)
+        except HeulagError as e:
+            return f"ERR({type(e).__name__})", ""
+        agree = _agree_digits(v, exact)
+        return (_bracket(_fmt(v), agree) if fmt == "markdown" else _fmt(v)), str(agree)
+
+    return exacts, [(label, [cell(method, b, e) for b, e in zip(betas, exacts)])
+                    for spec in specs for label, method in spec.methods(model, digits)]
+
+
+def cmd_compare(args: argparse.Namespace, out) -> None:
     order = args.truncation if args.truncation is not None else (
         args.moments - 1 if args.moments else None)
+    specs = []
     if order is not None:
-        cols.append((f"partial_d{order}", lambda b: partial_sum(model, b, order, ctx)))
+        specs.append(_Partials((order,), "partial_d"))
     if args.pade is not None:
-        cols += _Pade(*args.pade).methods(model, digits)
+        specs.append(_Pade(*args.pade))
     if args.delta is not None:
-        cols += _Delta(args.delta).methods(model, digits)
+        specs.append(_Delta(args.delta))
     if args.moments is not None:
-        cols += _Extrap(_moments(args)).methods(model, digits)
-    return cols
-
-
-def cmd_compare(args: argparse.Namespace, out) -> int:
-    ctx = PrecisionContext(args.digits)
-    methods = _compare_columns(args)
-    columns = ["beta"] + [name for name, _ in methods] + ["exact"]
+        specs.append(_Extrap(_moments(args)))
+    exacts, cells = _cells(specs, args.model, args.digits, args.betas, args.fmt)
+    columns = ["beta", *(name for name, _ in cells), "exact"]
     if args.fmt != "markdown":
-        columns += [f"{name}_agree" for name, _ in methods]
+        columns += [f"{name}_agree" for name, _ in cells]
     rows = []
-    for b in args.betas:
-        exact = closed_form(args.model, b, ctx)
+    for i, (b, exact) in enumerate(zip(args.betas, exacts)):
         row = {"beta": b, "exact": _fmt(exact)}
-        for name, method in methods:
-            row[name], row[f"{name}_agree"] = _cell(method, b, exact, args.fmt)
+        for name, column in cells:
+            row[name], row[f"{name}_agree"] = column[i]
         rows.append(row)
     out.write(_emit("compare", args.fmt, args.model, args.digits, columns, rows))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +364,9 @@ def cmd_compare(args: argparse.Namespace, out) -> int:
 
 def _grid(table: "_Table", digits: int, fmt: str) -> tuple[list[str], list[Row]]:
     """One row per method, one column per beta, then the exact row."""
-    ctx = PrecisionContext(digits)
-    exacts = [closed_form(table.model, b, ctx) for b in table.betas]
+    exacts, cells = _cells(table.methods, table.model, digits, table.betas, fmt)
     columns = [table.key] + [f"beta={b}" for b in table.betas]
-    rows = []
-    for spec in table.methods:
-        for label, method in spec.methods(table.model, digits):
-            cells = [_cell(method, b, e, fmt)[0] for b, e in zip(table.betas, exacts)]
-            rows.append(dict(zip(columns, [label, *cells])))
+    rows = [dict(zip(columns, [label, *(text for text, _ in row)])) for label, row in cells]
     rows.append(dict(zip(columns, ["exact", *map(_fmt, exacts)])))
     return columns, rows
 
@@ -397,7 +393,7 @@ class _Table:
 
     model: ModelId
     betas: tuple[str, ...]
-    methods: tuple[_Partials | _Extrap | _Delta | _Pade, ...]
+    methods: tuple[_Spec, ...]
     floor: int = 0
     key: str = "method"
     layout: Callable[["_Table", int, str], tuple[list[str], list[Row]]] = _grid
@@ -424,14 +420,13 @@ _TABLES = {
 }
 
 
-def cmd_table(args: argparse.Namespace, out) -> int:
+def cmd_table(args: argparse.Namespace, out) -> None:
     table = _TABLES.get(args.number)
     if table is None:
         raise DomainError(f"table number must be 1..{len(_TABLES)}, got {args.number}")
     digits = max(args.digits, table.floor)
     columns, rows = table.layout(table, digits, args.fmt)
     out.write(_emit("table", args.fmt, table.model, digits, columns, rows))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +508,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.model = ModelId(args.model)
         args.betas = _parse_betas(args.beta)
         args.pade = _parse_pade(args.pade)
-        return args.run(args, sys.stdout)
+        args.run(args, sys.stdout)
+        return 0
     except (HeulagError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

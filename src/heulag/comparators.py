@@ -23,6 +23,7 @@ from itertools import repeat
 from operator import add, floordiv, gt, lshift, mul, neg, sub
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .errors import DegeneracyError, DomainError
 from .models import SeriesCoefficients
@@ -64,8 +65,7 @@ def _pade(series: SeriesCoefficients, N: int, M: int,
         raise DomainError(
             f"series has {series.count} coefficients, [N/M]=[{N}/{M}] needs {need}")
     L = N - M + 1
-    with ctx.work(_span_digits(series, need) + 10):
-        top = mp.prec
+    top = dps_to_prec(ctx.workdps + _span_digits(series, need) + 10)
     with ctx.work():
         row, _, F = _fixed_qd_row(series.a[:need], L, mp.prec, top)
         alphas = [mpf((x, -F)) for x in reversed(row)]

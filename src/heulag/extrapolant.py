@@ -8,16 +8,16 @@ density factor g(x) = e^{-x/2} sum_m c_m L_m(x), and one convolution:
 
     T_k = FP int_0^inf g(x) x^{-(2k+1)} dx = sum_{l=0}^{d} g_l M[2k+1-l],
 
-with g_l = (-1)^l/l! sum_m c_m C(m, l) the Taylor coefficients of
-sum_m c_m L_m and M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for
-j = -d..2K+1. The exact g is momentrec's _density_taylor, the same
-polynomial rho_eval reads for Delta. M depends only on d, K and the
-precision, so a small bounded cache keeps it across builds. No T_k depends
-on beta, so an Extrapolant builds them once and evaluate(beta) runs the
-final sum, one Horner pass over the terms that reach the working precision,
-and Delta. The convolution cancels more digits as d grows, so build holds T
-higher once that reaches into the guard digits; at small beta the final sum
-cancels too, and past what T's precision leaves, tail_sum rebuilds T higher.
+with g_l = N_l / D the exact Taylor coefficients of sum_m c_m L_m that
+momentrec's _density_taylor gives and rho_eval reads for Delta, and
+M[j] = FP int_0^inf e^{-x/2} x^{-j} dx one kernel table for j = -d..2K+1.
+M depends only on d, K and the precision, so a small bounded cache keeps
+it across builds. No T_k depends on beta, so an Extrapolant builds them
+once and evaluate(beta) runs the final sum, one Horner pass over the terms
+that reach the working precision, and Delta. The convolution cancels more
+digits as d grows, so build holds T higher once that reaches into the
+guard digits; at small beta the final sum cancels too, and past what T's
+precision leaves, tail_sum rebuilds T higher.
 """
 from __future__ import annotations
 
@@ -85,21 +85,21 @@ def _fp_kernel_values(d: int, jmax: int, prec: int) -> tuple[tuple[int, int], ..
 
 
 def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:
-    """(T_0..T_K, digits lost) at ambient precision; T_k = sum_l g_l M[2k+1-l],
-    each one exact integer sum of the rounded g and M mantissa products, taken
-    by maps over parallel lists (a zero g_l takes no part) and rounded once.
-    The loss is the largest gap between a product's and its sum's mp.mag."""
-    prec, rnd = mp._prec_rounding
-    gl = [mpf_div(from_man_exp((-1) ** l * G, e), from_int(factorial(l)), prec, rnd)
-          for l, (G, e) in enumerate(g)][::-1]  # g_{d-i} pairs with M[2k+1+i]
+    """(T_0..T_K, digits lost) at ambient precision for g = (N, D): each g_l =
+    N_l / D rounded once, and T_k = sum_l g_l M[2k+1-l] one exact integer sum of
+    mantissa products, by maps over parallel lists (a zero g_l takes no part),
+    rounded once. The loss is the largest gap between a product's and its sum's mp.mag."""
+    (N, D), (prec, rnd) = g, mp._prec_rounding
+    D = from_int(D)  # once: mpmath strips D's trailing zero bits 8 at a time
+    gl = [mpf_div(from_int(n), D, prec, rnd) for n in reversed(N)]  # g_{d-i} pairs with M[2k+1+i]
     keep = [man != 0 for _, man, _, _ in gl]
     gm = [-man if sign else man for sign, man, _, _ in gl if man]
     ge = [exp for _, man, exp, _ in gl if man]
-    Mm, Me = zip(*_fp_kernel_values(len(g) - 1, 2 * K + 1, prec))
+    Mm, Me = zip(*_fp_kernel_values(len(N) - 1, 2 * K + 1, prec))
     T, lost_bits = [], 0
     for j in range(1, 2 * K + 2, 2):  # j = 2k + 1, windows as long as g
-        prods = list(map(mul, gm, compress(Mm[j:j + len(g)], keep)))
-        exps = list(map(add, ge, compress(Me[j:j + len(g)], keep)))
+        prods = list(map(mul, gm, compress(Mm[j:j + len(N)], keep)))
+        exps = list(map(add, ge, compress(Me[j:j + len(N)], keep)))
         e0 = min(exps, default=0)
         t = from_man_exp(sum(map(lshift, prods, [e - e0 for e in exps])), e0, prec, rnd)
         T.append(mp.make_mpf(t))
@@ -137,14 +137,14 @@ def _T_extra(lost_T: int, ctx: PrecisionContext) -> int:
 @dataclass(frozen=True)
 class Extrapolant:
     """The beta-free half of one reconstruction's extrapolant: its model, the
-    exact g of _density_taylor(rec), and T_0..T_K with lost_T, the digits
-    their sums cancelled at ctx.workdps; T is held _T_extra(lost_T) digits
-    higher. Nothing after build reads rec."""
+    exact g = (N, D) of _density_taylor(rec), and T_0..T_K with lost_T, the
+    digits their sums cancelled at ctx.workdps; T is held _T_extra(lost_T)
+    digits higher. Nothing after build reads rec."""
 
     model: ModelId
     K: int
     ctx: PrecisionContext
-    g: tuple[tuple[int, int], ...]
+    g: tuple[tuple[int, ...], int]
     T: tuple[mpf, ...]
     lost_T: int
 

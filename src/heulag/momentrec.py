@@ -11,8 +11,9 @@ span. A reconstruction holds only those rounded coefficients; their backward
 error is derived from them when first read.
 
 After the solve the density has one polynomial form: the exact Taylor
-coefficients g_l of sum_m c_m L_m (_density_taylor). The extrapolant's tail
-convolves them, and rho_eval reads them on the pole axis for Delta.
+coefficients g_l = N_l / D of sum_m c_m L_m, integer numerators over one
+denominator (_density_taylor). The extrapolant's tail convolves them, and
+rho_eval reads them on the pole axis for Delta.
 """
 from __future__ import annotations
 
@@ -223,20 +224,23 @@ def residual_norm_of(rec: ReconstructionCoefficients, mu: MomentVector,
         return _residual(exact, [mpf(x) for x in rec.c], mu)
 
 
-def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, int], ...]:
-    """Exact (G_l, e) with g_l = (-1)^l G_l 2^e / l!, G_l 2^e = sum_m c_m C(m, l),
-    the Taylor coefficients of sum_m c_m L_m. The c_m are dyadic, so with e
-    their least binary exponent each G_l is an integer, and G is a Taylor
-    shift of the signed integers c_m 2^{-e}."""
+def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, ...], int]:
+    """Exact (N, D) with g_l = N_l / D = (-1)^l/l! sum_m c_m C(m, l), the Taylor
+    coefficients of sum_m c_m L_m. The c_m are dyadic: with e their least
+    binary exponent, G_l = 2^{-e} sum_m c_m C(m, l) is a Taylor shift of the
+    integers c_m 2^{-e}, D = d! 2^max(-e, 0) and N_l = (-1)^l G_l (d!/l!) 2^max(e, 0)."""
     parts = [(-man if sign else man, exp) for sign, man, exp, _ in (c._mpf_ for c in rec.c)]
     e = min((exp for man, exp in parts if man), default=0)
-    return tuple((G, e) for G in _taylor_shift([man << (exp - e) for man, exp in parts]))
+    N, f = _taylor_shift([man << (exp - e) for man, exp in parts]), 1 << max(e, 0)
+    for l in range(len(N) - 1, -1, -1):  # G_l -> N_l, f = (d!/l!) 2^max(e, 0)
+        N[l], f = (-N[l] if l % 2 else N[l]) * f, f * l
+    return tuple(N), factorial(len(N) - 1) << max(-e, 0)
 
 
 _RHO_GUARD = 40  # bits above the working precision at which the pole read starts
 
 
-def _cut_horner(a: list[int], U: int, ex: int, P: int) -> tuple[int, int, int]:
+def _cut_horner(a, U: int, ex: int, P: int) -> tuple[int, int, int]:
     """Horner's rule for sum_k a[k] u^(K-k), u = U 2^ex, over the integers a
     (highest power first), the accumulator cut to P bits after each step:
     (S, E, x) with the exact sum within E 2^x of S 2^x. A cut drops less than
@@ -256,8 +260,8 @@ def _cut_horner(a: list[int], U: int, ex: int, P: int) -> tuple[int, int, int]:
     return S, E, x
 
 
-def _rounded_sum(a: list[int], U: int, ex: int, m: int, mx: int, scale: mpf) -> mpf:
-    """mp.fdiv(m 2^mx s, scale) at the working precision for s = sum_k a[k] u^(K-k)
+def _rounded_sum(a, U: int, ex: int, m: int, mx: int, D: mpf) -> mpf:
+    """mp.fdiv(m 2^mx s, D) at the working precision for s = sum_k a[k] u^(K-k)
     (see _cut_horner), to the bit of the exact s's: a cut pass is accepted
     when s - E and s + E round alike, which, rounding being monotone, pins
     the exact s's rounding. Otherwise the next pass keeps the working bits
@@ -265,37 +269,32 @@ def _rounded_sum(a: list[int], U: int, ex: int, m: int, mx: int, scale: mpf) -> 
     P = mp.prec + _RHO_GUARD
     while True:
         S, E, x = _cut_horner(a, U, ex, P)
-        den = mp.ldexp(scale, -x - mx)
+        den = mp.ldexp(D, -x - mx)
         lo, hi = mp.fdiv(m * (S - E), den), mp.fdiv(m * (S + E), den)
         if lo == hi:
             return lo
         P = max(P + 1, mp.prec + _RHO_GUARD + P - S.bit_length() + E.bit_length())
 
 
-def rho_eval(g: tuple[tuple[int, int], ...], y, ctx: PrecisionContext) -> tuple[mpf, mpf]:
+def rho_eval(g: tuple[tuple[int, ...], int], y, ctx: PrecisionContext) -> tuple[mpf, mpf]:
     """The density on the pole axis, rho(iy) = iy e^{-iy/2} sum_l g_l (iy)^l, as
-    (Re, Im) rounded to ctx.digits, from _density_taylor's exact g. With the
-    integers a_l = d! g_l 2^{-e}, sum_l a_l (iy)^l = E + iO: Horner sums in
-    u = -y^2 over even and odd l, each cut to the working precision plus
-    _RHO_GUARD bits after every product beside a bound on the error the cuts
-    make, then divided once by d! 2^{-e} at the working precision. The sum is
-    accepted when both ends of its bound give the same quotient, so E and O
-    are the exact sums' quotients to the bit (_rounded_sum). Then
-    iy e^{-iy/2} = y sin(y/2) + i y cos(y/2) multiplies E + iO."""
-    d, e = len(g) - 1, g[0][1]
+    (Re, Im) rounded to ctx.digits, from _density_taylor's exact g = (N, D).
+    sum_l N_l (iy)^l = E + iO: Horner sums in u = -y^2 over even and odd l, each
+    cut to the working precision plus _RHO_GUARD bits after every product beside
+    a bound on the error the cuts make, then divided once by D at the working
+    precision. A sum is accepted when both ends of its bound give the same
+    quotient, so E and O are the exact sums' quotients to the bit (_rounded_sum),
+    and iy e^{-iy/2} = y sin(y/2) + i y cos(y/2) multiplies E + iO."""
+    N, D = g
     with ctx.work():
         y = _to_mpf(y)
         if not mp.isfinite(y):
             raise DomainError(f"rho_eval needs a finite y, got {y}")
         sign, Y, ey, _ = y._mpf_
         Y = -Y if sign else Y
-        a, f = [], 1  # (-1)^l a_l = G_l f, f = d!/l!, for l = d..0
-        for l in range(d, -1, -1):
-            a.append(g[l][0] * f)
-            f *= l
-        scale = mp.ldexp(factorial(d), -e)
-        E = _rounded_sum(a[d % 2::2], -Y * Y, 2 * ey, 1, 0, scale)
-        O = _rounded_sum(a[1 - d % 2::2], -Y * Y, 2 * ey, -Y, ey, scale)
+        D = mp.convert(D)  # exact, once: mpmath strips D's trailing zero bits 8 at a time
+        E = _rounded_sum(N[::2][::-1], -Y * Y, 2 * ey, 1, 0, D)
+        O = _rounded_sum(N[1::2][::-1], -Y * Y, 2 * ey, Y, ey, D)
         cos, sin = mp.cos_sin(y / 2)
         A, B = y * sin, y * cos
         re = mp.fsub(mp.fmul(A, E, exact=True), mp.fmul(B, O, exact=True))

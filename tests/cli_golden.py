@@ -12,7 +12,7 @@ writes the manifest before it and checks against it after:
 stderr and the exit code differ, and counts an entry the manifest lacks as a
 difference.
 
-The full set of 98 entries takes 30-36 s on a 2-core x86-64 host; each
+The full set of 101 entries takes 30-36 s on a 2-core x86-64 host; each
 `table 6` entry takes 0.6-0.9 s of that, each 200-moment `extrapolate` entry
 0.6-0.9 s, each 120-moment 300-digit SD `extrapolate` entry about 0.35 s,
 each two-beta `exact --oracle` entry 0.4-0.7 s, each 1000-digit
@@ -63,6 +63,9 @@ COMMANDS = (
     ("compare", "--moments", "5", "--truncation", "3", "--beta", "1"),
     # one moment: every extrapolant cell reads ERR(DomainError)
     ("compare", "--moments", "1", "--beta", "1,10"),
+    # a Pade column that raises on every cell (N < M - 1) beside delta,
+    # partial-sum and extrapolant columns
+    ("compare", "--moments", "10", "--pade", "3,5", "--delta", "10", "--beta", "0.1,1e3"),
     ("exact", "--beta", "0.01,1,100", "--oracle"),
     # the quadrature oracle at one of the benchmark's heavy betas and at the
     # last 60-digit beta where it returns, for each model

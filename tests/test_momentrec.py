@@ -257,16 +257,14 @@ def _reference_rho_eval(g, y, ctx: PrecisionContext):
     """rho_eval as two exact Horner passes in -y^2, whose integers grow by
     bitlen(y^2) at every step, each sum divided once at the working
     precision."""
-    d, e = len(g) - 1, g[0][1]
+    N, D = g
     with ctx.work():
         y = _to_mpf(y)
-        t, f = mp.fneg(mp.fmul(y, y, exact=True), exact=True), 1  # f = d!/l!
-        s = [mpf(0), mpf(0)]  # E and -O/y: a_l = (-1)^l G_l f
-        for l in range(d, -1, -1):
-            s[l % 2] = mp.fadd(mp.fmul(s[l % 2], t, exact=True), g[l][0] * f, exact=True)
-            f *= l
-        scale = mp.ldexp(math.factorial(d), -e)
-        E, O = mp.fdiv(s[0], scale), mp.fdiv(mp.fmul(-y, s[1], exact=True), scale)
+        t = mp.fneg(mp.fmul(y, y, exact=True), exact=True)
+        s = [mpf(0), mpf(0)]  # E and O/y
+        for l in range(len(N) - 1, -1, -1):
+            s[l % 2] = mp.fadd(mp.fmul(s[l % 2], t, exact=True), N[l], exact=True)
+        E, O = mp.fdiv(s[0], D), mp.fdiv(mp.fmul(y, s[1], exact=True), D)
         cos, sin = mp.cos_sin(y / 2)
         A, B = y * sin, y * cos
         re = mp.fsub(mp.fmul(A, E, exact=True), mp.fmul(B, O, exact=True))
@@ -382,14 +380,13 @@ def test_rho_reproduces_moments_through_P(ctx60, reconstruct):
 @pytest.mark.parametrize("moments, digits", [(9, 30), (50, 60), (200, 200)])
 def test_density_taylor_gives_the_moments(model, moments, digits, reconstruct):
     # mu_k = int_0^inf x^{2k} rho(x) dx = sum_l g_l (2k+1+l)! 2^{2k+2+l}, with
-    # g_l = (-1)^l G_l 2^e / l!: an exact integer sum times 2^e
-    g = _density_taylor(reconstruct(model, moments, digits))
-    e = g[0][1]
+    # g_l = N_l / D: an exact integer sum over D
+    N, D = _density_taylor(reconstruct(model, moments, digits))
     mu = moments_from_coeffs(coefficients(model, moments), moments - 1).mu
     for k, target in enumerate(mu):
-        total, r = 0, math.factorial(2 * k + 1)  # r = (2k+1+l)!/l!
-        for l, (G, _) in enumerate(g):
-            total += (-G if l % 2 else G) * r << 2 * k + 2 + l
-            r = r * (2 * k + 2 + l) // (l + 1)
-        got = total * Fraction(2) ** e
+        total, r = 0, math.factorial(2 * k + 1)  # r = (2k+1+l)!
+        for l, n in enumerate(N):
+            total += n * r << 2 * k + 2 + l
+            r *= 2 * k + 2 + l
+        got = Fraction(total, D)
         assert abs(got - target) <= Fraction(1, 10 ** digits) * target, k
