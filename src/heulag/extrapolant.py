@@ -90,7 +90,7 @@ def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:
     mantissa products, by maps over parallel lists (a zero g_l takes no part),
     rounded once. The loss is the largest gap between a product's and its sum's mp.mag."""
     (N, D), (prec, rnd) = g, mp._prec_rounding
-    D = from_int(D)  # once: mpmath strips D's trailing zero bits 8 at a time
+    D = from_man_exp(D >> (z := (D & -D).bit_length() - 1), z)  # exact
     gl = [mpf_div(from_int(n), D, prec, rnd) for n in reversed(N)]  # g_{d-i} pairs with M[2k+1+i]
     keep = [man != 0 for _, man, _, _ in gl]
     gm = [-man if sign else man for sign, man, _, _ in gl if man]

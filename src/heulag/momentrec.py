@@ -292,7 +292,7 @@ def rho_eval(g: tuple[tuple[int, ...], int], y, ctx: PrecisionContext) -> tuple[
             raise DomainError(f"rho_eval needs a finite y, got {y}")
         sign, Y, ey, _ = y._mpf_
         Y = -Y if sign else Y
-        D = mp.convert(D)  # exact, once: mpmath strips D's trailing zero bits 8 at a time
+        D = mp.ldexp(D >> (z := (D & -D).bit_length() - 1), z)  # exact
         E = _rounded_sum(N[::2][::-1], -Y * Y, 2 * ey, 1, 0, D)
         O = _rounded_sum(N[1::2][::-1], -Y * Y, 2 * ey, Y, ey, D)
         cos, sin = mp.cos_sin(y / 2)

@@ -3,14 +3,13 @@
 Each entry runs `python -m heulag.cli <argv>` in a child process and records
 the sha256 of its stdout and of its stderr, and its exit code, in
 data/cli_golden.json. A change that must keep the CLI's output byte-identical
-writes the manifest before it and checks against it after:
+writes the manifest before it and checks against it after (tests/frozen.py):
 
     python tests/cli_golden.py --write   # record the manifest
     python tests/cli_golden.py --check   # rerun everything; exit 1 on a mismatch
 
---check prints one line per entry that differs, naming which of stdout,
-stderr and the exit code differ, and counts an entry the manifest lacks as a
-difference.
+--check prints one line per field that differs, "differs: <entry> / stdout"
+(or stderr, or exit), and one per entry that the manifest lacks.
 
 The full set of 101 entries takes 30-36 s on a 2-core x86-64 host; each
 `table 6` entry takes 0.6-0.9 s of that, each 200-moment `extrapolate` entry
@@ -24,17 +23,15 @@ alters the output on purpose rewrites the manifest and says so.
 pytest does not collect this file (its name does not start with test_);
 test_cli.py checks every entry.
 """
-import argparse
 import hashlib
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-PATH = HERE / "data" / "cli_golden.json"
-SRC = HERE.parent / "src"
+import frozen
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 COMMANDS = (
     *(("table", str(n)) for n in range(1, 7)),
@@ -112,42 +109,8 @@ def run(entry: str) -> dict:
             "stderr": hashlib.sha256(r.stderr).hexdigest()}
 
 
-def load() -> dict[str, dict]:
-    """{entry: {"exit", "stdout", "stderr"}} from the manifest."""
-    return json.loads(PATH.read_text(encoding="utf-8"))
-
-
-def check() -> list[str]:
-    """One line per entry that the manifest lacks or whose output differs from
-    it, naming which of stdout, stderr and the exit code differ."""
-    golden, bad = load(), []
-    for e in ENTRIES:
-        if e not in golden:
-            bad.append(f"missing from the manifest: {e}")
-            continue
-        got = run(e)
-        fields = [f for f in ("stdout", "stderr", "exit") if got[f] != golden[e].get(f)]
-        if fields:
-            bad.append(f"differs in {', '.join(fields)}: {e}")
-    return bad
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true", help="record the manifest")
-    mode.add_argument("--check", action="store_true", help="compare with the manifest")
-    args = parser.parse_args()
-    if args.write:
-        PATH.write_text(json.dumps({e: run(e) for e in ENTRIES}, indent=1) + "\n",
-                        encoding="utf-8")
-        return 0
-    bad = check()
-    for line in bad:
-        print(line)
-    print(f"{len(ENTRIES) - len(bad)} of {len(ENTRIES)} entries match")
-    return 1 if bad else 0
+DATASET = frozen.Dataset("cli_golden", lambda: {e: run(e) for e in ENTRIES})
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(frozen.main(DATASET))

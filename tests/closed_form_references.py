@@ -4,18 +4,17 @@ The closed forms are written here with mpmath's zeta(s, a, derivative), not
 heulag's Euler-Maclaurin zeta, so the references stay independent of the code
 under test. Building all nine takes mpmath about two minutes, so they are
 stored as decimal strings in data/closed_form_references.json; regenerate
-with
+or check them with (tests/frozen.py)
 
-    python tests/closed_form_references.py
+    python tests/closed_form_references.py --write
+    python tests/closed_form_references.py --check
 
 pytest does not collect this file (its name does not start with test_).
 """
-import json
-from pathlib import Path
-
 from mpmath import ln, mp, mpf, sqrt, zeta
 
-PATH = Path(__file__).resolve().parent / "data" / "closed_form_references.json"
+import frozen
+
 # 1520 digits serve every precision tested against them (1000 and 1500): below
 # beta = 1 the closed forms cancel 2 log10(1/beta) digits, 12 at beta = 1e-6.
 DIGITS = 1520
@@ -43,18 +42,12 @@ def mpmath_closed_form(model: str, beta: str, dps: int) -> mpf:
         return +v
 
 
-def load() -> dict[str, dict[str, str]]:
-    """{model: {beta: decimal string}} from the data file."""
-    return json.loads(PATH.read_text(encoding="utf-8"))
-
-
-def main() -> None:
-    refs = {model: {beta: mp.nstr(mpmath_closed_form(model, beta, DIGITS), DIGITS,
-                                  strip_zeros=False)
-                    for beta in BETAS}
-            for model in MODELS}
-    PATH.write_text(json.dumps(refs, indent=1) + "\n", encoding="utf-8")
+# {model: {beta: the closed form at DIGITS digits, as a decimal string}}
+DATASET = frozen.Dataset("closed_form_references", lambda: {
+    model: {beta: mp.nstr(mpmath_closed_form(model, beta, DIGITS), DIGITS, strip_zeros=False)
+            for beta in BETAS}
+    for model in MODELS})
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(frozen.main(DATASET))

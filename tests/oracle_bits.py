@@ -7,21 +7,14 @@ coefficients alpha_1.. of the [49/50] Pade approximant at 100 digits for each
 model, from _reference_qd_row: a floating qd table at the span rule's
 precision, the reference for pade_eval's fixed-point table. A change that must
 keep these values bit-identical records them before it and checks against
-them after:
+them after (tests/frozen.py):
 
-    PYTHONPATH=src python tests/oracle_bits.py          # regenerate the file
+    PYTHONPATH=src python tests/oracle_bits.py --write  # regenerate the file
     PYTHONPATH=src python tests/oracle_bits.py --check  # compare; exit 1 on a mismatch
 
-(about 9 s each). --check regenerates the data in memory, names every key
-that differs from the file and counts them. pytest does not collect this file
-(its name does not start with test_); test_models.py and
-test_comparators.py check every entry.
+(about 9 s each). pytest does not collect this file (its name does not
+start with test_); test_models.py and test_comparators.py check every entry.
 """
-import argparse
-import json
-import sys
-from pathlib import Path
-
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
 
@@ -29,9 +22,9 @@ from heulag.comparators import _span_digits
 from heulag.errors import DegeneracyError, OracleFailureError
 from heulag.models import ModelId, coefficients
 from heulag.specfun import PrecisionContext, _to_mpf
+import frozen
 from conftest import oracle
 
-PATH = Path(__file__).resolve().parent / "data" / "oracle_bits.json"
 # The benchmark's quadrature betas among powers of ten, at three precisions,
 # for every model; then each precision's return/raise edges and tiny betas.
 GRID_BETAS = ("0.01", "0.1", "1", "10", "452.513", "1484.03", "1e4", "1e5", "1e7", "1e10")
@@ -104,43 +97,11 @@ def qd_bits(model: ModelId) -> list:
     return [_bits(v) for v in reference_qd_row(series, N, M, PrecisionContext(digits))]
 
 
-def load() -> dict:
-    """{"oracle": {key: bits or "raises"}, "qd": {model: [bits, ...]}}."""
-    return json.loads(PATH.read_text(encoding="utf-8"))
-
-
-def generate() -> dict:
-    """The file's data, computed afresh."""
-    return {"oracle": {key(m, d, b): oracle_bits(m, d, b) for m in ModelId for d, b in CASES},
-            "qd": {m.value: qd_bits(m) for m in ModelId}}
-
-
-def differences(got: dict, want: dict) -> list[str]:
-    """Every "section key" whose value differs between two data sets, or that
-    only one of them has, in the file's order; empty when they are equal."""
-    out = []
-    for section in ("oracle", "qd"):
-        g, w = got.get(section, {}), want.get(section, {})
-        out += [f"{section} {k}" for k in (*w, *(k for k in g if k not in w))
-                if g.get(k) != w.get(k)]
-    return out
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with the file instead of rewriting it")
-    args = parser.parse_args()
-    data = generate()
-    if not args.check:
-        PATH.write_text(json.dumps(data, indent=0) + "\n", encoding="utf-8")
-        return 0
-    diffs = differences(data, load())
-    for diff in diffs:
-        print(f"differs: {diff}")
-    print(f"{len(diffs)} entries differ" if diffs else "every entry matches")
-    return 1 if diffs else 0
+# {"oracle": {key: bits or "raises"}, "qd": {model: [bits, ...]}}
+DATASET = frozen.Dataset("oracle_bits", lambda: {
+    "oracle": {key(m, d, b): oracle_bits(m, d, b) for m in ModelId for d, b in CASES},
+    "qd": {m.value: qd_bits(m) for m in ModelId}}, indent=0)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(frozen.main(DATASET))

@@ -17,10 +17,31 @@ f = Ci sin - si cos and g = -Ci cos - si sin with si = Si - pi/2.
 The first sum is an exact rational. mpmath's ci and si lose about log10 z
 digits at large z, so f and g are taken log10 z digits higher, and the sum
 of the three parts is taken again as many digits higher as it cancels.
+
+At 200 moments a value takes mpmath about 80 ms, so the values for 3 models
+x moments in {10, 50, 200} x eleven betas from 1e-10 to 1e30, at 100
+digits for the density of a 60-digit reconstruction, are stored as decimal
+strings in data/stieltjes_reference.json. Regenerate or check them with
+(tests/frozen.py)
+
+    PYTHONPATH=src python tests/stieltjes_reference.py --write
+    PYTHONPATH=src python tests/stieltjes_reference.py --check
+
+pytest does not collect this file (its name does not start with test_);
+test_extrapolant.py checks extrapolate against every value.
 """
 from fractions import Fraction
 
 from mpmath import mp, mpf
+
+from heulag import ModelId, PrecisionContext, reconstruct
+from heulag.momentrec import _density_taylor
+import frozen
+
+MOMENTS = (10, 50, 200)
+BETAS = ("1e-10", "1e-6", "1e-4", "1e-3", "0.01", "1", "3", "1e7", "1e12", "1e20", "1e30")
+RECONSTRUCTION_DIGITS = 60
+DIGITS = 100
 
 
 def _aux(z: mpf) -> tuple[mpf, mpf]:
@@ -68,3 +89,21 @@ def stieltjes_value(g: tuple[tuple[int, ...], int], beta: str, s: int, dps: int)
         value = mpf(b.numerator) ** s / mpf(b.denominator) ** s * total
     with mp.workdps(dps):
         return +value
+
+
+def stieltjes_row(model: ModelId, moments: int) -> dict[str, str]:
+    """{beta: stieltjes_value at DIGITS digits, as a decimal string} for the
+    density of a RECONSTRUCTION_DIGITS-digit reconstruction from `moments`."""
+    g = _density_taylor(reconstruct(model, moments, PrecisionContext(RECONSTRUCTION_DIGITS)))
+    return {beta: mp.nstr(stieltjes_value(g, beta, model.series_prefactor_power, DIGITS), DIGITS,
+                          strip_zeros=False)
+            for beta in BETAS}
+
+
+DATASET = frozen.Dataset("stieltjes_reference", lambda: {
+    model.value: {str(moments): stieltjes_row(model, moments) for moments in MOMENTS}
+    for model in ModelId})
+
+
+if __name__ == "__main__":
+    raise SystemExit(frozen.main(DATASET))

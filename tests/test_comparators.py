@@ -129,7 +129,7 @@ def test_pade_degenerate_on_a_nonpositive_coefficient(a1, ctx60):
 def test_pade_qd_rows_are_frozen(model):
     # the reference table's [49/50] S-fraction coefficients at 100 digits, bit
     # for bit
-    assert oracle_bits.qd_bits(model) == oracle_bits.load()["qd"][model.value]
+    assert oracle_bits.qd_bits(model) == oracle_bits.DATASET.load()["qd"][model.value]
 
 
 def _fixed_row(series, N, M, ctx):
@@ -178,7 +178,7 @@ def test_fixed_qd_row_lies_within_its_bound_of_the_frozen_row(model):
     X, bounds, F, bits = _fixed_row(coefficients(model, N + M + 1), N, M,
                                     PrecisionContext(digits))
     frozen = [(sign, int(man, 16), exp)
-              for sign, man, exp in oracle_bits.load()["qd"][model.value]]
+              for sign, man, exp in oracle_bits.DATASET.load()["qd"][model.value]]
     assert _within_bounds(X, bounds, F, frozen)
     assert all(2 * d < Fraction(x, 2 ** bits) for x, d in zip(X, bounds))
 

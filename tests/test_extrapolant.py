@@ -3,6 +3,7 @@ correction, and end-to-end accuracy against the closed forms."""
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -30,7 +31,7 @@ from heulag.extrapolant import (_T_extra, _beta_sum, _delta_raw, _fp_kernel_valu
                                 _tail_coefficients)
 from heulag.momentrec import _density_taylor
 from conftest import printed_match, rel_err
-from stieltjes_reference import stieltjes_value
+import stieltjes_reference
 
 
 # ---------------------------------------------------------------------------
@@ -520,29 +521,52 @@ _ITEM_11 = pytest.mark.xfail(strict=True, reason="ROADMAP item 11: weak-field ex
                                                  "with few moments returns wrong digits")
 # (moments, beta, least agreeing digits of a 60-digit extrapolate): the
 # strong-field cells keep about every digit. The short cells sit at their
-# measured floor less 0.5: 50 moments at 0.01 and 1e-3, where the value loses
-# digits at weak field (ROADMAP items 13 and 14), and 10 moments at 1 (the
-# K = 2d truncation of item 11) and at 0.01. Item 11's weak-field cells are
-# not even of the right size (floor 0); their strict xfails fail once they are.
+# measured floor less 0.5: 50 and 200 moments at 0.01 and below, where the
+# value loses digits at weak field (ROADMAP items 13 and 14; at 200 moments
+# 1e-4 and 1e-3 keep 28-48 of 60, a loss not yet attributed), 10 moments at
+# 1 (the K = 2d truncation of item 11) and at 0.01, and 200 moments at
+# strong field. Item 11's weak-field cells are not even of the right size
+# (floor 0); their strict xfails fail once they are.
 _REFERENCE_CELLS = [
     *((50, beta, 59) for beta in ("1", "3", "1e7", "1e12", "1e20", "1e30")),
     *((10, beta, 57.5) for beta in ("3", "1e7", "1e12", "1e20", "1e30")),
     (50, "0.01", 55.5), (50, "1e-3", 49.5), (10, "1", 48.4), (10, "0.01", 8.7),
+    (200, "1e-4", 27.4), (200, "1e-3", 44.3), (200, "0.01", 53.4), (200, "1", 58.9),
+    (200, "3", 60), (200, "1e7", 60.5), (200, "1e12", 60.5), (200, "1e20", 60.4),
+    (200, "1e30", 60.8),
     *(pytest.param(moments, beta, 0, marks=_ITEM_11)
-      for moments, beta in ((50, "1e-4"), (10, "1e-4"), (10, "1e-3"))),
+      for moments, beta in ((50, "1e-4"), (10, "1e-4"), (10, "1e-3"),
+                            *((m, b) for m in (10, 50, 200) for b in ("1e-10", "1e-6")))),
 ]
+_STIELTJES = stieltjes_reference.DATASET.load()
+
+
+@pytest.fixture(scope="module")
+def built_at_60(reconstruct):
+    """(model, moments) -> the one 60-digit Extrapolant that every beta reads,
+    built on the reconstruction whose density the frozen values integrate."""
+    return lru_cache(maxsize=None)(lambda model, moments: Extrapolant.build(
+        reconstruct(model, moments, stieltjes_reference.RECONSTRUCTION_DIGITS), None,
+        PrecisionContext(60)))
 
 
 @pytest.mark.parametrize("model", list(ModelId))
 @pytest.mark.parametrize("moments, beta, floor", _REFERENCE_CELLS)
 def test_extrapolate_agrees_with_the_stieltjes_reference(model, moments, beta, floor,
-                                                         reconstruct):
-    ctx = PrecisionContext(60)
-    rec = reconstruct(model, moments, 60)
-    value = extrapolate(model, rec, beta, None, ctx).value
-    ref = stieltjes_value(_density_taylor(rec), beta, model.series_prefactor_power, 100)
+                                                         built_at_60):
+    value = built_at_60(model, moments).evaluate(beta).value
     with mp.workdps(120):
+        ref = mpf(_STIELTJES[model.value][str(moments)][beta])
         assert -log10(abs(value - ref) / abs(ref)) >= floor
+
+
+@pytest.mark.parametrize("moments", [10, 50])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_frozen_stieltjes_values_match_a_fresh_reference(model, moments):
+    # digit for digit on today's density; the 200-moment rows take about 0.8 s
+    # each and are left to `stieltjes_reference.py --check`
+    frozen_row = _STIELTJES[model.value][str(moments)]
+    assert stieltjes_reference.stieltjes_row(model, moments) == frozen_row
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ specfun.PrecisionContext.work, each setter is an item of a `with` that holds
 specfun._lock before it, that lock is the only threading object the package
 makes and only specfun names it, no module of the package imports
 `warnings` (a call returns digits or raises a HeulagError), and no call in
-a loop body of the package does exact mpf arithmetic. No linter ships with
+a loop body of the package does exact mpf arithmetic. Every file in
+tests/data is written by exactly one dataset of the frozen-data harness
+(tests/frozen.py), and every such dataset's file exists. No linter ships with
 the toolchain, so these scans are the lint step. Names listed in a module's
 __all__ count as used imports (they are re-exports), and __future__ imports
 are exempt."""
@@ -22,6 +24,9 @@ FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob
 # re-exports, and a re-export is not a read.
 MODULES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
 SOURCES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+# The scripts under tests/ that pytest does not collect: the frozen data's owners.
+SCRIPTS = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "tests").glob("*.py")
+           if not p.name.startswith("test_")}
 
 # Public names that nothing in the package reads, each with its reason.
 PUBLIC_API = {
@@ -406,3 +411,46 @@ def test_scan_flags_exact_arithmetic_in_a_loop():
 
 def test_no_exact_mpf_arithmetic_in_loops():
     assert exact_calls_in_loops(MODULES) == []
+
+
+def frozen_data_faults(sources: dict[str, str], files: list[str]) -> list[str]:
+    """One line for each name in `files` (tests/data's) that no `Dataset(name,
+    ...)` call in `sources` writes or that more than one writes, for each
+    such dataset whose file `files` lacks, and for each call whose name is not
+    a string literal."""
+    owners, faults = {}, []
+    for module, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            func = n.func if isinstance(n, ast.Call) else None
+            if "Dataset" not in (getattr(func, "id", None), getattr(func, "attr", None)):
+                continue
+            if n.args and isinstance(n.args[0], ast.Constant) and isinstance(n.args[0].value, str):
+                owners.setdefault(f"{n.args[0].value}.json", []).append(module)
+            else:
+                faults.append(f"{module} (line {n.lineno}): a dataset named by an expression")
+    return sorted([*faults,
+                   *(f"{f}: written by no dataset" for f in files if f not in owners),
+                   *(f"{f}: written by {' and '.join(m)}" for f, m in owners.items()
+                     if len(m) > 1),
+                   *(f"{f}: missing" for f in owners if f not in files)])
+
+
+def test_scan_flags_an_orphan_and_a_missing_data_file():
+    sources = {
+        "a": "import frozen\n"
+             "A = frozen.Dataset('x', f)\n"
+             "B = frozen.Dataset('y', g, indent=0)\n",
+        "b": "from frozen import Dataset\n"
+             "C = Dataset('y', h)\n"
+             "D = Dataset(NAME, h)\n"
+             "E = Dataset('v', h)\n"
+             "dataset('w', h)\n",
+    }
+    assert frozen_data_faults(sources, ["w.json", "x.json", "y.json"]) == [
+        "b (line 3): a dataset named by an expression", "v.json: missing",
+        "w.json: written by no dataset", "y.json: written by a and b"]
+
+
+def test_every_frozen_data_file_has_one_dataset():
+    files = sorted(p.name for p in (ROOT / "tests" / "data").iterdir())
+    assert frozen_data_faults(SCRIPTS, files) == []

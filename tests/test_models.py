@@ -30,6 +30,7 @@ from heulag import models
 from heulag.models import _kernel, _node_factors
 from heulag.specfun import _bernoulli_even
 import closed_form_references
+import frozen
 import oracle_bits
 from conftest import oracle, printed_match, rel_err
 
@@ -164,7 +165,7 @@ def test_closed_form_small_beta_keeps_all_digits(model, beta, ctx60):
         assert abs(exact - series) <= mpf("1e-58") * abs(series)
 
 
-REFERENCES = closed_form_references.load()
+REFERENCES = closed_form_references.DATASET.load()
 
 
 @pytest.mark.parametrize("beta", closed_form_references.BETAS)
@@ -308,7 +309,7 @@ def test_quadrature_agrees_or_raises_where_the_estimate_is_capped(model, digits,
     assert rel_err(q, ref) < mpf(10) ** -(digits + 1)
 
 
-ORACLE_BITS = oracle_bits.load()
+ORACLE_BITS = oracle_bits.DATASET.load()
 
 
 @pytest.mark.parametrize("digits, beta", oracle_bits.CASES)
@@ -323,8 +324,9 @@ def test_oracle_bits_names_every_difference():
     want = {"oracle": {"a": "raises", "b": [0, "0x1", 0], "c": [0, "0x3", 1]},
             "qd": {"sd": [[0, "0x1", 0]]}}
     got = {"oracle": {"a": [0, "0x1", 0], "b": [0, "0x1", 0], "d": "raises"}, "qd": {"sd": []}}
-    assert oracle_bits.differences(want, want) == []
-    assert oracle_bits.differences(got, want) == ["oracle a", "oracle c", "oracle d", "qd sd"]
+    assert frozen.differences(want, want) == []
+    assert frozen.differences(got, want) == ["differs: oracle / a", "only in the file: oracle / c",
+                                             "not in the file: oracle / d", "differs: qd / sd"]
 
 
 def test_node_factors_stay_bounded():

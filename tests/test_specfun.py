@@ -235,8 +235,8 @@ def _zeta_sderiv(s0: int, a: mpf, ctx: PrecisionContext) -> mpf:
         return _hurwitz_zeta(s0, a)
 
 
-ZETA_REFERENCES = zeta_sderiv_references.load()
-LOGGAMMA_REFERENCES = zeta_sderiv_references.load_loggamma()
+ZETA_REFERENCES = zeta_sderiv_references.DATASET.load()
+LOGGAMMA_REFERENCES = zeta_sderiv_references.LOGGAMMA_DATASET.load()
 
 
 @pytest.mark.parametrize("a", zeta_sderiv_references.ARGUMENTS)

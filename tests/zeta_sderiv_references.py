@@ -9,23 +9,20 @@ mpmath's loggamma, whose first call at those precisions takes seconds; its
 six references are stored in data/loggamma_references.json. They are made the
 way the tests make their live ones: a is the decimal argument rounded at the
 context's working precision (digits + 20) and the reference is evaluated at
-digits + 10. Regenerate both files with
+digits + 10. Regenerate or check both files with (tests/frozen.py)
 
-    python tests/zeta_sderiv_references.py
+    python tests/zeta_sderiv_references.py --write
+    python tests/zeta_sderiv_references.py --check
 
 pytest does not collect this file (its name does not start with test_).
 """
-import json
-from pathlib import Path
-
 from mpmath import mp, mpf, zeta
 
-DATA = Path(__file__).resolve().parent / "data"
-PATH = DATA / "zeta_sderiv_references.json"
+import frozen
+
 DIGITS = 1000
 ORDERS = (0, -1)
 ARGUMENTS = ("5e-16", "1e-6", "0.045", "0.5", "1", "17.5", "2000.25")
-LOGGAMMA_PATH = DATA / "loggamma_references.json"
 LOGGAMMA_DIGITS = (1000, 1500)
 LOGGAMMA_ARGUMENTS = ("0.3", "2.5", "17")
 
@@ -49,28 +46,17 @@ def mpmath_zeta0_sderiv_by_loggamma(a: str, digits: int) -> mpf:
     return _at_digits(lambda x: mp.loggamma(x) - mp.log(2 * mp.pi) / 2, a, digits)
 
 
-def load() -> dict[str, dict[str, str]]:
-    """{str(s0): {a: decimal string}} from the data file."""
-    return json.loads(PATH.read_text(encoding="utf-8"))
-
-
-def load_loggamma() -> dict[str, dict[str, str]]:
-    """{str(digits): {a: decimal string}} from the loggamma data file."""
-    return json.loads(LOGGAMMA_PATH.read_text(encoding="utf-8"))
-
-
-def main() -> None:
-    refs = {str(s0): {a: mp.nstr(mpmath_zeta_sderiv(s0, a, DIGITS), DIGITS + 10,
-                                 strip_zeros=False)
-                      for a in ARGUMENTS}
-            for s0 in ORDERS}
-    PATH.write_text(json.dumps(refs, indent=1) + "\n", encoding="utf-8")
-    refs = {str(digits): {a: mp.nstr(mpmath_zeta0_sderiv_by_loggamma(a, digits), digits + 10,
-                                     strip_zeros=False)
-                          for a in LOGGAMMA_ARGUMENTS}
-            for digits in LOGGAMMA_DIGITS}
-    LOGGAMMA_PATH.write_text(json.dumps(refs, indent=1) + "\n", encoding="utf-8")
+# {str(s0): {a: decimal string}} and {str(digits): {a: decimal string}}
+DATASET = frozen.Dataset("zeta_sderiv_references", lambda: {
+    str(s0): {a: mp.nstr(mpmath_zeta_sderiv(s0, a, DIGITS), DIGITS + 10, strip_zeros=False)
+              for a in ARGUMENTS}
+    for s0 in ORDERS})
+LOGGAMMA_DATASET = frozen.Dataset("loggamma_references", lambda: {
+    str(digits): {a: mp.nstr(mpmath_zeta0_sderiv_by_loggamma(a, digits), digits + 10,
+                             strip_zeros=False)
+                  for a in LOGGAMMA_ARGUMENTS}
+    for digits in LOGGAMMA_DIGITS})
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(frozen.main(DATASET, LOGGAMMA_DATASET))
