@@ -33,7 +33,7 @@ from mpmath.libmp import (fnone, fone, from_int, from_man_exp, fzero, mpf_add, m
 
 from .errors import DomainError
 from .models import ModelId
-from .momentrec import ReconstructionCoefficients, _density_taylor, rho_eval
+from .momentrec import ReconstructionCoefficients, _density_taylor, _exact_mpf, rho_eval
 from .specfun import PrecisionContext, _to_beta
 
 __all__ = [
@@ -89,8 +89,7 @@ def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:
     N_l / D rounded once, and T_k = sum_l g_l M[2k+1-l] one exact integer sum of
     mantissa products, by maps over parallel lists (a zero g_l takes no part),
     rounded once. The loss is the largest gap between a product's and its sum's mp.mag."""
-    (N, D), (prec, rnd) = g, mp._prec_rounding
-    D = from_man_exp(D >> (z := (D & -D).bit_length() - 1), z)  # exact
+    N, D, (prec, rnd) = g[0], _exact_mpf(g[1])._mpf_, mp._prec_rounding
     gl = [mpf_div(from_int(n), D, prec, rnd) for n in reversed(N)]  # g_{d-i} pairs with M[2k+1+i]
     keep = [man != 0 for _, man, _, _ in gl]
     gm = [-man if sign else man for sign, man, _, _ in gl if man]

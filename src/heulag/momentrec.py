@@ -237,6 +237,11 @@ def _density_taylor(rec: ReconstructionCoefficients) -> tuple[tuple[int, ...], i
     return tuple(N), factorial(len(N) - 1) << max(-e, 0)
 
 
+def _exact_mpf(n: int) -> mpf:
+    """n as an exact mpf in O(1): mpmath's int conversion strips zero bits 8 at a time."""
+    return mp.ldexp(n >> (z := (n & -n).bit_length() - 1), z)
+
+
 _RHO_GUARD = 40  # bits above the working precision at which the pole read starts
 
 
@@ -285,14 +290,13 @@ def rho_eval(g: tuple[tuple[int, ...], int], y, ctx: PrecisionContext) -> tuple[
     precision. A sum is accepted when both ends of its bound give the same
     quotient, so E and O are the exact sums' quotients to the bit (_rounded_sum),
     and iy e^{-iy/2} = y sin(y/2) + i y cos(y/2) multiplies E + iO."""
-    N, D = g
+    N, D = g[0], _exact_mpf(g[1])
     with ctx.work():
         y = _to_mpf(y)
         if not mp.isfinite(y):
             raise DomainError(f"rho_eval needs a finite y, got {y}")
         sign, Y, ey, _ = y._mpf_
         Y = -Y if sign else Y
-        D = mp.ldexp(D >> (z := (D & -D).bit_length() - 1), z)  # exact
         E = _rounded_sum(N[::2][::-1], -Y * Y, 2 * ey, 1, 0, D)
         O = _rounded_sum(N[1::2][::-1], -Y * Y, 2 * ey, Y, ey, D)
         cos, sin = mp.cos_sin(y / 2)

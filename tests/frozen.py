@@ -16,17 +16,16 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @dataclass(frozen=True)
 class Dataset:
-    """tests/data/<name>.json, as json.dumps(generate(), indent=indent)."""
+    """tests/data/<name>.json, as json.dumps(generate(), indent=1)."""
 
     name: str
     generate: Callable[[], Any]
-    indent: int = 1
 
     def load(self) -> Any:
         return json.loads((DATA / f"{self.name}.json").read_text(encoding="utf-8"))
 
     def write(self, data: Any) -> None:
-        (DATA / f"{self.name}.json").write_text(json.dumps(data, indent=self.indent) + "\n",
+        (DATA / f"{self.name}.json").write_text(json.dumps(data, indent=1) + "\n",
                                                 encoding="utf-8")
 
 

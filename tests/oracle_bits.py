@@ -100,7 +100,7 @@ def qd_bits(model: ModelId) -> list:
 # {"oracle": {key: bits or "raises"}, "qd": {model: [bits, ...]}}
 DATASET = frozen.Dataset("oracle_bits", lambda: {
     "oracle": {key(m, d, b): oracle_bits(m, d, b) for m in ModelId for d, b in CASES},
-    "qd": {m.value: qd_bits(m) for m in ModelId}}, indent=0)
+    "qd": {m.value: qd_bits(m) for m in ModelId}})
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from heulag import (
     ModelId,
     PrecisionContext,
     closed_form,
+    coefficients,
     exp_kernel,
     extrapolate,
     fp_canonical_oracle,
@@ -567,6 +568,21 @@ def test_frozen_stieltjes_values_match_a_fresh_reference(model, moments):
     # each and are left to `stieltjes_reference.py --check`
     frozen_row = _STIELTJES[model.value][str(moments)]
     assert stieltjes_reference.stieltjes_row(model, moments) == frozen_row
+
+
+@pytest.mark.parametrize("beta", ["1e-10", "1e-6"])
+@pytest.mark.parametrize("moments", [50, 200])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_frozen_weak_field_stieltjes_values_match_the_series(model, moments, beta):
+    # 40 terms of the exact weak-field series leave less than 1e-100 at these
+    # betas, and the density reproduces them (measured 99.6-101.4 digits); a
+    # reference that summed its cancelling parts too low reads noise here
+    b, p = Fraction(beta), model.series_prefactor_power
+    series = b ** p * sum(a * (-b) ** j for j, a in enumerate(coefficients(model, 40).a))
+    with mp.workdps(120):
+        value = mpf(series.numerator) / series.denominator
+        ref = mpf(_STIELTJES[model.value][str(moments)][beta])
+        assert -log10(abs(ref - value) / abs(value)) >= 99
 
 
 # ---------------------------------------------------------------------------

@@ -439,7 +439,7 @@ def test_scan_flags_an_orphan_and_a_missing_data_file():
     sources = {
         "a": "import frozen\n"
              "A = frozen.Dataset('x', f)\n"
-             "B = frozen.Dataset('y', g, indent=0)\n",
+             "B = frozen.Dataset('y', g)\n",
         "b": "from frozen import Dataset\n"
              "C = Dataset('y', h)\n"
              "D = Dataset(NAME, h)\n"
