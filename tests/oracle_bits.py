@@ -1,8 +1,11 @@
-"""Frozen bits of the quadrature oracle and of the Pade qd rows.
+"""Frozen bits of the quadrature oracle, the finite-part routes and the Pade
+qd rows.
 
 For each case the file data/oracle_bits.json holds the exact libmp value
 (sign, mantissa in hex, exponent) that `direct_integral_oracle` returns, or
-"raises" where it raises `OracleFailureError`, and the S-fraction
+"raises" where it raises `OracleFailureError`; the value of
+`finite_part_assembly` for every model at ASSEMBLY_DIGITS x GRID_BETAS and of
+`fp_exp_over_xm` at FP_EXP_CASES; and the S-fraction
 coefficients alpha_1.. of the [49/50] Pade approximant at 100 digits for each
 model, from _reference_qd_row: a floating qd table at the span rule's
 precision, the reference for pade_eval's fixed-point table. A change that must
@@ -13,14 +16,18 @@ them after (tests/frozen.py):
     PYTHONPATH=src python tests/oracle_bits.py --check  # compare; exit 1 on a mismatch
 
 (about 9 s each). pytest does not collect this file (its name does not
-start with test_); test_models.py and test_comparators.py check every entry.
+start with test_); test_models.py, test_finitepart.py and test_comparators.py
+check every entry.
 """
+from fractions import Fraction
+
 from mpmath import mp
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sub
 
 from heulag.comparators import _span_digits
 from heulag.errors import DegeneracyError, OracleFailureError
-from heulag.models import ModelId, coefficients
+from heulag.finitepart import fp_exp_over_xm
+from heulag.models import ModelId, coefficients, finite_part_assembly
 from heulag.specfun import PrecisionContext, _to_mpf
 import frozen
 from conftest import oracle
@@ -33,6 +40,10 @@ EDGES = (*((60, b) for b in ("1e-50", "1e-30", "1e13", "1e14", "1e16", "1e17", "
          (150, "1e22"), (150, "1e23"), (300, "1"))
 CASES = GRID + EDGES
 PADE = (49, 50, 100)  # [N/M] and the digits of the qd rows
+ASSEMBLY_DIGITS = (60, 150)
+# (b, m, digits) of the exponential closed formula
+FP_EXP_CASES = tuple((b, m, digits) for b in ("1/2", "1", "3.7", "1e-5")
+                     for m in range(1, 5) for digits in (50, 80, 320))
 
 
 def key(model: ModelId, digits: int, beta: str) -> str:
@@ -50,6 +61,20 @@ def oracle_bits(model: ModelId, digits: int, beta: str):
         return _bits(oracle(model, beta, digits))
     except OracleFailureError:
         return "raises"
+
+
+def assembly_bits(model: ModelId, digits: int, beta: str) -> list:
+    """[sign, hex mantissa, exponent] of finite_part_assembly's value."""
+    return _bits(finite_part_assembly(model, beta, PrecisionContext(digits)))
+
+
+def fp_exp_key(b: str, m: int, digits: int) -> str:
+    return f"{b} {m} {digits}"
+
+
+def fp_exp_bits(b: str, m: int, digits: int) -> list:
+    """[sign, hex mantissa, exponent] of fp_exp_over_xm at the exact b."""
+    return _bits(fp_exp_over_xm(Fraction(b), m, PrecisionContext(digits)))
 
 
 def _reference_qd_row(a: list, L: int) -> list:
@@ -97,9 +122,13 @@ def qd_bits(model: ModelId) -> list:
     return [_bits(v) for v in reference_qd_row(series, N, M, PrecisionContext(digits))]
 
 
-# {"oracle": {key: bits or "raises"}, "qd": {model: [bits, ...]}}
+# {"oracle": {key: bits or "raises"}, "assembly": {key: bits},
+#  "fp_exp": {fp_exp_key: bits}, "qd": {model: [bits, ...]}}
 DATASET = frozen.Dataset("oracle_bits", lambda: {
     "oracle": {key(m, d, b): oracle_bits(m, d, b) for m in ModelId for d, b in CASES},
+    "assembly": {key(m, d, b): assembly_bits(m, d, b)
+                 for m in ModelId for d in ASSEMBLY_DIGITS for b in GRID_BETAS},
+    "fp_exp": {fp_exp_key(*case): fp_exp_bits(*case) for case in FP_EXP_CASES},
     "qd": {m.value: qd_bits(m) for m in ModelId}})
 
 

@@ -19,6 +19,7 @@ from heulag import (
     fp_exp_over_xm,
 )
 from heulag.finitepart import _zeta_bernoulli
+import oracle_bits
 from conftest import rel_err
 
 
@@ -54,6 +55,15 @@ def test_fp_exp_domain_errors(ctx50):
         fp_exp_over_xm(-1, 2, ctx50)
     with pytest.raises(DomainError):
         fp_exp_over_xm(1, 0, ctx50)
+
+
+FP_EXP_BITS = oracle_bits.DATASET.load()["fp_exp"]
+
+
+@pytest.mark.parametrize("b, m, digits", oracle_bits.FP_EXP_CASES)
+def test_fp_exp_bits_are_frozen(b, m, digits):
+    want = FP_EXP_BITS[oracle_bits.fp_exp_key(b, m, digits)]
+    assert oracle_bits.fp_exp_bits(b, m, digits) == want
 
 
 # ---------------------------------------------------------------------------

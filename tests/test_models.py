@@ -320,6 +320,14 @@ def test_quadrature_bits_are_frozen(model, digits, beta):
     assert oracle_bits.oracle_bits(model, digits, beta) == want
 
 
+@pytest.mark.parametrize("beta", oracle_bits.GRID_BETAS)
+@pytest.mark.parametrize("digits", oracle_bits.ASSEMBLY_DIGITS)
+@pytest.mark.parametrize("model", list(ModelId))
+def test_finite_part_assembly_bits_are_frozen(model, digits, beta):
+    want = ORACLE_BITS["assembly"][oracle_bits.key(model, digits, beta)]
+    assert oracle_bits.assembly_bits(model, digits, beta) == want
+
+
 def test_oracle_bits_names_every_difference():
     want = {"oracle": {"a": "raises", "b": [0, "0x1", 0], "c": [0, "0x3", 1]},
             "qd": {"sd": [[0, "0x1", 0]]}}
