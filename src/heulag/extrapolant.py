@@ -28,10 +28,11 @@ from math import ceil, factorial, inf, log2, log10
 from operator import add, lshift, mul
 
 from mpmath import mp, mpf, ln, pi, sqrt
-from mpmath.libmp import (fnone, fone, from_int, from_man_exp, fzero, mpf_add, mpf_div,
-                          mpf_euler, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, round_nearest)
+from mpmath.libmp import (fnone, from_int, from_man_exp, mpf_add, mpf_div,
+                          mpf_mul, mpf_pow_int, round_nearest)
 
 from .errors import DomainError
+from .finitepart import _fp_exp_rows
 from .models import ModelId
 from .momentrec import ReconstructionCoefficients, _density_taylor, _exact_mpf, rho_eval
 from .specfun import PrecisionContext, _to_beta
@@ -62,26 +63,14 @@ class ExtrapolationResult:
 @lru_cache(maxsize=4)
 def _fp_kernel_values(d: int, jmax: int, prec: int) -> tuple[tuple[int, int], ...]:
     """Signed (mantissa, exponent) of M[j + d] = FP int_0^inf e^{-x/2} x^{-j} dx
-    for j = -d..jmax, rounded to prec bits.
-
-    j <= 0 is the convergent value (-j)! 2^{1-j}, from exact integers. j >= 1
-    rolls (-1)^{j+1} (1/2)^{j-1}/(j-1)! (ln 2 + psi(j)) with an incremental
-    harmonic number, so building hundreds of orders stays O(jmax). Every libmp
-    call takes prec, not the ambient precision, so a cached table depends on
-    its arguments alone.
+    for j = -d..jmax, rounded to prec bits: the convergent value (-j)! 2^{1-j}
+    from exact integers for j <= 0, then _fp_exp_rows at b = 1/2. Every entry
+    is at prec, not the ambient precision, so a cached table depends on its
+    arguments alone.
     """
-    rnd = round_nearest
-    out = [(man, exp) for _, man, exp, _ in
-           (from_int(factorial(n) << (n + 1), prec, rnd) for n in range(d, -1, -1))]
-    ln2, gamma = mpf_log(from_int(2), prec, rnd), mpf_euler(prec, rnd)
-    harmonic, inv_fact = fzero, fone  # H_{j-1}, 1/(j-1)!
-    for j in range(1, jmax + 1):
-        psi_j = mpf_sub(harmonic, gamma, prec, rnd)
-        _, man, exp, _ = mpf_mul(inv_fact, mpf_add(ln2, psi_j, prec, rnd), prec, rnd)
-        out.append((man if j % 2 else -man, exp + 1 - j))  # ln 2 + psi(j) > 0
-        harmonic = mpf_add(harmonic, mpf_div(fone, from_int(j), prec, rnd), prec, rnd)
-        inv_fact = mpf_div(inv_fact, from_int(j), prec, rnd)
-    return tuple(out)
+    exact = (from_int(factorial(n) << (n + 1), prec, round_nearest) for n in range(d, -1, -1))
+    rows = _fp_exp_rows(from_man_exp(1, -1), jmax, prec)
+    return tuple((-man if sign else man, exp) for sign, man, exp, _ in (*exact, *rows))
 
 
 def _tail_coefficients(g, K: int) -> tuple[tuple[mpf, ...], int]:

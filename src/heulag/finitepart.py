@@ -14,17 +14,11 @@ from math import factorial
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf, exp, ln, quad, sqrt
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_euler, mpf_log,
+                          mpf_mul, mpf_neg, mpf_sub, round_nearest)
 
 from .errors import DomainError, OracleFailureError
-from .specfun import (
-    PrecisionContext,
-    _digamma_int,
-    _euler_gamma,
-    _hurwitz_zeta,
-    _to_beta,
-    _to_mpf,
-    _zeta_sderivs,
-)
+from .specfun import PrecisionContext, _hurwitz_zeta, _to_beta, _to_mpf, _zeta_sderivs
 
 __all__ = [
     "KernelDescriptor",
@@ -66,14 +60,34 @@ def exp_kernel(b: Fraction, order: int) -> KernelDescriptor:
 # Closed formula for the exponential kernel.
 # ---------------------------------------------------------------------------
 
+def _fp_exp_rows(b: tuple, mmax: int, prec: int) -> list[tuple]:
+    """Raw libmp values of FP int_0^inf e^{-bx} x^{-m} dx = (-1)^m b^{m-1}/(m-1)!
+    (ln b - psi(m)) for m = 1..mmax, b > 0 a raw libmp value, each at prec bits.
+
+    b^{m-1}/(m-1)! and the harmonic number H_{m-1} = psi(m) + gamma roll
+    forward, and ln b and gamma are taken once, so mmax orders cost O(mmax).
+    Every libmp call takes prec, not the ambient precision, so the rows depend
+    on the arguments alone.
+    """
+    rnd = round_nearest
+    ln_b, gamma = mpf_log(b, prec, rnd), mpf_euler(prec, rnd)
+    harmonic, scale, rows = fzero, fone, []  # H_{m-1}, b^{m-1}/(m-1)!
+    for m in range(1, mmax + 1):
+        psi = mpf_sub(harmonic, gamma, prec, rnd)
+        v = mpf_mul(scale, mpf_sub(ln_b, psi, prec, rnd), prec, rnd)
+        rows.append(mpf_neg(v) if m % 2 else v)
+        harmonic = mpf_add(harmonic, mpf_div(fone, from_int(m), prec, rnd), prec, rnd)
+        scale = mpf_div(mpf_mul(scale, b, prec, rnd), from_int(m), prec, rnd)
+    return rows
+
+
 def fp_exp_over_xm(b, m: int, ctx: PrecisionContext) -> mpf:
     """Finite part of the integral of e^{-bx}/x^m over (0, inf), b > 0, m >= 1:
-    (-1)^m b^{m-1}/(m-1)! (ln b - psi(m))."""
+    (-1)^m b^{m-1}/(m-1)! (ln b - psi(m)), the last of _fp_exp_rows."""
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"fp_exp_over_xm requires integer m >= 1, got {m}")
     with ctx.work():
-        b = _to_beta(b, "b")
-        v = (-1) ** m * b ** (m - 1) / factorial(m - 1) * (ln(b) - _digamma_int(m))
+        v = mp.make_mpf(_fp_exp_rows(_to_beta(b, "b")._mpf_, m, mp.prec)[-1])
     return ctx.round(v)
 
 
@@ -176,7 +190,7 @@ def fp_csch(beta, ctx: PrecisionContext) -> mpf:
         beta = _to_beta(beta)
         rb = sqrt(beta)
         nu = (1 + rb) / (2 * rb)
-        g = _euler_gamma()
+        g = +mp.euler
         v = 2 * rb * ((ln(beta) + ln(mpf(4)) + 2 * g - 2) * _zeta_bernoulli(-1, nu)
                       - 2 * _hurwitz_zeta(-1, nu))
     return ctx.round(v)
@@ -192,7 +206,7 @@ def fp_coth(beta, ctx: PrecisionContext) -> mpf:
         beta = _to_beta(beta)
         rb = sqrt(beta)
         q = 1 / (2 * rb)
-        g = _euler_gamma()
+        g = +mp.euler
         z1 = _zeta_bernoulli(-1, q)
         v = (rb * (ln(mpf(16)) + 2 * ln(beta)) * z1
              + (g - 1) * (4 * rb * z1 - 1)
@@ -209,7 +223,7 @@ def fp_sinh2(beta, ctx: PrecisionContext) -> mpf:
     with ctx.work():
         beta = _to_beta(beta)
         q = 1 / sqrt(beta)
-        g = _euler_gamma()
+        g = +mp.euler
         z1, z0 = _zeta_sderivs(q, (-1, 0))
         v = ((-g - ln(mpf(2))) * (_zeta_bernoulli(-1, q) - q * _zeta_bernoulli(0, q))
              + z1 - q * z0)

@@ -131,22 +131,6 @@ def _bernoulli_even(k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Digamma at integers, Euler's constant.
-# ---------------------------------------------------------------------------
-
-def _euler_gamma() -> mpf:
-    return +mp.euler
-
-
-def _digamma_int(m: int) -> mpf:
-    # psi(m) = -gamma + H_{m-1}; harmonic sum as an exact rational first
-    h = Fraction(0)
-    for j in range(1, m):
-        h += Fraction(1, j)
-    return -_euler_gamma() + _to_mpf(h)
-
-
-# ---------------------------------------------------------------------------
 # The first-argument derivative of Hurwitz zeta by Euler-Maclaurin summation.
 # ---------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from mpmath.libmp import mpf_pos, round_nearest
 
 import heulag
 from heulag import CacheMismatchError, ModelId, comparators, extrapolant
-from heulag.cli import _agree_digits, _fmt, load_cache, main, write_cache
+from heulag.cli import _agree_digits, _bracket, _fmt, load_cache, main, write_cache
 import cli_golden
 import frozen
 
@@ -68,6 +68,12 @@ def test_exact_empty_beta_list(capsys):
     code, out, _ = run(["exact", "--model", "spin0", "--beta", ""], capsys)
     assert code == 0
     assert "| beta | exact |" in out  # header only, no rows
+
+
+def test_exact_skips_an_empty_beta(capsys):
+    code, out, _ = run(["exact", "--beta", "1,,2", "--format", "csv"], capsys)
+    assert code == 0
+    assert [l.split(",")[0] for l in out.splitlines()] == ["beta", "1", "2"]
 
 
 def test_exact_csv_and_json(capsys):
@@ -225,6 +231,12 @@ def test_malformed_cache_value_exits_4_naming_the_field(field, prefix, bad, tmp_
     assert str(error).startswith(f"cache mismatch on '{field}': ")
 
 
+def test_cache_with_a_missing_coefficient_is_a_mismatch(tmp_path):
+    cache = tmp_path / "c.cache"
+    error = _mismatch(cache, _written(cache, 4)[:-1])
+    assert (error.field, error.expected, error.found) == ("coefficient count", 4, 3)
+
+
 def test_extrapolate_cache_generator_mismatch(tmp_path):
     # a cache from another generator version is refused on load
     cache = tmp_path / "spin0.cache"
@@ -293,6 +305,12 @@ def test_truncation_beyond_2d_runs_quietly():
     assert (r.returncode, r.stderr) == (0, "")
 
 
+def test_moments_below_one_exits_2_naming_the_moments(capsys):
+    code, out, err = run(["extrapolate", "--moments", "0", "--beta", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --moments must be >= 1, got 0\n"
+
+
 def test_truncation_below_one_exits_2_naming_the_truncation(capsys):
     code, out, err = run(["extrapolate", "--moments", "10", "--truncation", "0",
                           "--beta", "1"], capsys)
@@ -333,6 +351,13 @@ def test_compare_markdown_brackets_agreeing_prefix(capsys):
                         "--digits", "60", "--delta", "25"], capsys)
     assert code == 0
     assert "[" in out and "]" in out
+
+
+def test_bracket_closes_at_the_exponent():
+    # more agreeing digits than the mantissa prints close before the exponent
+    assert _bracket("-0.0123e-7", 2) == "[-0.012]3e-7"
+    assert _bracket("1.25e+3", 5) == "[1.25]e+3"
+    assert _bracket("1.25", 0) == "1.25"
 
 
 def test_agree_digits_reads_the_exact_difference():

@@ -93,6 +93,11 @@ def test_pade_rejects_negative_degrees(ctx60):
         pade_eval(s, -1, 2, "0.1", ctx60)
 
 
+def test_delta_rejects_a_negative_order(ctx60):
+    with pytest.raises(DomainError, match="n >= 0"):
+        weniger_delta(coefficients(ModelId.SPIN0, 10), -1, "0.1", ctx60)
+
+
 @pytest.mark.parametrize("N,M", [(0, 2), (1, 5)])
 def test_pade_rejects_numerator_below_staircase(N, M, ctx60):
     # N < M - 1 is off the staircase that the S-fraction's convergents cover

@@ -524,9 +524,10 @@ _ITEM_11 = pytest.mark.xfail(strict=True, reason="ROADMAP item 11: weak-field ex
 # strong-field cells keep about every digit. The short cells sit at their
 # measured floor less 0.5: 50 and 200 moments at 0.01 and below, where the
 # value loses digits at weak field (ROADMAP items 13 and 14; at 200 moments
-# 1e-4 and 1e-3 keep 28-48 of 60, a loss not yet attributed), 10 moments at
-# 1 (the K = 2d truncation of item 11) and at 0.01, and 200 moments at
-# strong field. Item 11's weak-field cells are not even of the right size
+# 1e-4 and 1e-3 keep 28-48 of 60, what is left after tail and Delta cancel,
+# see test_weak_field_loss_is_the_cancellation_of_tail_and_delta), 10
+# moments at 1 (the K = 2d truncation of item 11) and at 0.01, and 200
+# moments at strong field. Item 11's weak-field cells are not even of the right size
 # (floor 0); their strict xfails fail once they are.
 _REFERENCE_CELLS = [
     *((50, beta, 59) for beta in ("1", "3", "1e7", "1e12", "1e20", "1e30")),
@@ -551,6 +552,15 @@ def built_at_60(reconstruct):
         PrecisionContext(60)))
 
 
+@pytest.fixture(scope="module")
+def built_at_160(reconstruct):
+    """(model, moments) -> a 160-digit Extrapolant on the density that
+    built_at_60 reads."""
+    return lru_cache(maxsize=None)(lambda model, moments: Extrapolant.build(
+        reconstruct(model, moments, stieltjes_reference.RECONSTRUCTION_DIGITS), None,
+        PrecisionContext(160)))
+
+
 @pytest.mark.parametrize("model", list(ModelId))
 @pytest.mark.parametrize("moments, beta, floor", _REFERENCE_CELLS)
 def test_extrapolate_agrees_with_the_stieltjes_reference(model, moments, beta, floor,
@@ -559,6 +569,25 @@ def test_extrapolate_agrees_with_the_stieltjes_reference(model, moments, beta, f
     with mp.workdps(120):
         ref = mpf(_STIELTJES[model.value][str(moments)][beta])
         assert -log10(abs(value - ref) / abs(ref)) >= floor
+
+
+@pytest.mark.parametrize("beta", ["1e-4", "1e-3", "0.01"])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_weak_field_loss_is_the_cancellation_of_tail_and_delta(model, beta, built_at_60,
+                                                               built_at_160):
+    # At 200 moments tail and Delta each keep every digit of a 160-digit build
+    # on the same density (measured 60.9-62.8), but they cancel by c digits
+    # (32.2-33.3 at 1e-4, 15.3-16.5 at 1e-3, 6.8-7.6 at 0.01), and value
+    # keeps the 60 - c that are left (27.9-29.9, 44.8-47.7, 53.9-55.6).
+    got, high = built_at_60(model, 200).evaluate(beta), built_at_160(model, 200).evaluate(beta)
+    with mp.workdps(200):
+        def digits(x, y):
+            return -log10(abs(x - y) / abs(y))
+        assert digits(got.tail, high.tail) >= 60
+        assert digits(got.delta, high.delta) >= 60
+        c = log10(max(abs(high.tail), abs(high.delta)) / abs(high.value))
+        ref = mpf(_STIELTJES[model.value]["200"][beta])
+        assert digits(got.value, ref) >= 60 - c - 1
 
 
 @pytest.mark.parametrize("moments", [10, 50])

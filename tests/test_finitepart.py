@@ -2,9 +2,10 @@
 oracle, kernel-specific closed forms, and the assembly identities."""
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from mpmath import euler, log, mp, mpf, zeta
+from mpmath import digamma, euler, log, mp, mpf, zeta
 
 from heulag import (
     DomainError,
@@ -18,7 +19,7 @@ from heulag import (
     fp_canonical_oracle,
     fp_exp_over_xm,
 )
-from heulag.finitepart import _zeta_bernoulli
+from heulag.finitepart import _fp_exp_rows, _zeta_bernoulli
 import oracle_bits
 from conftest import rel_err
 
@@ -36,6 +37,25 @@ def test_fp_exp_known_values(ctx50):
         # m=3, b=1: (-1)^3 b^2/2! (ln b - psi(3)) = psi(3)/2 with psi(3) = -gamma + 3/2
         want = (mpf(3) / 2 - euler()) / 2
         assert abs(fp_exp_over_xm(1, 3, ctx50) - want) < mpf("1e-48")
+
+
+def test_fp_exp_rows_at_b_1_read_digamma_at_integers():
+    # row m at b = 1 is (-1)^{m+1} psi(m)/(m-1)!, psi(m) = -gamma + H_{m-1}
+    with mp.workdps(50):
+        rows = _fp_exp_rows(mpf(1)._mpf_, 30, mp.prec)
+        for m, row in enumerate(rows, 1):
+            psi = (-1) ** (m + 1) * factorial(m - 1) * mp.make_mpf(row)
+            assert abs(psi - digamma(m)) < mpf("1e-45") * max(1, abs(psi)), m
+
+
+def test_fp_exp_is_minus_gamma_at_every_context():
+    # fp(1, 1) = -gamma, rounded symmetrically at each context
+    ctx30, ctx50 = PrecisionContext(30), PrecisionContext(50)
+    v30, v50 = fp_exp_over_xm(1, 1, ctx30), fp_exp_over_xm(1, 1, ctx50)
+    with ctx50.work():
+        assert abs(v30 + mpf("0.577215664901532860606512090082")) < mpf("1e-29")
+        assert abs(v50 - v30) < mpf("1e-29")
+        assert v50 == mp.fneg(ctx50.round(+mp.euler), exact=True)
 
 
 def test_fp_exp_scaling_identity(ctx50):
@@ -69,6 +89,13 @@ def test_fp_exp_bits_are_frozen(b, m, digits):
 # ---------------------------------------------------------------------------
 # Canonical oracle.
 # ---------------------------------------------------------------------------
+
+def test_oracle_domain_errors(ctx50):
+    with pytest.raises(DomainError, match="m >= 1"):
+        fp_canonical_oracle(exp_kernel(Fraction(1), 3), 0, ctx50)
+    with pytest.raises(DomainError, match="supplies 2 Taylor coefficients, need 3"):
+        fp_canonical_oracle(exp_kernel(Fraction(1), 2), 3, ctx50)
+
 
 @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(1), Fraction(2)])
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -6,7 +6,8 @@ specfun.PrecisionContext.work, each setter is an item of a `with` that holds
 specfun._lock before it, that lock is the only threading object the package
 makes and only specfun names it, no module of the package imports
 `warnings` (a call returns digits or raises a HeulagError), and no call in
-a loop body of the package does exact mpf arithmetic. Every file in
+a loop body of the package does exact mpf arithmetic. Every module-level
+cache in the package is an lru_cache with a finite maxsize. Every file in
 tests/data is written by exactly one dataset of the frozen-data harness
 (tests/frozen.py), and every such dataset's file exists. No linter ships with
 the toolchain, so these scans are the lint step. Names listed in a module's
@@ -454,3 +455,68 @@ def test_scan_flags_an_orphan_and_a_missing_data_file():
 def test_every_frozen_data_file_has_one_dataset():
     files = sorted(p.name for p in (ROOT / "tests" / "data").iterdir())
     assert frozen_data_faults(SCRIPTS, files) == []
+
+
+def unbounded_caches(sources: dict[str, str]) -> list[str]:
+    """`module.name (line n)` of each module-level function decorated with
+    functools.cache, or with functools.lru_cache that names no positive
+    integer maxsize; and the same of each module-level assignment whose
+    value such a decorator wraps. A module-level cache lives as long as the
+    process, so its bound is a bound on memory."""
+    def name(node: ast.AST):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def unbounded(dec: ast.AST) -> bool:
+        if name(dec) in ("cache", "lru_cache"):  # bare, or maxsize left at its default
+            return True
+        if not (isinstance(dec, ast.Call) and name(dec.func) in ("cache", "lru_cache")):
+            return False
+        size = dec.args[0] if dec.args else next(
+            (k.value for k in dec.keywords if k.arg == "maxsize"), None)
+        return not (isinstance(size, ast.Constant) and type(size.value) is int
+                    and size.value > 0)
+
+    found = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators, label = node.decorator_list, node.name
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                decorators = [node.value.func]
+                label = ", ".join(t.id for t in node.targets if isinstance(t, ast.Name))
+            else:
+                continue
+            found += [f"{module}.{label} (line {node.lineno})"
+                      for dec in decorators if unbounded(dec)]
+    return found
+
+
+def test_scan_flags_an_unbounded_cache():
+    sources = {
+        "a": "@lru_cache(maxsize=4)\n"
+             "def ok(): pass\n"
+             "@functools.lru_cache(8)\n"
+             "def ok2(): pass\n"
+             "@lru_cache(maxsize=None)\n"
+             "def none(): pass\n"
+             "@functools.lru_cache\n"
+             "def bare(): pass\n"
+             "@cache\n"
+             "def plain(): pass\n",
+        "b": "@functools.cache\n"
+             "def dotted(): pass\n"
+             "@lru_cache(typed=True)\n"
+             "def default(): pass\n"
+             "table = lru_cache(maxsize=0)(f)\n"
+             "kept = lru_cache(maxsize=2)(f)\n"
+             "def local():\n"
+             "    return cache(lambda: 1)\n",
+    }
+    assert unbounded_caches(sources) == [
+        "a.none (line 6)", "a.bare (line 8)", "a.plain (line 10)",
+        "b.dotted (line 2)", "b.default (line 4)", "b.table (line 5)"]
+
+
+def test_every_module_level_cache_is_bounded():
+    # peak memory is a tracked end-to-end metric, and a cache moves it
+    assert unbounded_caches(SOURCES) == []

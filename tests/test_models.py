@@ -89,6 +89,8 @@ def test_coeff_domain_errors():
         coeff(ModelId.SPIN0, 1)  # spins start at k = 2
     with pytest.raises(DomainError):
         coeff(ModelId.SELF_DUAL, -1)
+    with pytest.raises(DomainError, match="count must be >= 1"):
+        coefficients(ModelId.SPIN0, 0)
 
 
 _CTX30 = PrecisionContext(30)

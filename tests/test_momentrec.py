@@ -20,6 +20,7 @@ from heulag import (
     coefficients,
     extrapolate,
     moments_from_coeffs,
+    residual_norm_of,
     rho_eval,
     solve_coeffs,
 )
@@ -206,6 +207,17 @@ def test_solve_rejects_shape_mismatch(ctx60):
     mu = moments_from_coeffs(s, 4)
     with pytest.raises(DomainError):
         solve_coeffs(build_P_exact(3), mu, ctx60)
+
+
+def test_build_P_rejects_a_negative_degree():
+    with pytest.raises(DomainError, match="d >= 0"):
+        build_P_exact(-1)
+
+
+def test_residual_norm_rejects_a_degree_mismatch(ctx60, reconstruct):
+    mu = moments_from_coeffs(coefficients(ModelId.SPIN0, 6), 4)
+    with pytest.raises(DomainError, match="does not match"):
+        residual_norm_of(reconstruct(ModelId.SPIN0, 10, 60), mu, ctx60)
 
 
 # ---------------------------------------------------------------------------

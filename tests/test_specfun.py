@@ -1,5 +1,5 @@
 """Scalar layer: Bernoulli numbers, the s-derivative of Hurwitz zeta,
-digamma at integers, precision-context behavior."""
+precision-context behavior."""
 import math
 import random
 from fractions import Fraction
@@ -16,8 +16,6 @@ from heulag.finitepart import _zeta_bernoulli
 from heulag.models import closed_form
 from heulag.specfun import (
     _bernoulli_even,
-    _digamma_int,
-    _euler_gamma,
     _em_plan,
     _hurwitz_zeta,
     _zeta_sderivs,
@@ -122,39 +120,6 @@ def test_bernoulli_rejects_odd_or_negative():
     for bad in (0, -2):
         with pytest.raises(DomainError):
             _bernoulli_even(bad)
-
-
-# ---------------------------------------------------------------------------
-# Euler-Mascheroni constant and digamma at integers.
-# ---------------------------------------------------------------------------
-
-def test_euler_gamma_30_digits():
-    with mp.workdps(40):
-        g = _euler_gamma()
-        ref = mpf("0.577215664901532860606512090082")
-        assert abs(g - ref) < mpf("1e-30")
-
-
-def test_digamma_integers():
-    with mp.workdps(50):
-        g = _euler_gamma()
-        assert abs(_digamma_int(1) + g) < mpf("1e-45")
-        # psi(m) = -gamma + H_{m-1}
-        assert abs(_digamma_int(2) - (1 - g)) < mpf("1e-45")
-        assert abs(_digamma_int(3) - (mpf(3) / 2 - g)) < mpf("1e-45")
-        assert abs(_digamma_int(4) - (-g + 1 + mpf(1) / 2 + mpf(1) / 3)) < mpf("1e-45")
-
-
-def test_euler_gamma_context_rounding_and_refinement():
-    ctx30, ctx50 = PrecisionContext(30), PrecisionContext(50)
-    with ctx30.work():
-        v30 = ctx30.round(_euler_gamma())
-    with ctx50.work():
-        v50 = ctx50.round(_euler_gamma())
-        assert abs(v30 - mpf("0.577215664901532860606512090082")) < mpf("1e-29")
-        assert abs(v50 - v30) < mpf("1e-29")
-        # gamma = -psi(1); both sides round symmetrically at the same context
-        assert v50 == mp.fneg(ctx50.round(_digamma_int(1)), exact=True)
 
 
 # ---------------------------------------------------------------------------
