@@ -36,7 +36,6 @@ from .models import (
     strong_field_leading,
 )
 from .momentrec import (
-    GENERATOR_VERSION,
     MomentVector,
     ReconstructionCoefficients,
     build_P_exact,
@@ -57,7 +56,6 @@ __all__ = [
     "DomainError",
     "Extrapolant",
     "ExtrapolationResult",
-    "GENERATOR_VERSION",
     "HeulagError",
     "KernelDescriptor",
     "ModelId",

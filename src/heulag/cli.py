@@ -39,10 +39,13 @@ from .models import (
     direct_integral_oracle,
     partial_sum,
 )
-from .momentrec import GENERATOR_VERSION, ReconstructionCoefficients, reconstruct
+from .momentrec import (ReconstructionCoefficients, moments_from_coeffs, reconstruct,
+                        residual_norm_of)
 from .specfun import PrecisionContext, _to_beta
 
 PRINT_DIGITS = 21  # table/report cells carry this many significant digits
+# Bump when coefficient-generating code changes; persisted in cache headers.
+GENERATOR_VERSION = "2"
 
 Row = dict[str, str]  # one output row: column name -> cell text
 
@@ -115,14 +118,17 @@ def _emit(command: str, fmt: str, model: ModelId, digits: int,
 # ---------------------------------------------------------------------------
 
 def write_cache(path: str, rec: ReconstructionCoefficients) -> None:
-    """Write the header and each coefficient to full precision, atomically;
-    no partial file is ever left behind."""
+    """Write the header, with the record's residual_norm_of, and each
+    coefficient to full precision, atomically; no partial file is ever left
+    behind."""
+    mu = moments_from_coeffs(coefficients(rec.model, rec.d + 1), rec.d)
+    residual = residual_norm_of(rec, mu, PrecisionContext(rec.digits))
     lines = ["# heulag coefficient cache",
              f"# model: {rec.model.value}",
              f"# d: {rec.d}",
              f"# digits: {rec.digits}",
              f"# generator: {GENERATOR_VERSION}",
-             f"# residual_norm: {_fmt(rec.residual_norm, 8)}"]
+             f"# residual_norm: {_fmt(residual, 8)}"]
     # a mantissa of bc bits needs about 0.30103 bc digits
     lines += (nstr(c, max(rec.digits, int(c._mpf_[3] * 0.30103) + 5)) for c in rec.c)
     directory = os.path.dirname(os.path.abspath(path))

@@ -18,7 +18,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_euler, mp
                           mpf_mul, mpf_neg, mpf_sub, round_nearest)
 
 from .errors import DomainError, OracleFailureError
-from .specfun import PrecisionContext, _hurwitz_zeta, _to_beta, _to_mpf, _zeta_sderivs
+from .specfun import PrecisionContext, _to_beta, _to_mpf, _zeta_sderivs
 
 __all__ = [
     "KernelDescriptor",
@@ -192,7 +192,7 @@ def fp_csch(beta, ctx: PrecisionContext) -> mpf:
         nu = (1 + rb) / (2 * rb)
         g = +mp.euler
         v = 2 * rb * ((ln(beta) + ln(mpf(4)) + 2 * g - 2) * _zeta_bernoulli(-1, nu)
-                      - 2 * _hurwitz_zeta(-1, nu))
+                      - 2 * _zeta_sderivs(nu, (-1,))[0])
     return ctx.round(v)
 
 
@@ -210,7 +210,7 @@ def fp_coth(beta, ctx: PrecisionContext) -> mpf:
         z1 = _zeta_bernoulli(-1, q)
         v = (rb * (ln(mpf(16)) + 2 * ln(beta)) * z1
              + (g - 1) * (4 * rb * z1 - 1)
-             - 4 * rb * _hurwitz_zeta(-1, q))
+             - 4 * rb * _zeta_sderivs(q, (-1,))[0])
     return ctx.round(v)
 
 

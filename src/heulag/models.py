@@ -22,8 +22,7 @@ from mpmath.libmp import (from_man_exp, mpf_div, mpf_exp, mpf_gt, mpf_mul, mpf_n
 
 from . import finitepart
 from .errors import DomainError, OracleFailureError
-from .specfun import (PrecisionContext, _bernoulli_even, _hurwitz_zeta, _to_beta, _to_mpf,
-                      _zeta_sderivs)
+from .specfun import PrecisionContext, _bernoulli_even, _to_beta, _to_mpf, _zeta_sderivs
 
 __all__ = [
     "ModelId",
@@ -124,10 +123,10 @@ def _closed_form(model: ModelId, beta: mpf) -> mpf:
         nu = (1 + rb) / (2 * rb)
         return (beta * lb / 12 - lb / 4 + beta * (ln(mpf(4)) / 12 - mpf(1) / 6)
                 - ln(mpf(4)) / 4 - mpf(1) / 4
-                - 4 * beta * _hurwitz_zeta(-1, nu))
+                - 4 * beta * _zeta_sderivs(nu, (-1,))[0])
     if model is ModelId.SPIN_HALF:
         q = 1 / (2 * rb)
-        return (4 * beta * _hurwitz_zeta(-1, q)
+        return (4 * beta * _zeta_sderivs(q, (-1,))[0]
                 + mpf(1) / 4 - beta / 3
                 - beta * (ln(mpf(16)) + 2 * lb)
                 * (mpf(-1) / 12 + 1 / (4 * rb) - 1 / (8 * beta)))
@@ -357,7 +356,7 @@ def strong_field_leading(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     model = ModelId(model)
     with ctx.work():
         beta = _to_beta(beta)
-        lb, z1 = ln(beta), _hurwitz_zeta(-1, 1)
+        lb, z1 = ln(beta), _zeta_sderivs(1, (-1,))[0]
         if model is ModelId.SPIN0:
             v = beta * lb / 12 + beta * (ln(mpf(2)) / 3 + 2 * z1 - mpf(1) / 6)
         elif model is ModelId.SPIN_HALF:
@@ -384,17 +383,14 @@ def finite_part_assembly(model: ModelId, beta, ctx: PrecisionContext) -> mpf:
     with inner.work():
         beta = _to_beta(beta)
         rb = sqrt(beta)
+        b = 2 / rb if model is ModelId.SELF_DUAL else mpf(1)
+        # fp_exp(b, 1) and fp_exp(b, 3), each rounded as fp_exp_over_xm rounds it
+        fp1, _, fp3 = (inner.round(mp.make_mpf(v))
+                       for v in finitepart._fp_exp_rows(b._mpf_, 3, mp.prec))
         if model is ModelId.SPIN0:
-            v = (rb * finitepart.fp_csch(beta, inner)
-                 - finitepart.fp_exp_over_xm(1, 3, inner)
-                 + beta / 6 * finitepart.fp_exp_over_xm(1, 1, inner))
+            v = rb * finitepart.fp_csch(beta, inner) - fp3 + beta / 6 * fp1
         elif model is ModelId.SPIN_HALF:
-            v = (finitepart.fp_exp_over_xm(1, 3, inner)
-                 + beta / 3 * finitepart.fp_exp_over_xm(1, 1, inner)
-                 - rb * finitepart.fp_coth(beta, inner))
+            v = fp3 + beta / 3 * fp1 - rb * finitepart.fp_coth(beta, inner)
         else:
-            b = 2 / rb
-            v = (finitepart.fp_sinh2(beta, inner)
-                 - finitepart.fp_exp_over_xm(b, 3, inner) / 4
-                 + finitepart.fp_exp_over_xm(b, 1, inner) / 12)
+            v = finitepart.fp_sinh2(beta, inner) - fp3 / 4 + fp1 / 12
     return ctx.round(v)

@@ -7,8 +7,8 @@ the equispaced nodes 2n+1 times a Pascal matrix, so the system is solved
 exactly by Newton interpolation and two changes of basis (Bjorck & Pereyra,
 "Solution of Vandermonde systems of equations", Math. Comp. 24, 1970). The
 exact coefficients are rounded once, at a precision raised by P's magnitude
-span. A reconstruction holds only those rounded coefficients; their backward
-error is derived from them when first read.
+span. A reconstruction holds only those rounded coefficients; residual_norm_of
+derives their backward error from them.
 
 After the solve the density has one polynomial form: the exact Taylor
 coefficients g_l = N_l / D of sum_m c_m L_m, integer numerators over one
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial, lcm
 
 from mpmath import mp, mpf
@@ -29,7 +29,6 @@ from .models import ModelId, SeriesCoefficients, coefficients
 from .specfun import PrecisionContext, _to_mpf
 
 __all__ = [
-    "GENERATOR_VERSION",
     "MomentVector",
     "ReconstructionCoefficients",
     "moments_from_coeffs",
@@ -39,9 +38,6 @@ __all__ = [
     "residual_norm_of",
     "rho_eval",
 ]
-
-# Bump when coefficient-generating code changes; persisted in cache headers.
-GENERATOR_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,8 @@ class ReconstructionCoefficients:
     """Solved Laguerre coefficients c_m defining g(x) = e^{-x/2} sum c_m L_m(x).
 
     c entries are the exact solution rounded once at the span-boosted solve
-    precision; digits records the nominal precision requested. residual_norm,
-    the relative backward residual of the rounded c, is derived on first read.
-    Nothing else is cached on the record: readers call _density_taylor.
+    precision; digits records the nominal precision requested. Nothing is
+    cached on the record: readers call residual_norm_of and _density_taylor.
     """
 
     model: ModelId
@@ -85,11 +80,6 @@ class ReconstructionCoefficients:
     @property
     def d(self) -> int:
         return len(self.c) - 1
-
-    @cached_property
-    def residual_norm(self) -> mpf:
-        mu = moments_from_coeffs(coefficients(self.model, self.d + 1), self.d)
-        return residual_norm_of(self, mu, PrecisionContext(self.digits))
 
 
 def moments_from_coeffs(series: SeriesCoefficients, d: int) -> MomentVector:
@@ -176,8 +166,8 @@ def solve_coeffs(P, mu: MomentVector, ctx: PrecisionContext) -> ReconstructionCo
 
     The exact rational solution comes from the structured factorisation of P
     (see _exact_solve). It is rounded at a precision raised by the magnitude
-    span of P, so the backward residual of the rounded coefficients (computed
-    when residual_norm is first read) lands at the nominal working tolerance.
+    span of P, so the backward residual of the rounded coefficients
+    (residual_norm_of) lands at the nominal working tolerance.
     Nothing ties ctx.digits to the number of moments: the rounding precision
     grows with P on its own, so fewer digits than moments loses nothing.
     """

@@ -277,9 +277,3 @@ def _zeta_sderivs(a: mpf, orders: tuple[int, ...]) -> tuple[mpf, ...]:
                      - z * z / 4 + mpf(1) / 12 + h)
             values.append(v)
     return tuple(+v for v in values)
-
-
-def _hurwitz_zeta(s: int, a: mpf) -> mpf:
-    """d/ds zeta(s, a) at s in {0, -1}, by Euler-Maclaurin summation; one
-    order of _zeta_sderivs."""
-    return _zeta_sderivs(a, (s,))[0]

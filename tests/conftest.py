@@ -70,6 +70,13 @@ def printed_match(value, printed: str) -> bool:
         return abs(value - t) <= ulp
 
 
+def residual(rec) -> mpf:
+    """residual_norm_of the record against its model's own moments, at its
+    digits: the residual a cache header records."""
+    mu = heulag.moments_from_coeffs(heulag.coefficients(rec.model, rec.d + 1), rec.d)
+    return heulag.residual_norm_of(rec, mu, PrecisionContext(rec.digits))
+
+
 def rel_err(value, target) -> mpf:
     with mp.workdps(mp.dps + 30):
         return abs(value - target) / abs(target)

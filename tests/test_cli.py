@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, output formats, exit codes and
 byte-level determinism; and the coefficient-cache file functions
 write_cache and load_cache, called directly."""
+import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -12,10 +14,11 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_pos, round_nearest
 
 import heulag
-from heulag import CacheMismatchError, ModelId, comparators, extrapolant
+from heulag import CacheMismatchError, ModelId, cli, comparators, extrapolant
 from heulag.cli import _agree_digits, _bracket, _fmt, load_cache, main, write_cache
 import cli_golden
 import frozen
+from conftest import residual
 
 def run(argv, capsys):
     code = main(argv)
@@ -50,6 +53,19 @@ def test_exact_oracle_column(capsys):
     assert "oracle" in out
     # both columns show the same value through the quadrature's accuracy
     assert out.count("0.00040736197107") == 2
+
+
+def test_module_entry_runs_main(monkeypatch, capsys):
+    # `python -m heulag.cli` runs main on sys.argv and exits with its code
+    argv = ["exact", "--beta", "1", "--digits", "30"]
+    expected = run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["heulag", *argv])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # heulag.cli is already imported
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("heulag.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == expected
 
 
 def test_exact_oracle_failure_exits_2_without_traceback():
@@ -158,7 +174,7 @@ def test_reconstruct_writes_cache(tmp_path):
     header = dict(l.lstrip("# ").split(": ") for l in lines[1:6])
     assert mpf(header.pop("residual_norm")) < mpf("1e-45")
     assert header == {"model": "spin0", "d": "49", "digits": "60",
-                      "generator": heulag.GENERATOR_VERSION}
+                      "generator": cli.GENERATOR_VERSION}
     body = [l for l in lines if l and not l.startswith("#")]
     assert len(body) == 50
     # full-precision decimal strings
@@ -194,10 +210,20 @@ def test_cache_round_trip(model, moments, digits, tmp_path, reconstruct):
     loaded, stored = load_cache(str(first))
     assert widths_match(loaded)
     assert (loaded.model, loaded.d, loaded.digits) == (model, moments - 1, digits)
-    assert _fmt(stored, 8) == _fmt(loaded.residual_norm, 8)
+    assert _fmt(stored, 8) == _fmt(residual(loaded), 8)
     write_cache(str(second), loaded)
     assert second.read_text().splitlines()[:6] == first.read_text().splitlines()[:6]
     assert widths_match(load_cache(str(second))[0])
+
+
+def test_write_cache_keeps_nothing_on_the_record(tmp_path):
+    # the header's residual is computed for the file, not cached on the
+    # record, and it is the record's residual_norm_of at 8 digits
+    rec = heulag.reconstruct(ModelId.SPIN_HALF, 20, heulag.PrecisionContext(40))
+    cache = tmp_path / "c.cache"
+    write_cache(str(cache), rec)
+    assert set(vars(rec)) == {f.name for f in dataclasses.fields(rec)}
+    assert _fmt(load_cache(str(cache))[1], 8) == _fmt(residual(rec), 8)
 
 
 def _mismatch(cache, lines) -> CacheMismatchError:
@@ -311,6 +337,11 @@ def test_moments_below_one_exits_2_naming_the_moments(capsys):
     assert err == "error: --moments must be >= 1, got 0\n"
 
 
+def test_missing_moments_exits_2_naming_the_flag(capsys):
+    code, out, err = run(["extrapolate", "--beta", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: this command requires --moments\n")
+
+
 def test_truncation_below_one_exits_2_naming_the_truncation(capsys):
     code, out, err = run(["extrapolate", "--moments", "10", "--truncation", "0",
                           "--beta", "1"], capsys)
@@ -388,6 +419,12 @@ def test_compare_cell_error_annotated_run_continues(capsys):
         assert sum("ERR" in c for c in cells) == 1
         for name in ("beta", "delta_5", "exact"):  # the other columns hold numbers
             assert mpf(cells[header.index(name)]) > 0
+
+
+@pytest.mark.parametrize("pade", ["9", "9,10,11", "9,x"])
+def test_pade_that_is_not_two_integers_exits_2(pade, capsys):
+    code, out, err = run(["compare", "--pade", pade, "--beta", "1"], capsys)
+    assert (code, out, err) == (2, "", f"error: --pade expects N,M integers, got {pade!r}\n")
 
 
 def test_compare_builds_each_pade_column_once(monkeypatch, capsys):

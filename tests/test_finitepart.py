@@ -19,7 +19,7 @@ from heulag import (
     fp_canonical_oracle,
     fp_exp_over_xm,
 )
-from heulag.finitepart import _fp_exp_rows, _zeta_bernoulli
+from heulag.finitepart import _fp_exp_rows, _richardson_constant, _zeta_bernoulli
 import oracle_bits
 from conftest import rel_err
 
@@ -117,6 +117,16 @@ def test_oracle_zero_origin_kernel_is_plain_integral(ctx50):
     v = fp_canonical_oracle(kernel, 1, ctx50)
     with mp.workdps(60):
         assert abs(v - 1) < mpf("1e-24")
+
+
+def test_singular_extrapolation_system_is_an_oracle_failure(monkeypatch):
+    def singular(*args):
+        raise ZeroDivisionError("matrix is numerically singular")
+
+    monkeypatch.setattr(mp, "lu_solve", singular)
+    eps = [Fraction(1, 10 ** j) for j in range(2, 8)]
+    with pytest.raises(OracleFailureError, match="degenerate extrapolation system"):
+        _richardson_constant(eps, [mpf(1)] * len(eps))
 
 
 def test_oracle_failure_on_wrong_taylor(ctx50):

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level or local import in the package, the
 tests and the benchmark is used, and every module-level definition in the
 package is read somewhere else in it, a public one unless PUBLIC_API lists
-it. Nothing in the package sets mpmath's working precision outside
+it. PUBLIC_API also lists every function whose body is one return of a call
+into the package, a second door to its callee. Nothing in the package sets mpmath's working precision outside
 specfun.PrecisionContext.work, each setter is an item of a `with` that holds
 specfun._lock before it, that lock is the only threading object the package
 makes and only specfun names it, no module of the package imports
@@ -40,6 +41,8 @@ PUBLIC_API = {
                                "README use; the CLI builds an Extrapolant per reconstruction",
     "finitepart.exp_kernel": "the kernel fp_canonical_oracle checks the closed formulas on",
     "finitepart.fp_canonical_oracle": "the canonical epsilon-cutoff finite-part oracle",
+    "finitepart.fp_exp_over_xm": "Galapon's FP of e^{-bx}/x^m at any b and m; bench/spans.py "
+                                 "traces it, the assembly reads its _fp_exp_rows",
     "models.coeff": "one exact coefficient for callers; coefficients converts the model once "
                     "and runs the same formula through _coeff",
     "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",
@@ -167,6 +170,62 @@ def test_scan_flags_an_unread_public_name():
 def test_public_names_are_read_or_listed():
     # an unread name off the list, or a listed name now read or gone, fails
     assert unread_publics(MODULES) == sorted(PUBLIC_API)
+
+
+def forwarding_functions(sources: dict[str, str]) -> list[str]:
+    """`module.name` (or `module.Class.name`) of each function in `sources`
+    whose body, after its docstring, is one `return` of a call into the
+    package: of a module-level function of `sources`, or of a call or item
+    of such a call."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {n.name for tree in trees.values() for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def forwards(fn: ast.AST) -> bool:
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        expr = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        while isinstance(expr, (ast.Call, ast.Subscript)):
+            if isinstance(expr, ast.Subscript):
+                expr = expr.value
+            elif (getattr(expr.func, "id", None) or getattr(expr.func, "attr", None)) in defined:
+                return True
+            else:
+                expr = expr.func
+        return False
+
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = [(f"{node.name}.", n) for n in node.body] if isinstance(
+                node, ast.ClassDef) else [("", node)]
+            found += [f"{module}.{prefix}{fn.name}" for prefix, fn in members
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and forwards(fn)]
+    return sorted(found)
+
+
+def test_scan_flags_a_forwarding_function():
+    sources = {
+        "a": "def f(x): return x + 1\n"
+             "def g(x):\n"
+             "    \"\"\"Docstring.\"\"\"\n"
+             "    return f(x)\n"
+             "def _h(x): return b.k(x)[0]\n"
+             "def curried(x): return k(x)(2)\n"
+             "def outside(x): return math.sqrt(f(x))\n"
+             "def two(x):\n"
+             "    y = f(x)\n"
+             "    return y\n"
+             "class C:\n"
+             "    def m(self): return f(self)\n"
+             "    def n(self): return self.m()\n",
+        "b": "def k(x): return [x]\n",
+    }
+    assert forwarding_functions(sources) == ["a.C.m", "a._h", "a.curried", "a.g"]
+
+
+def test_forwarding_functions_are_listed_public_api():
+    # a private one is a second door to its callee: callers call the callee
+    assert [f for f in forwarding_functions(MODULES) if f not in PUBLIC_API] == []
 
 
 def _is_mp_attr(node: ast.AST, names: tuple[str, ...]) -> bool:

@@ -26,7 +26,7 @@ from heulag import (
     strong_field_leading,
     weniger_delta,
 )
-from heulag import models
+from heulag import finitepart, models
 from heulag.models import _kernel, _node_factors
 from heulag.specfun import _bernoulli_even
 import closed_form_references
@@ -328,6 +328,18 @@ def test_quadrature_bits_are_frozen(model, digits, beta):
 def test_finite_part_assembly_bits_are_frozen(model, digits, beta):
     want = ORACLE_BITS["assembly"][oracle_bits.key(model, digits, beta)]
     assert oracle_bits.assembly_bits(model, digits, beta) == want
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_finite_part_assembly_takes_the_exponential_rows_once(model, monkeypatch):
+    # one ln b and one gamma per assembly: both rows from one _fp_exp_rows call
+    calls = []
+    rows = finitepart._fp_exp_rows
+    monkeypatch.setattr(finitepart, "_fp_exp_rows",
+                        lambda b, mmax, prec: calls.append(mmax) or rows(b, mmax, prec))
+    monkeypatch.setattr(finitepart, "fp_exp_over_xm", None)
+    finite_part_assembly(model, "0.5", _CTX30)
+    assert calls == [3]
 
 
 def test_oracle_bits_names_every_difference():

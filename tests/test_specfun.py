@@ -17,7 +17,6 @@ from heulag.models import closed_form
 from heulag.specfun import (
     _bernoulli_even,
     _em_plan,
-    _hurwitz_zeta,
     _zeta_sderivs,
 )
 import closed_form_references
@@ -148,7 +147,7 @@ def test_zeta_sderiv_at_zero_is_lngamma_identity(ctx60):
     # zeta'(0, a) = ln Gamma(a) - (1/2) ln 2pi, against mpmath's loggamma
     with ctx60.work():
         for a in (mpf("0.3"), mpf(1), mpf("2.5"), mpf(17)):
-            lhs = _hurwitz_zeta(0, a)
+            lhs = _zeta_sderivs(a, (0,))[0]
             rhs = mp.loggamma(a) - mp.log(2 * mp.pi) / 2
             assert abs(lhs - rhs) < mpf(10) ** (-(ctx60.digits - 5))
 
@@ -157,7 +156,7 @@ def test_zeta_sderiv_minus1_at_1(ctx60):
     # zeta'(-1, 1) = 1/12 - ln A (Glaisher); reference digits frozen from the
     # defining sum evaluated independently
     with ctx60.work():
-        v = _hurwitz_zeta(-1, mpf(1))
+        v = _zeta_sderivs(mpf(1), (-1,))[0]
         assert abs(v - mpf("-0.16542114370045092921391966024278064276403638")) < mpf("1e-40")
 
 
@@ -168,7 +167,7 @@ def test_zeta_sderiv_central_difference(ctx100):
     with ctx100.work():
         h = mpf("1e-25")
         num = (zeta(-1 + h, a) - zeta(-1 - h, a)) / (2 * h)
-        der = _hurwitz_zeta(-1, a)
+        der = _zeta_sderivs(a, (-1,))[0]
         assert abs(num - der) < mpf("1e-45")
 
 
@@ -176,9 +175,9 @@ def test_zeta_precision_monotonicity():
     # increasing digits only appends digits; low-precision value is a prefix
     a = mpf("0.37")
     with PrecisionContext(40).work():
-        v40 = _hurwitz_zeta(-1, a)
+        v40 = _zeta_sderivs(a, (-1,))[0]
     with PrecisionContext(80).work():
-        v80 = _hurwitz_zeta(-1, a)
+        v80 = _zeta_sderivs(a, (-1,))[0]
     with mp.workdps(100):
         assert abs(v40 - v80) < mpf("1e-38") * abs(v80)
 
@@ -197,7 +196,7 @@ def _mpmath(f, ctx: PrecisionContext, *args):
 
 def _zeta_sderiv(s0: int, a: mpf, ctx: PrecisionContext) -> mpf:
     with ctx.work():
-        return _hurwitz_zeta(s0, a)
+        return _zeta_sderivs(a, (s0,))[0]
 
 
 ZETA_REFERENCES = zeta_sderiv_references.DATASET.load()
@@ -312,7 +311,7 @@ def test_paired_zeta_sderivs_match_single_calls(digits):
         for text in zeta_sderiv_references.ARGUMENTS:
             a = mpf(text)
             pair = _zeta_sderivs(a, (-1, 0))
-            single = _hurwitz_zeta(-1, a), _hurwitz_zeta(0, a)
+            single = _zeta_sderivs(a, (-1,))[0], _zeta_sderivs(a, (0,))[0]
             assert pair[0]._mpf_ == single[0]._mpf_, text
             assert abs(pair[1] - single[1]) <= _ulp(single[1]), text
 
