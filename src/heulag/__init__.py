@@ -15,20 +15,11 @@ from .errors import (
     OracleFailureError,
 )
 from .extrapolant import Extrapolant, ExtrapolationResult, extrapolate, tail_sum
-from .finitepart import (
-    KernelDescriptor,
-    exp_kernel,
-    fp_canonical_oracle,
-    fp_coth,
-    fp_csch,
-    fp_exp_over_xm,
-    fp_sinh2,
-)
+from .finitepart import fp_coth, fp_csch, fp_exp_over_xm, fp_sinh2
 from .models import (
     ModelId,
     SeriesCoefficients,
     closed_form,
-    coeff,
     coefficients,
     direct_integral_oracle,
     finite_part_assembly,
@@ -57,7 +48,6 @@ __all__ = [
     "Extrapolant",
     "ExtrapolationResult",
     "HeulagError",
-    "KernelDescriptor",
     "ModelId",
     "MomentVector",
     "OracleFailureError",
@@ -66,13 +56,10 @@ __all__ = [
     "SeriesCoefficients",
     "build_P_exact",
     "closed_form",
-    "coeff",
     "coefficients",
     "direct_integral_oracle",
-    "exp_kernel",
     "extrapolate",
     "finite_part_assembly",
-    "fp_canonical_oracle",
     "fp_coth",
     "fp_csch",
     "fp_exp_over_xm",

@@ -27,7 +27,6 @@ from .specfun import PrecisionContext, _bernoulli_even, _to_beta, _to_mpf, _zeta
 __all__ = [
     "ModelId",
     "SeriesCoefficients",
-    "coeff",
     "coefficients",
     "closed_form",
     "partial_sum",
@@ -59,7 +58,7 @@ class ModelId(enum.Enum):
 # Exact weak-field coefficients.
 # ---------------------------------------------------------------------------
 
-def coeff(model: ModelId, k: int) -> Fraction:
+def _coeff(model: ModelId, k: int) -> Fraction:
     """Exact weak-field coefficient: a_k (spins, k >= 2) or the SD u_k (k >= 0).
 
     Spins: a_k = (-1)^k (2k-3)! c_k with c_k from the Bernoulli formulas, that
@@ -68,17 +67,9 @@ def coeff(model: ModelId, k: int) -> Fraction:
     sum_k a_k (-beta)^k. SD: u_k = -(-1)^k B_{2k+4} / ((2k+2)(2k+4)), entering
     as beta * sum_k u_k (-beta)^k. Each is one reduced Fraction of integers.
     """
-    return _coeff(ModelId(model), k)
-
-
-def _coeff(model: ModelId, k: int) -> Fraction:
     if model is ModelId.SELF_DUAL:
-        if k < 0:
-            raise DomainError(f"SD coefficient index must be >= 0, got {k}")
         b, num = _bernoulli_even(k + 2), (-1) ** (k + 1)
         return Fraction(num * b.numerator, (2 * k + 2) * (2 * k + 4) * b.denominator)
-    if k < 2:
-        raise DomainError(f"spin coefficient index must be >= 2, got {k}")
     b, num = _bernoulli_even(k), (-1) ** k * (2 - 4 ** k if model is ModelId.SPIN0 else -4 ** k)
     return Fraction(num * b.numerator, 2 * k * (2 * k - 1) * (2 * k - 2) * b.denominator)
 

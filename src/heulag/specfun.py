@@ -60,8 +60,8 @@ class PrecisionContext:
             yield
 
     def round(self, value):
-        """Round a value, real or complex, to the context's nominal precision;
-        the ambient precision is neither read nor set."""
+        """Round a real value to the context's nominal precision; the ambient
+        precision is neither read nor set."""
         return mp.fmul(value, 1, dps=self.digits)
 
 

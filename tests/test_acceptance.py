@@ -12,10 +12,8 @@ from heulag import (
     closed_form,
     coefficients,
     direct_integral_oracle,
-    exp_kernel,
     extrapolate,
     finite_part_assembly,
-    fp_canonical_oracle,
     fp_exp_over_xm,
     moments_from_coeffs,
     pade_eval,
@@ -24,6 +22,7 @@ from heulag import (
     weniger_delta,
 )
 from conftest import _reconstruct, printed_match, rel_err, residual
+from fp_cutoff_oracle import exp_kernel, fp_canonical_oracle
 
 
 def test_criterion_01_closed_forms_match_every_printed_digit(ctx60):

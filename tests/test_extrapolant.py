@@ -15,14 +15,11 @@ from mpmath.libmp import mpf_mul, mpf_sum, to_rational
 from heulag import (
     DomainError,
     Extrapolant,
-    KernelDescriptor,
     ModelId,
     PrecisionContext,
     closed_form,
     coefficients,
-    exp_kernel,
     extrapolate,
-    fp_canonical_oracle,
     fp_exp_over_xm,
     rho_eval,
     tail_sum,
@@ -32,6 +29,7 @@ from heulag.extrapolant import (_T_extra, _beta_sum, _delta_raw, _fp_kernel_valu
                                 _tail_coefficients)
 from heulag.momentrec import _density_taylor
 from conftest import printed_match, rel_err
+from fp_cutoff_oracle import KernelDescriptor, exp_kernel, fp_canonical_oracle
 import stieltjes_reference
 
 
@@ -588,6 +586,25 @@ def test_weak_field_loss_is_the_cancellation_of_tail_and_delta(model, beta, buil
         c = log10(max(abs(high.tail), abs(high.delta)) / abs(high.value))
         ref = mpf(_STIELTJES[model.value]["200"][beta])
         assert digits(got.value, ref) >= 60 - c - 1
+
+
+@pytest.mark.parametrize("beta, tol", [("1e20", "1e-10"), ("1e30", "1e-15")])
+@pytest.mark.parametrize("moments", stieltjes_reference.MOMENTS)
+@pytest.mark.parametrize("model", list(ModelId))
+def test_strong_field_limit_is_two_exact_numbers(model, moments, beta, tol, built_at_60):
+    # As beta -> oo the extrapolant tends to beta^{s-1} [g0 (ln beta/2 + ln 2
+    # - gamma) + C0], exact g0 = N_0/D and C0 = sum_{l>=1} N_l (l-1)! 2^l / D
+    # from the build's g = (N, D) of _density_taylor, with a relative error
+    # O(beta^{-1/2}) (measured at most 3.1e-11 at 1e20, 2.0e-16 at 1e30 and
+    # 5.5e-7 at 1e12)
+    ext = built_at_60(model, moments)
+    (N, D), value = ext.g, ext.evaluate(beta).value
+    C0 = Fraction(sum(n * factorial(l - 1) << l for l, n in enumerate(N) if l), D)
+    with mp.workdps(80):
+        b = mpf(beta)
+        limit = b ** (model.series_prefactor_power - 1) * (
+            mpf(N[0]) / D * (log(b) / 2 + log(2) - euler) + mpf(C0.numerator) / C0.denominator)
+        assert abs(value - limit) <= mpf(tol) * abs(limit)
 
 
 @pytest.mark.parametrize("moments", [10, 50])

@@ -9,17 +9,16 @@ from mpmath import digamma, euler, log, mp, mpf, zeta
 
 from heulag import (
     DomainError,
-    KernelDescriptor,
     ModelId,
     OracleFailureError,
     PrecisionContext,
     closed_form,
-    exp_kernel,
     finite_part_assembly,
-    fp_canonical_oracle,
     fp_exp_over_xm,
 )
-from heulag.finitepart import _fp_exp_rows, _richardson_constant, _zeta_bernoulli
+from heulag.finitepart import _fp_exp_rows, _zeta_bernoulli
+from fp_cutoff_oracle import (KernelDescriptor, _richardson_constant, exp_kernel,
+                              fp_canonical_oracle)
 import oracle_bits
 from conftest import rel_err
 

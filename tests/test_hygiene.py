@@ -2,26 +2,29 @@
 tests and the benchmark is used, and every module-level definition in the
 package is read somewhere else in it, a public one unless PUBLIC_API lists
 it. PUBLIC_API also lists every function whose body is one return of a call
-into the package, a second door to its callee. Nothing in the package sets mpmath's working precision outside
-specfun.PrecisionContext.work, each setter is an item of a `with` that holds
-specfun._lock before it, that lock is the only threading object the package
-makes and only specfun names it, no module of the package imports
-`warnings` (a call returns digits or raises a HeulagError), and no call in
-a loop body of the package does exact mpf arithmetic. Every module-level
-cache in the package is an lru_cache with a finite maxsize. Every file in
-tests/data is written by exactly one dataset of the frozen-data harness
-(tests/frozen.py), and every such dataset's file exists. No linter ships with
-the toolchain, so these scans are the lint step. Names listed in a module's
-__all__ count as used imports (they are re-exports), and __future__ imports
-are exempt."""
+into the package, a second door to its callee, and each of its names is read
+outside tests/: by the benchmark or in the README. Nothing in the package
+sets mpmath's working precision outside specfun.PrecisionContext.work, each
+setter is an item of a `with` that holds specfun._lock before it, that lock
+is the only threading object the package makes and only specfun names it, no
+module of the package imports `warnings` (a call returns digits or raises a
+HeulagError), and no call in a loop body of the package does exact mpf
+arithmetic. Every module-level cache in the package is an lru_cache with a
+finite maxsize. Every file in tests/data is written by exactly one dataset
+of the frozen-data harness (tests/frozen.py), and every such dataset's file
+exists. No linter ships with the toolchain, so these scans are the lint
+step. Names listed in a module's __all__ count as used imports (they are
+re-exports), and __future__ imports are exempt."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "heulag").glob("*.py"))
-FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")])
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *BENCH])
 # The package's modules as the definition scans see them: __init__.py only
 # re-exports, and a re-export is not a read.
 MODULES = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
@@ -39,12 +42,8 @@ PUBLIC_API = {
     "comparators.pade_eval": "the Pade baseline; bench/spans.py traces it, the CLI calls its _pade",
     "extrapolant.extrapolate": "the one-shot build-then-evaluate API that the bench and the "
                                "README use; the CLI builds an Extrapolant per reconstruction",
-    "finitepart.exp_kernel": "the kernel fp_canonical_oracle checks the closed formulas on",
-    "finitepart.fp_canonical_oracle": "the canonical epsilon-cutoff finite-part oracle",
     "finitepart.fp_exp_over_xm": "Galapon's FP of e^{-bx}/x^m at any b and m; bench/spans.py "
                                  "traces it, the assembly reads its _fp_exp_rows",
-    "models.coeff": "one exact coefficient for callers; coefficients converts the model once "
-                    "and runs the same formula through _coeff",
     "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",
     "models.strong_field_leading": "the strong-field asymptotics; to grow into the series "
                                    "oracle of ROADMAP item 6",
@@ -170,6 +169,50 @@ def test_scan_flags_an_unread_public_name():
 def test_public_names_are_read_or_listed():
     # an unread name off the list, or a listed name now read or gone, fails
     assert unread_publics(MODULES) == sorted(PUBLIC_API)
+
+
+# PUBLIC_API names that nothing outside tests/ reads yet: ROADMAP item 6 grows this one.
+UNREACHED = {"models.strong_field_leading"}
+
+
+def outside_reads(bench: dict[str, str], readme: str) -> set[str]:
+    """Identifiers read outside tests/: each name, attribute or import that
+    `bench` reads, each word of its strings (spans.TRACED names the functions
+    it traces in strings) and each word of `readme`."""
+    words = set(re.findall(r"\w+", readme))
+    for text in bench.values():
+        tree = ast.parse(text)
+        words |= _reads(tree)
+        words.update(w for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                      and isinstance(n.value, str) for w in re.findall(r"\w+", n.value))
+    return words
+
+
+def unreached_public_api(api, reads: set[str]) -> list[str]:
+    """Each `module.name` of `api` whose name is not in `reads`."""
+    return sorted(entry for entry in api if entry.rpartition(".")[2] not in reads)
+
+
+def test_scan_flags_a_public_name_only_tests_read():
+    bench = {
+        "run": "from heulag import cli\n"
+               "# models.oracle is read in a comment only\n"
+               "TRACED = {'models': ('fit',)}\n"
+               "cli.load(x)\n",
+        "spans": "print('comparators.pade')\n",
+    }
+    readme = "Call `extrapolate`, or\n``models.coef``.\n"
+    api = ["cli.load", "comparators.pade", "extrapolant.extrapolate", "models.coef",
+           "models.coeff", "models.fit", "models.oracle", "models.unused"]
+    assert unreached_public_api(api, outside_reads(bench, readme)) == [
+        "models.coeff", "models.oracle", "models.unused"]
+
+
+def test_public_api_is_read_outside_the_tests():
+    # a public name that only tests read moves to tests/ or goes (ROADMAP item 18)
+    bench = {p.stem: p.read_text(encoding="utf-8") for p in BENCH}
+    reads = outside_reads(bench, (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert unreached_public_api(PUBLIC_API, reads) == sorted(UNREACHED)
 
 
 def forwarding_functions(sources: dict[str, str]) -> list[str]:

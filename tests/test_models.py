@@ -15,7 +15,6 @@ from heulag import (
     ReconstructionCoefficients,
     SeriesCoefficients,
     closed_form,
-    coeff,
     coefficients,
     direct_integral_oracle,
     extrapolate,
@@ -27,7 +26,7 @@ from heulag import (
     weniger_delta,
 )
 from heulag import finitepart, models
-from heulag.models import _kernel, _node_factors
+from heulag.models import _coeff, _kernel, _node_factors
 from heulag.specfun import _bernoulli_even
 import closed_form_references
 import frozen
@@ -40,13 +39,13 @@ from conftest import oracle, printed_match, rel_err
 # ---------------------------------------------------------------------------
 
 def test_leading_coefficients_exact():
-    assert coeff(ModelId.SPIN0, 2) == Fraction(7, 360)
-    assert coeff(ModelId.SPIN0, 3) == Fraction(31, 2520)
-    assert coeff(ModelId.SPIN0, 4) == Fraction(127, 5040)
-    assert coeff(ModelId.SPIN_HALF, 2) == Fraction(1, 45)
-    assert coeff(ModelId.SELF_DUAL, 0) == Fraction(1, 240)
-    assert coeff(ModelId.SELF_DUAL, 1) == Fraction(1, 1008)
-    assert coeff(ModelId.SELF_DUAL, 2) == Fraction(1, 1440)
+    assert _coeff(ModelId.SPIN0, 2) == Fraction(7, 360)
+    assert _coeff(ModelId.SPIN0, 3) == Fraction(31, 2520)
+    assert _coeff(ModelId.SPIN0, 4) == Fraction(127, 5040)
+    assert _coeff(ModelId.SPIN_HALF, 2) == Fraction(1, 45)
+    assert _coeff(ModelId.SELF_DUAL, 0) == Fraction(1, 240)
+    assert _coeff(ModelId.SELF_DUAL, 1) == Fraction(1, 1008)
+    assert _coeff(ModelId.SELF_DUAL, 2) == Fraction(1, 1440)
 
 
 def test_coefficients_positive_and_factorially_growing():
@@ -79,23 +78,18 @@ def _chained_coeff(model: ModelId, k: int) -> Fraction:
 def test_coeff_matches_the_chained_formula(model):
     first = 0 if model is ModelId.SELF_DUAL else 2
     for k in range(first, 301):
-        assert coeff(model, k) == _chained_coeff(model, k), k
+        assert _coeff(model, k) == _chained_coeff(model, k), k
     assert coefficients(model, 299).a == tuple(
         _chained_coeff(model, k + first) for k in range(299))
 
 
-def test_coeff_domain_errors():
-    with pytest.raises(DomainError):
-        coeff(ModelId.SPIN0, 1)  # spins start at k = 2
-    with pytest.raises(DomainError):
-        coeff(ModelId.SELF_DUAL, -1)
+def test_coefficients_count_domain_error():
     with pytest.raises(DomainError, match="count must be >= 1"):
         coefficients(ModelId.SPIN0, 0)
 
 
 _CTX30 = PrecisionContext(30)
 _BY_MODEL = {
-    "coeff": lambda m: coeff(m, 3),
     "coefficients": lambda m: coefficients(m, 3),
     "closed_form": lambda m: closed_form(m, "2", _CTX30),
     "partial_sum": lambda m: partial_sum(m, "0.1", 3, _CTX30),
