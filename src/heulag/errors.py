@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "HeulagError",
+    "DomainError",
+    "DegeneracyError",
+    "ConsistencyError",
+    "OracleFailureError",
+    "CacheMismatchError",
+]
+
 
 class HeulagError(Exception):
     """Base class for all package errors."""

@@ -31,6 +31,7 @@ from heulag.momentrec import _density_taylor
 from conftest import printed_match, rel_err
 from fp_cutoff_oracle import KernelDescriptor, exp_kernel, fp_canonical_oracle
 import stieltjes_reference
+import strong_field_limit
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +606,17 @@ def test_strong_field_limit_is_two_exact_numbers(model, moments, beta, tol, buil
         limit = b ** (model.series_prefactor_power - 1) * (
             mpf(N[0]) / D * (log(b) / 2 + log(2) - euler) + mpf(C0.numerator) / C0.denominator)
         assert abs(value - limit) <= mpf(tol) * abs(limit)
+
+
+@pytest.mark.parametrize("moments", [m for m in strong_field_limit.MOMENTS if m <= 200])
+@pytest.mark.parametrize("model", list(ModelId))
+def test_frozen_strong_field_limits_match_a_fresh_computation(model, moments):
+    # g0 and g0 (ln 2 - gamma) + C0 near their true limits slowly and not
+    # monotonically (spin0's g0: 2.33 digits at 100 moments, 1.47 at 200); the
+    # 400-moment rows take about 0.9 s each and are left to
+    # `strong_field_limit.py --check`
+    frozen_row = strong_field_limit.DATASET.load()[model.value][str(moments)]
+    assert strong_field_limit.limit_row(model, moments) == frozen_row
 
 
 @pytest.mark.parametrize("moments", [10, 50])

@@ -12,14 +12,21 @@ HeulagError), and no call in a loop body of the package does exact mpf
 arithmetic. Every module-level cache in the package is an lru_cache with a
 finite maxsize. Every file in tests/data is written by exactly one dataset
 of the frozen-data harness (tests/frozen.py), and every such dataset's file
-exists. No linter ships with the toolchain, so these scans are the lint
-step. Names listed in a module's __all__ count as used imports (they are
-re-exports), and __future__ imports are exempt."""
+exists. Each module that the package's __init__.py star-imports lists
+exactly its public module-level definitions in a literal __all__, no two
+list the same name, and __init__.py spells none of them: heulag.__all__ is
+the union of those lists, so each public name is written once. No linter
+ships with the toolchain, so these scans are the lint step. Names listed in
+a module's __all__ count as used imports (they are re-exports), a star
+import is a re-export in an __init__.py and a fault anywhere else, and
+__future__ imports are exempt."""
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import heulag
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "heulag").glob("*.py"))
@@ -45,21 +52,29 @@ PUBLIC_API = {
     "finitepart.fp_exp_over_xm": "Galapon's FP of e^{-bx}/x^m at any b and m; bench/spans.py "
                                  "traces it, the assembly reads its _fp_exp_rows",
     "models.finite_part_assembly": "the finite-part route to the closed forms, an oracle",
-    "models.strong_field_leading": "the strong-field asymptotics; to grow into the series "
-                                   "oracle of ROADMAP item 6",
+    "models.strong_field_leading": "the strong-field leading terms, the limits that "
+                                   "tests/strong_field_limit.py measures the extrapolant's "
+                                   "against; to grow into the series oracle of ROADMAP item 6",
 }
 
 
-def _exported(tree: ast.Module) -> set[str]:
+def _listed(tree: ast.Module) -> list[str] | None:
+    """The module's __all__ if it is a list or tuple of string literals."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            return {elt.value for elt in node.value.elts}
-    return set()
+            elts = getattr(node.value, "elts", None)
+            if elts is not None and all(isinstance(e, ast.Constant)
+                                        and isinstance(e.value, str) for e in elts):
+                return [e.value for e in elts]
+            return None
+    return None
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by import statements that the module never reads."""
+def unused_imports(source: str, init: bool = False) -> list[str]:
+    """Names bound by import statements that the module never reads, and
+    each star import unless `init` (the module is a package's __init__.py,
+    whose star imports are its re-exports)."""
     tree = ast.parse(source)
     bound = {}
     for node in ast.walk(tree):
@@ -68,10 +83,13 @@ def unused_imports(source: str) -> list[str]:
                 bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+                elif not init:
+                    bound[f"from {'.' * node.level}{node.module or ''} import *"] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in bound.items()
-                  if name not in used and name not in _exported(tree))
+                  if name not in used and name not in (_listed(tree) or ()))
 
 
 def test_scan_flags_an_unused_import():
@@ -79,11 +97,14 @@ def test_scan_flags_an_unused_import():
         "os (line 1)", "tau (line 2)"]
     assert unused_imports("from __future__ import annotations\n"
                           "from .a import b\n__all__ = ['b']\n") == []
+    star = "from . import a\nfrom .a import *\nfrom math import *\n__all__ = sorted(a.__all__)\n"
+    assert unused_imports(star) == ["from .a import * (line 2)", "from math import * (line 3)"]
+    assert unused_imports(star, init=True) == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+    assert unused_imports(path.read_text(encoding="utf-8"), init=path.name == "__init__.py") == []
 
 
 def _definitions(tree: ast.Module):
@@ -171,10 +192,6 @@ def test_public_names_are_read_or_listed():
     assert unread_publics(MODULES) == sorted(PUBLIC_API)
 
 
-# PUBLIC_API names that nothing outside tests/ reads yet: ROADMAP item 6 grows this one.
-UNREACHED = {"models.strong_field_leading"}
-
-
 def outside_reads(bench: dict[str, str], readme: str) -> set[str]:
     """Identifiers read outside tests/: each name, attribute or import that
     `bench` reads, each word of its strings (spans.TRACED names the functions
@@ -212,7 +229,83 @@ def test_public_api_is_read_outside_the_tests():
     # a public name that only tests read moves to tests/ or goes (ROADMAP item 18)
     bench = {p.stem: p.read_text(encoding="utf-8") for p in BENCH}
     reads = outside_reads(bench, (ROOT / "README.md").read_text(encoding="utf-8"))
-    assert unreached_public_api(PUBLIC_API, reads) == sorted(UNREACHED)
+    assert unreached_public_api(PUBLIC_API, reads) == []
+
+
+def _star_imported(tree: ast.Module) -> list[str]:
+    """The sibling modules that `tree` star-imports (`from .name import *`)."""
+    return sorted(node.module for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                  and any(alias.name == "*" for alias in node.names))
+
+
+def export_faults(sources: dict[str, str]) -> list[str]:
+    """One line for each fault in the package's lists of public names: a
+    module that `sources["__init__"]` star-imports must list exactly its
+    public module-level definitions, once each, in a literal __all__; no
+    two such modules may list the same name; and __init__ may spell none of
+    their public names (in code or a string; its docstring aside), since it
+    re-exports them by the star imports alone."""
+    init = ast.parse(sources["__init__"])
+    faults, owners, public = [], {}, set()
+    for module in _star_imported(init):
+        tree = ast.parse(sources[module])
+        listed = _listed(tree)
+        defined = {name for name, _ in _definitions(tree) if not name.startswith("_")}
+        if listed is None:
+            faults.append(f"{module}: no literal __all__")
+            listed = []
+        faults += [f"{module}.{name}: not in __all__" for name in defined - set(listed)]
+        faults += [f"{module}.{name}: in __all__, not defined" for name in set(listed) - defined]
+        faults += [f"{module}.{name}: twice in __all__" for name in set(listed)
+                   if listed.count(name) > 1]
+        for name in set(listed):
+            owners.setdefault(name, []).append(module)
+        public |= defined | set(listed)
+    docstring = init.body[0].value if ast.get_docstring(init) is not None else None
+    spelled = {n.id for n in ast.walk(init) if isinstance(n, ast.Name)} | _reads(init) | {
+        w for n in ast.walk(init) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and n is not docstring for w in re.findall(r"\w+", n.value)}
+    return sorted([*faults,
+                   *(f"{name}: listed by {' and '.join(m)}" for name, m in owners.items()
+                     if len(m) > 1),
+                   *(f"__init__ spells {name}" for name in spelled & public)])
+
+
+def test_scan_flags_a_public_name_listed_twice_or_not_at_all():
+    sources = {
+        "__init__": '"""Re-exports f."""\n'
+                    "from . import a\n"
+                    "from .a import *\n"
+                    "from .b import *\n"
+                    "from .c import *\n"
+                    "from .d import g\n"
+                    "__all__ = sorted(a.__all__) + ['h']\n",
+        "a": "__all__ = ['f', 'gone', 'f']\n"
+             "def f(): pass\n"
+             "def g(): pass\n"
+             "_p = 1\n",
+        "b": "__all__ = ('f', 'h')\n"
+             "f = h = 1\n",
+        "c": "__all__ = names()\n",
+        "d": "def g(): pass\n"
+             "def k(): pass\n",
+    }
+    assert export_faults(sources) == [
+        "__init__ spells g", "__init__ spells h", "a.f: twice in __all__", "a.g: not in __all__",
+        "a.gone: in __all__, not defined", "c: no literal __all__", "f: listed by a and b"]
+
+
+def test_each_public_name_is_listed_once():
+    # a module's __all__ is the one list of its public names; heulag.__all__
+    # is their sorted union, over every module but the CLI, and each of its
+    # names is the object that its module defines
+    modules = _star_imported(ast.parse(SOURCES["__init__"]))
+    assert modules == sorted(set(MODULES) - {"cli"})
+    assert export_faults(SOURCES) == []
+    homes = {name: getattr(heulag, m) for m in modules for name in getattr(heulag, m).__all__}
+    assert heulag.__all__ == sorted(homes)
+    assert all(getattr(heulag, name) is getattr(home, name) for name, home in homes.items())
 
 
 def forwarding_functions(sources: dict[str, str]) -> list[str]:
